@@ -6,6 +6,11 @@ denominators gives polynomials whose top terms cancel exactly, leaving
 positive leading coefficients, so a Cauchy root bound plus an exhaustive
 integer scan below it certifies positivity for every k from some point
 on.  The certificate records the scan, the bound, and the polynomials.
+
+Evaluation stays exact without a Fraction operation per coefficient:
+a polynomial keeps its coefficients scaled to integers over their common
+denominator, and is evaluated at p/q by one integer Horner pass over
+homogeneous terms, reduced to a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -23,9 +28,15 @@ from .varieties import Variety
 class Poly:
     """Dense univariate polynomial with exact Rational coefficients,
     constant term first.  The zero polynomial has no coefficients and
-    degree -1.  Immutable once built."""
+    degree -1.  Immutable once built.
 
-    __slots__ = ("coeffs",)
+    Evaluation is exact integer arithmetic.  On the first call the
+    coefficients a_i are scaled by D, the lcm of their denominators, and
+    cached highest degree first; x = p/q (q = 1 for an int) then gives
+    sum a_i*D * p^i * q^(n-i) over D * q^n by Horner's rule, and one
+    reduced Fraction is built from that pair."""
+
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -55,12 +66,26 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def _scale(self) -> tuple[int, tuple[int, ...]]:
+        denom = math.lcm(*(c.denominator for c in self.coeffs))
+        # the zero polynomial evaluates as the constant 0
+        top_first = tuple(c.numerator * (denom // c.denominator)
+                          for c in reversed(self.coeffs)) or (0,)
+        object.__setattr__(self, "_scaled", (denom, top_first))
+        return denom, top_first
+
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at an int or Fraction x."""
+        try:
+            denom, top_first = self._scaled
+        except AttributeError:
+            denom, top_first = self._scale()
+        p, q = x.numerator, x.denominator
+        acc, qpow = top_first[0], 1
+        for c in top_first[1:]:
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, denom * qpow)
 
     def _promote(self, other):
         if isinstance(other, Poly):
@@ -274,6 +299,12 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     roots and the leading coefficients are positive, so positivity is
     permanent.  A zero value counts as a failure for k_min (stability
     needs strict inequalities) and is recorded in the notes.
+
+    Each k is evaluated once.  The closing check that both polynomials
+    are positive from k_min through max(top + 1, k_min + 1), where top is
+    the ceiling of the bound, reads the scanned rows from k_min on and
+    evaluates afresh only the ks past top: top + 1, and top + 2 as well
+    when k_min is top + 1 (always the case when nothing was scanned).
     """
     polys = build_condition_polys(variety, d0, hilbert)
     start = max(hilbert.regularity, polys.k_pos)
@@ -293,26 +324,27 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
             "second polynomial"
         )
 
-    rows = []
-    last_fail = None
-    for k in range(start, top + 1):
+    def row(k: int) -> ScanRow:
         v2 = polys.cond2(k)
         v1 = polys.cond1(k) if polys.cond1 is not None else None
-        passed = v2 > 0 and (v1 is None or v1 > 0)
-        if not passed:
-            last_fail = k
-        if v2 == 0 or (v1 is not None and v1 == 0):
+        return ScanRow(k=k, cond2_value=v2, cond1_value=v1,
+                       passed=v2 > 0 and (v1 is None or v1 > 0))
+
+    rows = [row(k) for k in range(start, top + 1)]
+    last_fail = None
+    for r in rows:
+        if not r.passed:
+            last_fail = r.k
+        if r.cond2_value == 0 or r.cond1_value == 0:
             notes.append(
-                f"equality at k = {k}: the certificate gives only semistability there"
+                f"equality at k = {r.k}: the certificate gives only semistability there"
             )
-        rows.append(ScanRow(k=k, cond2_value=v2, cond1_value=v1, passed=passed))
 
     k_min = start if last_fail is None else last_fail + 1
-    for k in range(k_min, max(top + 2, k_min + 2)):
-        v2 = polys.cond2(k)
-        v1 = polys.cond1(k) if polys.cond1 is not None else Fraction(1)
-        if v2 <= 0 or v1 <= 0:
-            raise RuntimeError(f"positivity check failed at k = {k} past the scan")
+    past_top = range(max(k_min, top + 1), max(top + 2, k_min + 2))
+    for r in rows[k_min - start:] + [row(k) for k in past_top]:
+        if not r.passed:
+            raise RuntimeError(f"positivity check failed at k = {r.k} past the scan")
 
     return TwistCertificate(
         k_min=k_min,

@@ -115,14 +115,16 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
     """
     if not isinstance(data, dict):
         raise UsageError("input must be a JSON object")
-    try:
-        vblock = data["variety"]
-        sblock = data["sheaf"]
-    except (KeyError, TypeError):
-        raise UsageError('input must contain "variety" and "sheaf" objects') from None
+    vblock, sblock = data.get("variety"), data.get("sheaf")
+    if not isinstance(vblock, dict) or not isinstance(sblock, dict):
+        raise UsageError('input must contain "variety" and "sheaf" objects')
 
     name = vblock.get("name")
+    if name is not None and not isinstance(name, str):
+        raise UsageError('variety "name" must be a string')
     numeric = {k: vblock[k] for k in ("dim", "h_top", "c1_dot_h") if k in vblock}
+    if not all(isinstance(v, int) for v in numeric.values()):
+        raise UsageError('variety "dim", "h_top" and "c1_dot_h" must be integers')
     if name is not None and not numeric:
         variety = catalog_lookup(name)
     elif len(numeric) == 3:
@@ -143,12 +145,16 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
         raise UsageError('sheaf block needs integer "rank" and "degree"') from None
     hilbert = None
     if "hilbert" in sblock:
-        hilbert = tuple(parse_rational(str(c)) for c in sblock["hilbert"])
-    regularity = sblock.get("regularity")
-    if regularity is not None:
-        regularity = int(regularity)
-    sections = sblock.get("h0")
-    if sections is not None:
-        sections = int(sections)
+        if not isinstance(sblock["hilbert"], list):
+            raise UsageError('sheaf "hilbert" must be a list of coefficients')
+        try:
+            hilbert = tuple(parse_rational(str(c)) for c in sblock["hilbert"])
+        except ValueError as exc:
+            raise UsageError(f"bad hilbert coefficient list: {exc}") from None
+    try:
+        regularity = None if sblock.get("regularity") is None else int(sblock["regularity"])
+        sections = None if sblock.get("h0") is None else int(sblock["h0"])
+    except (TypeError, ValueError):
+        raise UsageError('sheaf "regularity" and "h0" must be integers') from None
     spec = SheafSpec(rank, degree, sections=sections, hilbert=hilbert, regularity=regularity)
     return variety, spec

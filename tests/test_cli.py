@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -255,6 +256,55 @@ class TestInputFiles:
         assert code == 1
         assert "JSON" in err
 
+    def run_input(self, tmp_path, command, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(command, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        return err
+
+    def test_decimal_hilbert_coefficient(self, tmp_path):
+        err = self.run_input(tmp_path, "twist", {
+            "variety": {"name": "P2"},
+            "sheaf": {"rank": 1, "degree": 0, "hilbert": ["1.5", "3/2", "1/2"], "regularity": 0},
+        })
+        assert "1.5" in err
+
+    def test_string_hilbert(self, tmp_path):
+        err = self.run_input(tmp_path, "twist", {
+            "variety": {"name": "P2"},
+            "sheaf": {"rank": 1, "degree": 0, "hilbert": "1,3/2,1/2", "regularity": 0},
+        })
+        assert "hilbert" in err
+
+    def test_list_valued_variety(self, tmp_path):
+        err = self.run_input(tmp_path, "bound", {
+            "variety": ["P2"], "sheaf": {"rank": 1, "degree": 2},
+        })
+        assert "variety" in err
+
+    def test_string_dim(self, tmp_path):
+        err = self.run_input(tmp_path, "bound", {
+            "variety": {"dim": "2", "h_top": 1, "c1_dot_h": 3},
+            "sheaf": {"rank": 1, "degree": 2},
+        })
+        assert "dim" in err
+
+    def test_list_valued_name(self, tmp_path):
+        err = self.run_input(tmp_path, "bound", {
+            "variety": {"name": ["P2"]}, "sheaf": {"rank": 1, "degree": 2},
+        })
+        assert "name" in err
+
+    def test_string_h0(self, tmp_path):
+        err = self.run_input(tmp_path, "check", {
+            "variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2, "h0": "six"},
+        })
+        assert "h0" in err
+
 
 class TestOutputContracts:
     def test_byte_identical_repeats(self):
@@ -299,3 +349,30 @@ class TestOutputContracts:
         code, _, err = run_cli("bound", "--catalog", "P2", "--degree", "x")
         assert code == 1
         assert err.startswith("error:")
+
+
+# SHA-256 of stdout for long twist scans (hundreds to thousands of rows):
+# a change to how F and G are evaluated must leave certificates byte-identical.
+LONG_SCANS = {
+    "dim2": ("--dim", "2", "--h-top", "1", "--c1-h", "-11", "--degree", "0",
+             "--hilbert", "0,-11/2,1/2"),
+    "dim3": ("--dim", "3", "--h-top", "1", "--c1-h", "-4", "--degree", "0",
+             "--hilbert", "0,0,-1,1/6"),
+    "quartic-K3": ("--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2"),
+}
+
+GOLDEN_TWISTS = [
+    ("dim2", "json", "0c87288875d68fd4bbcadeee3fc87bb7d2c07f7ef8db4c7386501b054d1a34e0"),
+    ("dim2", "csv", "716e5a1c6bdfe607e9c2bb61de115440f8a2cc09805d25cd7859a212e56154c4"),
+    ("dim3", "json", "9e254cea9e3a3819e7ab7e0e6884b2a57325e9d43c3325bc032bba3346b31ace"),
+    ("dim3", "csv", "884e97f7aa7bf7a4ae5ac14fa5906e5f03edd6dddcd118ab72d58f5bd64ecf9a"),
+    ("quartic-K3", "json", "5b1a832c75b8a7bbba4b242fb29ec983e0db32269d082efda6208c89c6309a73"),
+    ("quartic-K3", "csv", "fceb9a9b46f675e62abf94ecc0340c46b647d4116ef953e3d9d1517b4d340f1f"),
+]
+
+
+@pytest.mark.parametrize("case,fmt,digest", GOLDEN_TWISTS)
+def test_long_twist_scan_golden(case, fmt, digest):
+    code, out, _ = run_cli("twist", *LONG_SCANS[case], "--regularity", "0", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

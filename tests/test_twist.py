@@ -15,6 +15,7 @@ from syzstab import (
     build_condition_polys,
     catalog_lookup,
     cauchy_bound,
+    make_variety,
     minimal_stable_twist,
     validate_hilbert,
 )
@@ -81,6 +82,32 @@ class TestPoly:
     @given(poly_strategy(3), rationals, rationals, rationals)
     def test_compose_matches_substitution(self, p, a, b, x):
         assert p.compose_linear(a, b)(x) == p(a * x + b)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.integers(-10**6, 10**6).map(Fraction),
+                st.fractions(max_denominator=10**9),
+            ),
+            max_size=7,
+        ),
+        st.one_of(
+            st.integers(max_value=-1),
+            st.just(0),
+            st.integers(min_value=1),
+            st.fractions(max_denominator=10**6),
+        ),
+    )
+    def test_eval_matches_fraction_horner(self, coeffs, x):
+        want = Fraction(0)
+        for c in reversed(coeffs):
+            want = want * x + c
+        p = Poly(coeffs)
+        for _ in range(2):  # the first call scales the coefficients, the second reuses them
+            got = p(x)
+            assert type(got) is Fraction
+            assert got == want
 
 
 class TestCauchyBound:
@@ -241,6 +268,22 @@ class TestMinimalStableTwist:
         cert = minimal_stable_twist(K3, 0, HilbertPoly(Poly((2, 0, 2)), 4))
         assert cert.scanned_range[0] == 4
         assert cert.k_min == 4
+
+    def test_passed_from_k_min_on(self):
+        long_scan = make_variety("custom", 2, 1, -11)
+        cases = ((P2, HP_P2), (P3, HP_P3), (K3, HP_K3),
+                 (long_scan, HilbertPoly(Poly((0, Fraction(-11, 2), Fraction(1, 2))), 0)))
+        for v, hp in cases:
+            cert = minimal_stable_twist(v, 0, hp)
+            assert all(row.passed for row in cert.scan if row.k >= cert.k_min)
+            assert cert.scan[cert.k_min - cert.scanned_range[0]:]
+
+    def test_post_scan_check_fires(self, monkeypatch):
+        # a root bound below the scan start leaves the scan empty, so the
+        # closing check evaluates F itself and meets F(3) = -5/2
+        monkeypatch.setattr("syzstab.twist.cauchy_bound", lambda p: Fraction(1))
+        with pytest.raises(RuntimeError, match="k = 3"):
+            minimal_stable_twist(K3, 0, HP_K3)
 
     def test_start_past_cauchy_bound(self):
         cert = minimal_stable_twist(K3, 0, HilbertPoly(Poly((2, 0, 2)), 40))
