@@ -7,6 +7,12 @@ produces) and a simplified cap (the shape the stability certificate
 consumes).  restriction_sum recomputes one induction step by brute
 force; it exists so the closed forms can be checked against it.
 
+Each closed form is evaluated as one integer ratio.  With d = p/e and
+q = h_top*e, every binomial argument is an integer over q, so a form is
+a sum of integer rising products (exactnum._rising) over one known
+denominator, and a single Fraction is built at the end: no float, no
+tolerance and no sampling.
+
 On the strip (dim >= 3 and 0 < (d - (2g-2))/h_top < 1) the high branch
 takes a single restriction step instead of the telescoped sum; see
 riemann_roch_bound.
@@ -18,9 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InconsistentInputError
-from .exactnum import genbinom
+from .exactnum import _rising
 from .varieties import Variety
 
 
@@ -38,12 +45,15 @@ class BranchError(ValueError):
     """Degree handed to the wrong branch of the rank-1 bound."""
 
 
-def _check_common(n: int, h_top: int, d) -> Fraction:
+def _check_common(n: int, h_top: int, d):
+    """Validate the shared arguments; an int degree stays an int, any
+    other degree becomes a Fraction."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if h_top < 1:
         raise ValueError(f"h_top must be >= 1, got {h_top}")
-    d = Fraction(d)
+    if not isinstance(d, int):
+        d = Fraction(d)
     if d < 0:
         raise InconsistentInputError(
             f"degree must be >= 0 (degree-0 sheaves are trivial, negative is impossible), got {d}"
@@ -52,19 +62,23 @@ def _check_common(n: int, h_top: int, d) -> Fraction:
 
 
 def select_branch(g: int, d) -> Branch:
-    return Branch.CLIFFORD if Fraction(d) <= 2 * g - 2 else Branch.RIEMANN_ROCH
+    return Branch.CLIFFORD if d <= 2 * g - 2 else Branch.RIEMANN_ROCH
 
 
 def clifford_bound(n: int, h_top: int, g: int, d) -> Fraction:
     """Low-degree rank-1 bound: (h/2)*genbinom(d/h - 1, n) + genbinom(d/h, n-1).
 
     Valid for 0 <= d <= 2g-2; on a curve this is Clifford's theorem.
+    Scaled (d = p/e, q = h*e, R = _rising over q):
+    (h*R(p-q, n) + 2nq*R(p, n-1)) / (2q^n * n!).
     """
     d = _check_common(n, h_top, d)
     if d > 2 * g - 2:
         raise BranchError(f"degree {d} exceeds 2g-2 = {2 * g - 2}; use the high branch")
-    x = d / h_top
-    return Fraction(h_top, 2) * genbinom(x - 1, n) + genbinom(x, n - 1)
+    p, e = d.numerator, d.denominator
+    q = h_top * e
+    num = h_top * _rising(p - q, q, n) + 2 * n * q * _rising(p, q, n - 1)
+    return Fraction(num, 2 * q**n * math.factorial(n))
 
 
 def _in_strip(n: int, h_top: int, g: int, d) -> bool:
@@ -102,6 +116,10 @@ def riemann_roch_bound(n: int, h_top: int, g: int, d) -> Fraction:
     the second term is absent when d < h, as L(-H) then has negative
     degree.  On surfaces the i = 0 cross term carries no s, so the sum
     stays valid there.
+
+    Scaled off the strip (d = p/e, q = h*e, R = _rising over q,
+    a_s = p-(2g-2)e-q, a_t = (2g-2)e): (R(p-(g-1)e-q, n)
+    + e*sum_i C(n,i)(n-i+g-1)*R(a_s, i)*R(a_t, n-1-i)) / (e*q^(n-1)*n!).
     """
     d = _check_common(n, h_top, d)
     if d <= 2 * g - 2:
@@ -111,12 +129,15 @@ def riemann_roch_bound(n: int, h_top: int, g: int, d) -> Fraction:
         if d >= h_top:
             total += clifford_bound(n, h_top, g, d - h_top)
         return total
-    total = h_top * genbinom((d - (g - 1)) / h_top - 1, n)
-    s = (d - (2 * g - 2)) / h_top - 1
-    t = Fraction(2 * g - 2, h_top)
-    for i in range(n - 1):
-        total += Fraction(n - i + g - 1, n - i) * genbinom(s, i) * genbinom(t, n - 1 - i)
-    return total
+    p, e = d.numerator, d.denominator
+    q = h_top * e
+    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
+    cross = sum(
+        math.comb(n, i) * (n - i + g - 1) * _rising(a_s, q, i) * _rising(a_t, q, n - 1 - i)
+        for i in range(n - 1)
+    )
+    num = _rising(p - (g - 1) * e - q, q, n) + e * cross
+    return Fraction(num, e * q ** (n - 1) * math.factorial(n))
 
 
 def rank_one_bound(n: int, h_top: int, g: int, d) -> Fraction:
@@ -126,9 +147,16 @@ def rank_one_bound(n: int, h_top: int, g: int, d) -> Fraction:
 
 
 def bound_low(n: int, h_top: int, d) -> Fraction:
-    """Simplified low-branch cap: (d/(2n) + 1)*genbinom(d/h, n-1) - 1."""
+    """Simplified low-branch cap: (d/(2n) + 1)*genbinom(d/h, n-1) - 1.
+
+    Scaled (d = p/e, q = h*e, R = _rising over q, D = 2e*q^(n-1)*n!):
+    ((p + 2ne)*R(p, n-1) - D) / D.
+    """
     d = _check_common(n, h_top, d)
-    return (d / (2 * n) + 1) * genbinom(d / h_top, n - 1) - 1
+    p, e = d.numerator, d.denominator
+    q = h_top * e
+    den = 2 * e * q ** (n - 1) * math.factorial(n)
+    return Fraction((p + 2 * n * e) * _rising(p, q, n - 1) - den, den)
 
 
 def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
@@ -145,18 +173,26 @@ def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
     the strip (dim >= 3, -1 < s < 0) it fails, so the cap there is the
     one-step value of riemann_roch_bound minus 1, the relation that
     holds exactly on surfaces (the cap needs no simplification there).
+
+    Scaled off the strip (d = p/e, q = h*e, R = _rising over q,
+    R1 = R(p-(g-1)e-q, n), D = e*q^(2n-3)*n!*(n-1)!): for n >= 2,
+    (R1*q^(n-2)*(n-1)! + (n-1)^2(n+g-1)*e*R(a_s, n-2)*R(a_t, n-1) - D) / D
+    with a_s, a_t as in riemann_roch_bound; for n = 1, (R1 - e)/e.
     """
     d = _check_common(n, h_top, d)
     if _in_strip(n, h_top, g, d):
         return riemann_roch_bound(n, h_top, g, d) - 1
-    total = h_top * genbinom((d - (g - 1)) / h_top - 1, n) - 1
-    if n >= 2:
-        total += (
-            Fraction((n - 1) * (n + g - 1), n)
-            * genbinom((d - (2 * g - 2)) / h_top - 1, n - 2)
-            * genbinom(Fraction(2 * g - 2, h_top), n - 1)
-        )
-    return total
+    p, e = d.numerator, d.denominator
+    q = h_top * e
+    main = _rising(p - (g - 1) * e - q, q, n)
+    if n == 1:
+        return Fraction(main - e, e)
+    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
+    fact = math.factorial(n - 1)
+    den = e * q ** (2 * n - 3) * n * fact * fact
+    num = (main * q ** (n - 2) * fact
+           + (n - 1) ** 2 * (n + g - 1) * e * _rising(a_s, q, n - 2) * _rising(a_t, q, n - 1))
+    return Fraction(num - den, den)
 
 
 @dataclass(frozen=True)
@@ -198,6 +234,14 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     )
 
 
+@lru_cache(maxsize=8192)
+def _rank_one_step(n: int, h_top: int, g: int, d) -> Fraction:
+    """rank_one_bound, memoised: restriction sums at degrees that differ by
+    multiples of h_top share their terms, so a degree sweep evaluates each
+    rank-1 term once instead of once per sum."""
+    return rank_one_bound(n, h_top, g, d)
+
+
 def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     """One induction step, recomputed literally: restrict to a hyperplane
     section d//h + 1 times and add up the rank-1 bounds in dimension n-1.
@@ -208,8 +252,8 @@ def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     if n < 2:
         raise ValueError("restriction needs dimension >= 2")
     d = _check_common(n, h_top, d)
-    steps = math.floor(d / h_top)
+    steps = d // h_top
     return sum(
-        (rank_one_bound(n - 1, h_top, g, d - i * h_top) for i in range(steps + 1)),
+        (_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(steps + 1)),
         Fraction(0),
     )

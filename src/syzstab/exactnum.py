@@ -4,6 +4,10 @@ Every number that reaches a verdict in this package is a Rational; no
 float ever enters a comparison.  Rational is the standard library
 Fraction, which already stores canonically reduced arbitrary-precision
 values and compares by exact cross-multiplication.
+
+The generalized binomial at y = p/q is one integer ratio, the rising
+product (p+q)(p+2q)...(p+kq) over q^k * k!, reduced into a single
+Fraction: no float, no tolerance and no sampling.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _rising(a: int, q: int, k: int) -> int:
+    """The integer product (a+q)(a+2q)...(a+kq), under genbinom's piecewise
+    convention: 1 for k = 0, 0 for a < 0 with k >= 1."""
+    if k and a < 0:
+        return 0
+    return math.prod(range(a + q, a + k * q + 1, q))
+
+
 def genbinom(y, k: int) -> Fraction:
     """Generalized binomial: the number of ways to choose k from y+k slots,
     extended to rational y.
@@ -46,18 +58,15 @@ def genbinom(y, k: int) -> Fraction:
     Piecewise by convention: k = 0 gives 1 whatever y is; negative y with
     k >= 1 gives 0; otherwise the product (y+1)(y+2)...(y+k) / k!.
     y = 0 falls in the product branch and gives 1.
+    Scaled: for y = p/q this is _rising(p, q, k) / (q^k * k!).
     """
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return Fraction(1)
     y = Fraction(y)
-    if y < 0:
-        return Fraction(0)
-    num = Fraction(1)
-    for i in range(1, k + 1):
-        num *= y + i
-    return num / math.factorial(k)
+    p, q = y.numerator, y.denominator
+    return Fraction(_rising(p, q, k), q**k * math.factorial(k))
 
 
 def falling_sum_check(x, a: int, m: int, k: int) -> bool:

@@ -47,6 +47,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the coefficients, since restoring slot
+        # state would go through __setattr__; _scaled is rebuilt on first call
+        return (Poly, (self.coeffs,))
+
     @classmethod
     def variable(cls) -> "Poly":
         return cls((0, 1))

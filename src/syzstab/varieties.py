@@ -107,6 +107,11 @@ class SheafSpec:
             raise UsageError("hilbert coefficients and regularity must be given together")
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; a bool is not one, and nothing is rounded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
     """Decode the input-file schema: {"variety": {...}, "sheaf": {...}}.
 
@@ -123,7 +128,7 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
     if name is not None and not isinstance(name, str):
         raise UsageError('variety "name" must be a string')
     numeric = {k: vblock[k] for k in ("dim", "h_top", "c1_dot_h") if k in vblock}
-    if not all(isinstance(v, int) for v in numeric.values()):
+    if not all(_is_json_int(v) for v in numeric.values()):
         raise UsageError('variety "dim", "h_top" and "c1_dot_h" must be integers')
     if name is not None and not numeric:
         variety = catalog_lookup(name)
@@ -138,11 +143,9 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
     else:
         raise UsageError('variety block needs "name" or all of "dim", "h_top", "c1_dot_h"')
 
-    try:
-        rank = int(sblock["rank"])
-        degree = int(sblock["degree"])
-    except (KeyError, TypeError, ValueError):
-        raise UsageError('sheaf block needs integer "rank" and "degree"') from None
+    rank, degree = sblock.get("rank"), sblock.get("degree")
+    if not (_is_json_int(rank) and _is_json_int(degree)):
+        raise UsageError('sheaf block needs integer "rank" and "degree"')
     hilbert = None
     if "hilbert" in sblock:
         if not isinstance(sblock["hilbert"], list):
@@ -151,10 +154,8 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
             hilbert = tuple(parse_rational(str(c)) for c in sblock["hilbert"])
         except ValueError as exc:
             raise UsageError(f"bad hilbert coefficient list: {exc}") from None
-    try:
-        regularity = None if sblock.get("regularity") is None else int(sblock["regularity"])
-        sections = None if sblock.get("h0") is None else int(sblock["h0"])
-    except (TypeError, ValueError):
-        raise UsageError('sheaf "regularity" and "h0" must be integers') from None
+    regularity, sections = sblock.get("regularity"), sblock.get("h0")
+    if not all(v is None or _is_json_int(v) for v in (regularity, sections)):
+        raise UsageError('sheaf "regularity" and "h0" must be integers')
     spec = SheafSpec(rank, degree, sections=sections, hilbert=hilbert, regularity=regularity)
     return variety, spec

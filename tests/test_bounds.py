@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from syzstab import bounds
 from syzstab import (
     BoundForm,
     Branch,
@@ -166,6 +168,19 @@ class TestRestrictionSum:
         with pytest.raises(ValueError):
             restriction_sum(1, 1, 0, 3)
 
+    def test_matches_literal_sum_cold_and_warm(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n, h, g = rng.randint(2, 5), rng.randint(1, 6), rng.randint(0, 8)
+            d = rng.randint(0, 80)
+            literal = sum((rank_one_bound(n - 1, h, g, d - i * h) for i in range(d // h + 1)),
+                          Fraction(0))
+            bounds._rank_one_step.cache_clear()
+            assert restriction_sum(n, h, g, d) == literal
+            # warm: a neighbouring sum fills shared terms, then the same sum again
+            restriction_sum(n, h, g, d + h)
+            assert restriction_sum(n, h, g, d) == literal
+
 
 class TestFormRelations:
     def test_low_cap_matches_summed_form(self):
@@ -231,3 +246,116 @@ class TestStrip:
     def test_no_twist_term_below_h_top(self):
         # d < h_top: L(-H) has negative degree and contributes nothing
         assert riemann_roch_bound(3, 5, 1, 2) == rank_one_bound(2, 5, 1, 2)
+
+
+# --- frozen reference --------------------------------------------------------
+# The closed forms as Fraction loops over a product binomial, as they stood
+# before the integer-scaled evaluation; the program must agree with them on
+# value, result type and exception type.
+
+def _ref_binom(y, k):
+    if k == 0:
+        return Fraction(1)
+    if y < 0:
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(1, k + 1):
+        out *= y + i
+    return out / math.factorial(k)
+
+
+def _ref_degree(d):
+    d = Fraction(d)
+    if d < 0:
+        raise InconsistentInputError(d)
+    return d
+
+
+def _ref_clifford(n, h, g, d):
+    d = _ref_degree(d)
+    if d > 2 * g - 2:
+        raise BranchError(d)
+    x = d / h
+    return Fraction(h, 2) * _ref_binom(x - 1, n) + _ref_binom(x, n - 1)
+
+
+def _ref_in_strip(n, h, g, d):
+    return n >= 3 and 0 < d - (2 * g - 2) < h
+
+
+def _ref_riemann_roch(n, h, g, d):
+    d = _ref_degree(d)
+    if d <= 2 * g - 2:
+        raise BranchError(d)
+    if _ref_in_strip(n, h, g, d):
+        total = _ref_rank_one(n - 1, h, g, d)
+        if d >= h:
+            total += _ref_clifford(n, h, g, d - h)
+        return total
+    total = h * _ref_binom((d - (g - 1)) / h - 1, n)
+    s = (d - (2 * g - 2)) / h - 1
+    t = Fraction(2 * g - 2, h)
+    for i in range(n - 1):
+        total += Fraction(n - i + g - 1, n - i) * _ref_binom(s, i) * _ref_binom(t, n - 1 - i)
+    return total
+
+
+def _ref_rank_one(n, h, g, d):
+    if Fraction(d) <= 2 * g - 2:
+        return _ref_clifford(n, h, g, d)
+    return _ref_riemann_roch(n, h, g, d)
+
+
+def _ref_low(n, h, d):
+    d = _ref_degree(d)
+    return (d / (2 * n) + 1) * _ref_binom(d / h, n - 1) - 1
+
+
+def _ref_high(n, h, g, d):
+    d = _ref_degree(d)
+    if _ref_in_strip(n, h, g, d):
+        return _ref_riemann_roch(n, h, g, d) - 1
+    total = h * _ref_binom((d - (g - 1)) / h - 1, n) - 1
+    if n >= 2:
+        total += (Fraction((n - 1) * (n + g - 1), n)
+                  * _ref_binom((d - (2 * g - 2)) / h - 1, n - 2)
+                  * _ref_binom(Fraction(2 * g - 2, h), n - 1))
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (BranchError, InconsistentInputError) as exc:
+        return type(exc)
+    assert type(value) is Fraction, (fn.__name__, args, value)
+    return value
+
+
+@st.composite
+def _cells(draw):
+    n, h, g = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    # near 2g-2 the draw covers both branches, their boundary and the strip
+    near = draw(st.booleans())
+    lo, hi = (2 * g - 2 - h, 2 * g - 2 + 2 * h) if near else (-3, 400)
+    if draw(st.booleans()):
+        d = draw(st.integers(lo, hi))
+    else:
+        d = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=12))
+    return n, h, g, d
+
+
+class TestScaledClosedForms:
+    @settings(max_examples=600, deadline=None)
+    @given(_cells())
+    def test_match_fraction_reference(self, cell):
+        n, h, g, d = cell
+        pairs = (
+            (clifford_bound, _ref_clifford, (n, h, g, d)),
+            (riemann_roch_bound, _ref_riemann_roch, (n, h, g, d)),
+            (bound_low, _ref_low, (n, h, d)),
+            (bound_high, _ref_high, (n, h, g, d)),
+            (rank_one_bound, _ref_rank_one, (n, h, g, d)),
+        )
+        for fn, ref, args in pairs:
+            assert _outcome(fn, *args) == _outcome(ref, *args), (fn.__name__, args)

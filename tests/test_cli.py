@@ -299,6 +299,25 @@ class TestInputFiles:
         })
         assert "name" in err
 
+    def test_float_degree(self, tmp_path):
+        # "degree": 2.9 used to be truncated to 2 and answered as such
+        err = self.run_input(tmp_path, "check", {
+            "variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2.9, "h0": 6},
+        })
+        assert "degree" in err
+
+    def test_float_h0(self, tmp_path):
+        err = self.run_input(tmp_path, "check", {
+            "variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2, "h0": 6.5},
+        })
+        assert "h0" in err
+
+    def test_boolean_rank(self, tmp_path):
+        err = self.run_input(tmp_path, "bound", {
+            "variety": {"name": "P2"}, "sheaf": {"rank": True, "degree": 2},
+        })
+        assert "rank" in err
+
     def test_string_h0(self, tmp_path):
         err = self.run_input(tmp_path, "check", {
             "variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2, "h0": "six"},
@@ -374,5 +393,33 @@ GOLDEN_TWISTS = [
 @pytest.mark.parametrize("case,fmt,digest", GOLDEN_TWISTS)
 def test_long_twist_scan_golden(case, fmt, digest):
     code, out, _ = run_cli("twist", *LONG_SCANS[case], "--regularity", "0", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout for long degree sweeps in both forms: a change to how the
+# closed forms are evaluated must leave every report byte-identical.  The
+# dim-4 variety has genus 5, so its range crosses both branches and the strip
+# (degrees 9 and 10).
+SWEEPS = {
+    "P5": ("--catalog", "P5", "--degree", "0..3000"),
+    "dim4": ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--degree", "0..400"),
+}
+
+GOLDEN_SWEEPS = [
+    ("P5", "lemma", "json", "087de3df08361bbb32c87e007463adca611e04ece7762ab0816369576cce18ce"),
+    ("P5", "lemma", "csv", "9475142c26827770aa3c9a1814d22e301b602d3fb92ffb17d0e3028aa1a97cd2"),
+    ("P5", "simplified", "json", "562a2ff434cc27dec0e54dee9afb4589bf7bf968c10defd8e1d60166f03a75d6"),
+    ("P5", "simplified", "csv", "12bf4e791e9a9fdf71dcee20a457e4ca1c753215379b3099b2d1be05acb63256"),
+    ("dim4", "lemma", "json", "5d4f488fa078b6786f5262d504ab059975a7bbef44c05f5320f0f7daafdf9e6e"),
+    ("dim4", "lemma", "csv", "832256b9211865895110ef7fd471acfc4cb4a302fb416faeb4b3ec3ea4d38f3b"),
+    ("dim4", "simplified", "json", "f71763ab56c460fab1a8f26db98ad24789a2256776d44a9b323485d1a19e9a5a"),
+    ("dim4", "simplified", "csv", "6ddc708d959b518f94c5462b98c535368256a65a43bbe5f879d95b13e55ff8bb"),
+]
+
+
+@pytest.mark.parametrize("case,form,fmt,digest", GOLDEN_SWEEPS)
+def test_degree_sweep_golden(case, form, fmt, digest):
+    code, out, _ = run_cli("bound", *SWEEPS[case], "--form", form, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

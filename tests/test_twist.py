@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -108,6 +111,37 @@ class TestPoly:
             got = p(x)
             assert type(got) is Fraction
             assert got == want
+
+
+def _polys_of(obj):
+    return [obj] if isinstance(obj, Poly) else [p for p in (obj.cond2, obj.cond1) if p is not None]
+
+
+def _fresh_objects():
+    """A Poly, a ConditionPolys and a TwistCertificate whose polynomials
+    have not been evaluated yet."""
+    cert = minimal_stable_twist(K3, 0, HP_K3)
+    cert = dataclasses.replace(cert, cond2=Poly(cert.cond2.coeffs), cond1=Poly(cert.cond1.coeffs))
+    return [Poly(HP_P3.poly.coeffs), build_condition_polys(K3, 0, HP_K3), cert]
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("evaluated", [False, True])
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, round_trip, evaluated):
+        points = (5, Fraction(7, 2), -3)
+        for obj in _fresh_objects():
+            if evaluated:
+                for p in _polys_of(obj):
+                    p(points[0])
+            clone = round_trip(obj)
+            assert clone == obj
+            for p, q in zip(_polys_of(obj), _polys_of(clone)):
+                assert [q(x) for x in points] == [p(x) for x in points]
+            with pytest.raises(AttributeError):
+                _polys_of(clone)[0].coeffs = ()
 
 
 class TestCauchyBound:
