@@ -91,21 +91,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_degrees(text: str) -> list[int]:
+def _parse_degrees(text: str) -> range:
     m = _RANGE_RE.match(text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise UsageError(f"empty degree range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if _INT_RE.match(text):
-        return [int(text)]
+        return range(int(text), int(text) + 1)
     raise UsageError(f"--degree must be an integer or a range a..b, got {text!r}")
 
 
-def _parse_hilbert(text: str) -> Poly:
+def _parse_hilbert(text: str) -> tuple[Fraction, ...]:
     try:
-        return Poly(tuple(parse_rational(part) for part in text.split(",")))
+        return tuple(parse_rational(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --hilbert coefficient list: {exc}") from None
 
@@ -127,9 +127,16 @@ def _forbid_flags_with_input(args, names) -> None:
         raise UsageError(f"--input excludes {', '.join(clashing)}")
 
 
-def _resolve(args, flag_names) -> tuple[Variety, SheafSpec | None]:
+_SHEAF_FLAGS = ("rank", "degree", "h0", "hilbert", "regularity")
+
+
+def _resolve(args) -> tuple[Variety, SheafSpec, range]:
+    """The problem of a bound, check or twist call, from --input or from
+    flags; the only reader of the sheaf flags.  Both routes build the
+    SheafSpec through its own checks.  The degrees are the spec's degree,
+    or bound's a..b range."""
     if args.input is not None:
-        _forbid_flags_with_input(args, ("catalog", "dim", "h_top", "c1_h") + tuple(flag_names))
+        _forbid_flags_with_input(args, ("catalog", "dim", "h_top", "c1_h") + _SHEAF_FLAGS)
         try:
             with open(args.input, encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -137,8 +144,21 @@ def _resolve(args, flag_names) -> tuple[Variety, SheafSpec | None]:
             raise UsageError(f"cannot read input file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"input file is not valid JSON: {exc}") from None
-        return parse_problem(data)
-    return _variety_from_flags(args), None
+        variety, spec = parse_problem(data)
+        return variety, spec, range(spec.degree, spec.degree + 1)
+    variety = _variety_from_flags(args)
+    if args.degree is None:
+        raise UsageError("--degree is required")
+    degrees = (_parse_degrees(args.degree) if isinstance(args.degree, str)
+               else range(args.degree, args.degree + 1))
+    hilbert, regularity = getattr(args, "hilbert", None), getattr(args, "regularity", None)
+    if hilbert is not None:
+        if regularity is None:
+            raise UsageError("--hilbert needs --regularity")
+        hilbert = _parse_hilbert(hilbert)
+    spec = SheafSpec(1 if args.rank is None else args.rank, degrees[0],
+                     sections=getattr(args, "h0", None), hilbert=hilbert, regularity=regularity)
+    return variety, spec, degrees
 
 
 def _variety_dict(v: Variety) -> dict:
@@ -164,28 +184,20 @@ def _bound_row(rep: BoundReport) -> dict:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    variety, spec = _resolve(args, ("rank", "degree"))
+    variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    if spec is not None:
-        rank = spec.rank
-        degrees = [spec.degree]
-        degree_echo: object = spec.degree
-    else:
-        if args.degree is None:
-            raise UsageError("--degree is required")
-        rank = 1 if args.rank is None else args.rank
-        degrees = _parse_degrees(args.degree)
-        degree_echo = args.degree if len(degrees) > 1 else degrees[0]
-    reports = [sections_bound(variety, rank, d, form) for d in degrees]
+    reports = [sections_bound(variety, spec.rank, d, form) for d in degrees]
     if len(reports) == 1:
         result = _bound_row(reports[0])
+        degree_echo: object = spec.degree
     else:
         result = {"results": [_bound_row(r) for r in reports]}
+        degree_echo = f"{degrees[0]}..{degrees[-1]}"
     report = {
         "command": "bound",
         "input": {
             "variety": _variety_dict(variety),
-            "sheaf": {"rank": rank, "degree": degree_echo},
+            "sheaf": {"rank": spec.rank, "degree": degree_echo},
             "form": form.value,
         },
         "result": result,
@@ -227,34 +239,19 @@ def _stability_dict(rep: StabilityReport) -> dict:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    variety, spec = _resolve(args, ("rank", "degree", "h0", "hilbert", "regularity"))
-    if spec is not None:
-        rank, degree = spec.rank, spec.degree
-        h0 = spec.sections
-        hilbert, regularity = spec.hilbert, spec.regularity
-    else:
-        rank = 1 if args.rank is None else args.rank
-        if args.degree is None:
-            raise UsageError("--degree is required")
-        degree = args.degree
-        h0 = args.h0
-        hilbert = None
-        regularity = args.regularity
-        if args.hilbert is not None:
-            if regularity is None:
-                raise UsageError("--hilbert needs --regularity")
-            hilbert = tuple(_parse_hilbert(args.hilbert).coeffs)
-    _require_rank_one(rank)
+    variety, spec, _ = _resolve(args)
+    _require_rank_one(spec.rank)
+    degree, h0, regularity = spec.degree, spec.sections, spec.regularity
 
-    sheaf_echo: dict = {"rank": rank, "degree": degree}
-    if h0 is not None and hilbert is not None:
+    sheaf_echo: dict = {"rank": spec.rank, "degree": degree}
+    if h0 is not None and spec.hilbert is not None:
         raise UsageError("give a known h0 or the hilbert route, not both")
     if h0 is None:
-        if hilbert is None:
+        if spec.hilbert is None:
             raise UsageError("give --h0, or --hilbert with --regularity and --twist")
         if args.twist is None:
             raise UsageError("the hilbert route needs --twist K to pick the section count")
-        hp = HilbertPoly(Poly(hilbert), regularity)
+        hp = HilbertPoly(Poly(spec.hilbert), regularity)
         validate_hilbert(variety, degree, hp)
         if args.twist < regularity:
             raise UsageError(
@@ -274,7 +271,7 @@ def _cmd_check(args) -> tuple[dict, int]:
             "twist": args.twist,
         })
     else:
-        if getattr(args, "twist", None) is not None:
+        if args.twist is not None:
             raise UsageError("--twist only applies to the hilbert route")
         sheaf_echo["h0"] = h0
 
@@ -310,33 +307,22 @@ def _certificate_dict(cert: TwistCertificate) -> dict:
 
 
 def _cmd_twist(args) -> tuple[dict, int]:
-    variety, spec = _resolve(args, ("rank", "degree", "hilbert", "regularity"))
-    if spec is not None:
-        rank, degree = spec.rank, spec.degree
-        hilbert, regularity = spec.hilbert, spec.regularity
-    else:
-        rank = 1 if args.rank is None else args.rank
-        if args.degree is None:
-            raise UsageError("--degree is required")
-        degree = args.degree
-        if args.hilbert is None or args.regularity is None:
-            raise UsageError("twist needs --hilbert and --regularity")
-        hilbert = tuple(_parse_hilbert(args.hilbert).coeffs)
-        regularity = args.regularity
-    _require_rank_one(rank)
-    if hilbert is None or regularity is None:
-        raise UsageError("twist needs hilbert coefficients and a regularity bound")
+    variety, spec, _ = _resolve(args)
+    _require_rank_one(spec.rank)
+    if spec.hilbert is None:
+        raise UsageError("twist needs --hilbert and --regularity")
 
-    cert = minimal_stable_twist(variety, degree, HilbertPoly(Poly(hilbert), regularity))
+    hp = HilbertPoly(Poly(spec.hilbert), spec.regularity)
+    cert = minimal_stable_twist(variety, spec.degree, hp)
     report = {
         "command": "twist",
         "input": {
             "variety": _variety_dict(variety),
             "sheaf": {
-                "rank": rank,
-                "degree": degree,
-                "hilbert": [format_rational(c) for c in hilbert],
-                "regularity": regularity,
+                "rank": spec.rank,
+                "degree": spec.degree,
+                "hilbert": hp.poly.to_strings(),
+                "regularity": spec.regularity,
             },
         },
         "result": _certificate_dict(cert),

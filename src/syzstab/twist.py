@@ -1,7 +1,8 @@
 """Minimal certified twists via exact polynomial sign analysis.
 
 Twisting the input by k steps of the polarization turns both stability
-inequalities into polynomial sign conditions in k.  Clearing
+inequalities into polynomial sign conditions in k; the high cap enters
+as bound_high itself, interpolated in k (bound_high_poly).  Clearing
 denominators gives polynomials whose top terms cancel exactly, leaving
 positive leading coefficients, so a Cauchy root bound plus an exhaustive
 integer scan below it certifies positivity for every k from some point
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import bound_low
+from .bounds import bound_high, bound_low
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_rational, genbinom, parse_rational
+from .exactnum import format_rational, parse_rational
 from .varieties import Variety
 
 
@@ -159,15 +160,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _genbinom_poly(shift: Fraction, count: int) -> Poly:
-    """The product (k + shift + 1)...(k + shift + count) / count! as a
-    polynomial in k; the polynomial continuation of genbinom(k + shift, count)."""
-    acc = Poly((1,))
-    for i in range(1, count + 1):
-        acc = acc * Poly((Fraction(shift) + i, 1))
-    return acc * Fraction(1, math.factorial(count))
-
-
 @dataclass(frozen=True)
 class HilbertPoly:
     """Section-count polynomial plus the twist from which it is exact."""
@@ -204,28 +196,35 @@ def validate_hilbert(variety: Variety, d0: int, hp: HilbertPoly) -> None:
 
 @dataclass(frozen=True)
 class TwistExpansion:
-    """bound_high at twisted degree d0 + k*h_top - 1, as a polynomial in k,
-    agreeing with the piecewise values from k_pos on."""
+    """bound_high at degree d0 + k*h_top - 1 as a polynomial in k, exact from k_pos on."""
 
     poly: Poly
     k_pos: int
 
 
 def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
+    """Interpolate bound_high at degree d0 + k*h_top - 1 as a polynomial in k.
+
+    From k_pos, the least k with every binomial argument of the cap >= 0,
+    the cap has degree n in k, so its values at k_pos .. k_pos+n fix it:
+    Newton divided differences (unit spacing), then Horner in the Newton
+    basis.  The order-(n+1) difference through k_pos+n+1 must vanish, so
+    each call checks that the cap is the polynomial it returns.
+    """
     n, h, g = variety.dim, variety.h_top, variety.genus
     if d0 < 0:
         raise InconsistentInputError(f"degree must be >= 0, got {d0}")
-    shift_main = Fraction(d0 - g, h) - 1
-    poly = h * _genbinom_poly(shift_main, n) - 1
-    if n >= 2:
-        shift_cross = Fraction(d0 - 2 * g + 1, h) - 1
-        # the last factor has constant argument, so the piecewise value is
-        # itself constant in k and safe to bake in
-        cross = genbinom(Fraction(2 * g - 2, h), n - 1)
-        poly = poly + Fraction((n - 1) * (n + g - 1), n) * _genbinom_poly(shift_cross, n - 2) * cross
-    # smallest k with every binomial argument >= 0, so the polynomial and
-    # piecewise readings agree pointwise
     k_pos = math.ceil(Fraction(max(2 * g - 2, g - 1) + h + 1 - d0, h))
+    diffs = [bound_high(n, h, g, d0 + k * h - 1) for k in range(k_pos, k_pos + n + 2)]
+    newton = [diffs[0]]
+    for j in range(1, n + 2):
+        diffs = [(b - a) / j for a, b in zip(diffs, diffs[1:])]
+        newton.append(diffs[0])
+    if newton[n + 1] != 0:
+        raise RuntimeError(f"bound_high is not a polynomial of degree {n} from k_pos = {k_pos}")
+    poly = Poly()
+    for i in reversed(range(n + 1)):
+        poly = poly * Poly((-(k_pos + i), 1)) + newton[i]
     return TwistExpansion(poly=poly, k_pos=k_pos)
 
 

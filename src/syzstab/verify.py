@@ -148,6 +148,12 @@ def _check_sharp_delpezzo(surfaces, multiples, ranks) -> CheckResult:
 
 
 def _check_expansion(d0_values, span: int) -> CheckResult:
+    """bound_high_poly against bound_high at the twists k_pos .. k_pos+span.
+
+    The first n+1 twists are the interpolation nodes of bound_high_poly,
+    so they agree by construction; the rest check that the cap is the
+    polynomial the expansion claims.
+    """
     res = CheckResult("twist-expansion-agreement")
     for name in ("P2", "P3", "quartic-K3", "cubic-surface", "quintic-surface"):
         variety = catalog_lookup(name)

@@ -209,6 +209,20 @@ class TestFormRelations:
                     for d in range(lo, lo + 25):
                         assert bound_high(n, h, g, d) + 1 >= riemann_roch_bound(n, h, g, d)
 
+    def test_high_cap_dominates_restriction_sum_past_strip(self):
+        # cap + 1 stays at or above the oracle on the grid where it falls
+        # below the summed form (108 cells, all with h_top >= 9)
+        cells = 0
+        for n in (3, 4):
+            for h in range(1, 21):
+                for g in range(0, 9):
+                    lo = 2 * g - 2 + h
+                    for d in range(max(lo, 0), lo + 40):
+                        cap = bound_high(n, h, g, d) + 1
+                        assert cap >= restriction_sum(n, h, g, d), (n, h, g, d)
+                        cells += 1
+        assert cells == 14398
+
     def test_closed_form_dominates_recursion_on_surfaces(self):
         for h in range(1, 5):
             for g in range(0, 7):

@@ -94,6 +94,39 @@ class TestCheckCommand:
         assert code == 1
         assert "rank 1" in err
 
+    def test_rank_zero_is_inconsistent(self, tmp_path):
+        # the same exit and message as bound --rank 0 and an input file's rank 0
+        code, _, err = run_cli("check", "--catalog", "P2", "--rank", "0",
+                               "--degree", "2", "--h0", "6")
+        assert (code, err) == (3, "error: rank must be >= 1, got 0\n")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"variety": {"name": "P2"},
+                                    "sheaf": {"rank": 0, "degree": 2, "h0": 6}}))
+        assert run_cli("check", "--input", str(path)) == (code, "", err)
+
+    def test_negative_h0_is_inconsistent(self, tmp_path):
+        code, _, err = run_cli("check", "--catalog", "P2", "--degree", "2", "--h0", "-1")
+        assert (code, err) == (3, "error: h0 must be >= 0, got -1\n")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"variety": {"name": "P2"},
+                                    "sheaf": {"rank": 1, "degree": 2, "h0": -1}}))
+        assert run_cli("check", "--input", str(path)) == (code, "", err)
+
+    def test_stray_regularity_flag(self):
+        # a regularity without hilbert coefficients is refused, not ignored
+        code, out, err = run_cli("check", "--catalog", "P2", "--degree", "2", "--h0", "6",
+                                 "--regularity", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: hilbert coefficients and regularity must be given together\n"
+
+    def test_stray_regularity_in_file(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"variety": {"name": "P2"}, "sheaf": {
+            "rank": 1, "degree": 2, "h0": 6, "regularity": 0}}))
+        code, out, err = run_cli("check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: hilbert coefficients and regularity must be given together\n"
+
     def test_hilbert_route_inconclusive(self):
         code, out, _ = run_cli("check", "--catalog", "quartic-K3", "--degree", "0",
                                "--hilbert", "2,0,2", "--regularity", "0", "--twist", "3")
@@ -166,6 +199,17 @@ class TestTwistCommand:
                                "--hilbert", "1,1", "--regularity", "0")
         assert code == 1
         assert "dimension" in err
+
+    def test_trailing_zero_coefficient_echo(self, tmp_path):
+        # both routes echo the normalised polynomial, as check does
+        code, out, _ = run_cli("twist", "--catalog", "P2", "--degree", "0",
+                               "--hilbert", "1,3/2,1/2,0", "--regularity", "0")
+        assert code == 0
+        assert json.loads(out)["input"]["sheaf"]["hilbert"] == ["1", "3/2", "1/2"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"variety": {"name": "P2"}, "sheaf": {
+            "rank": 1, "degree": 0, "hilbert": ["1", "3/2", "1/2", "0"], "regularity": 0}}))
+        assert run_cli("twist", "--input", str(path)) == (0, out, "")
 
     def test_bad_coefficient_string(self):
         code, _, err = run_cli("twist", "--catalog", "P2", "--degree", "0",
@@ -323,6 +367,55 @@ class TestInputFiles:
             "variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2, "h0": "six"},
         })
         assert "h0" in err
+
+
+# Each flag invocation and its --input twin: (command, variety flags, variety
+# block, sheaf flags, sheaf block, flags that stay on the command line).
+DIM3 = (("--dim", "3", "--h-top", "2", "--c1-h", "2"), {"dim": 3, "h_top": 2, "c1_dot_h": 2})
+P2_FLAGS = (("--catalog", "P2"), {"name": "P2"})
+K3_FLAGS = (("--catalog", "quartic-K3"), {"name": "quartic-K3"})
+TWINS = [
+    ("bound", *P2_FLAGS, ("--rank", "2", "--degree", "5"), {"rank": 2, "degree": 5},
+     ("--form", "lemma")),
+    ("bound", *K3_FLAGS, ("--degree", "8"), {"rank": 1, "degree": 8}, ()),
+    ("bound", *DIM3, ("--rank", "3", "--degree", "5"), {"rank": 3, "degree": 5}, ()),
+    ("check", *P2_FLAGS, ("--degree", "2", "--h0", "6"), {"rank": 1, "degree": 2, "h0": 6}, ()),
+    ("check", *K3_FLAGS, ("--degree", "12", "--h0", "20"),
+     {"rank": 1, "degree": 12, "h0": 20}, ()),
+    ("check", *DIM3, ("--degree", "6", "--h0", "9"), {"rank": 1, "degree": 6, "h0": 9}, ()),
+    ("check", *P2_FLAGS, ("--degree", "0", "--hilbert", "1,3/2,1/2", "--regularity", "0"),
+     {"rank": 1, "degree": 0, "hilbert": ["1", "3/2", "1/2"], "regularity": 0},
+     ("--twist", "2")),
+    ("check", *K3_FLAGS, ("--degree", "0", "--hilbert", "2,0,2", "--regularity", "0"),
+     {"rank": 1, "degree": 0, "hilbert": ["2", "0", "2"], "regularity": 0}, ("--twist", "4")),
+    ("check", *DIM3, ("--degree", "3", "--hilbert", "0,0,2,1/3", "--regularity", "0"),
+     {"rank": 1, "degree": 3, "hilbert": ["0", "0", "2", "1/3"], "regularity": 0},
+     ("--twist", "3")),
+    ("twist", *P2_FLAGS, ("--degree", "0", "--hilbert", "1,3/2,1/2", "--regularity", "0"),
+     {"rank": 1, "degree": 0, "hilbert": ["1", "3/2", "1/2"], "regularity": 0}, ()),
+    ("twist", *K3_FLAGS, ("--degree", "0", "--hilbert", "2,0,2", "--regularity", "1"),
+     {"rank": 1, "degree": 0, "hilbert": [2, 0, 2], "regularity": 1}, ()),
+    ("twist", *DIM3, ("--degree", "3", "--hilbert", "0,0,2,1/3", "--regularity", "0"),
+     {"rank": 1, "degree": 3, "hilbert": ["0", "0", "2", "1/3"], "regularity": 0}, ()),
+]
+
+
+def _twin_id(case) -> str:
+    command, _, vblock, _, sblock, _ = case
+    route = "-hilbert" if command == "check" and "hilbert" in sblock else ""
+    return f"{command}{route}-{vblock.get('name', 'dim3')}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("case", TWINS, ids=_twin_id)
+def test_flags_and_input_give_the_same_output(tmp_path, case, fmt):
+    command, vflags, vblock, sflags, sblock, rest = case
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"variety": vblock, "sheaf": sblock}))
+    from_flags = run_cli(command, *vflags, *sflags, *rest, "--format", fmt)
+    from_file = run_cli(command, "--input", str(path), *rest, "--format", fmt)
+    assert from_flags[0] == 0
+    assert from_file == from_flags
 
 
 class TestOutputContracts:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from syzstab import twist
+from syzstab.exactnum import genbinom
 from syzstab import (
     HilbertPoly,
     InconsistentInputError,
@@ -226,6 +228,47 @@ class TestHighCapExpansion:
                 poly = bound_high_poly(v, d + 1).poly
                 want = (d + Fraction(v.c1_dot_h, 2)) / math.factorial(n - 1)
                 assert poly.coeff(n - 1) == want, (name, d)
+
+
+def frozen_bound_high_poly(variety, d0):
+    """The high cap transcribed by hand as a polynomial in k, as it stood
+    before bound_high_poly interpolated bound_high: the reference for the
+    differential test."""
+    def genbinom_poly(shift, count):
+        acc = Poly((1,))
+        for i in range(1, count + 1):
+            acc = acc * Poly((Fraction(shift) + i, 1))
+        return acc * Fraction(1, math.factorial(count))
+
+    n, h, g = variety.dim, variety.h_top, variety.genus
+    poly = h * genbinom_poly(Fraction(d0 - g, h) - 1, n) - 1
+    if n >= 2:
+        cross = genbinom(Fraction(2 * g - 2, h), n - 1)
+        poly = poly + (Fraction((n - 1) * (n + g - 1), n)
+                       * genbinom_poly(Fraction(d0 - 2 * g + 1, h) - 1, n - 2) * cross)
+    k_pos = math.ceil(Fraction(max(2 * g - 2, g - 1) + h + 1 - d0, h))
+    return poly, k_pos
+
+
+class TestInterpolatedCap:
+    @given(n=st.integers(1, 5), h=st.integers(1, 12), g=st.integers(0, 40),
+           d0=st.integers(0, 200))
+    def test_matches_hand_expansion(self, n, h, g, d0):
+        variety = make_variety("custom", n, h, (n - 1) * h - 2 * (g - 1))
+        exp = bound_high_poly(variety, d0)
+        assert (exp.poly, exp.k_pos) == frozen_bound_high_poly(variety, d0)
+
+    @pytest.mark.parametrize("extra", [
+        lambda n, d: Fraction(1, d + 1),    # not a polynomial at all
+        lambda n, d: d ** (n + 1),          # a polynomial of degree n+1
+    ])
+    def test_cap_of_wrong_shape_is_caught(self, monkeypatch, extra):
+        # the divided difference through the extra node is then non-zero
+        real = twist.bound_high
+        monkeypatch.setattr(twist, "bound_high",
+                            lambda n, h, g, d: real(n, h, g, d) + extra(n, d))
+        with pytest.raises(RuntimeError, match="not a polynomial"):
+            bound_high_poly(P3, 2)
 
 
 class TestConditionPolys:
