@@ -32,6 +32,7 @@ from .twist import (
     HilbertPoly,
     Poly,
     ScanRow,
+    TaylorShift,
     TwistCertificate,
     TwistExpansion,
     bound_high_poly,
@@ -59,7 +60,7 @@ __all__ = [
     "CheckResult", "ConditionPolys", "ConditionState", "ConditionStatus",
     "HilbertPoly", "InconsistentInputError", "InvalidVarietyError",
     "Poly", "Rational", "ScanRow", "SheafSpec", "StabilityReport",
-    "SyzygyInvariants", "TwistCertificate", "TwistExpansion",
+    "SyzygyInvariants", "TaylorShift", "TwistCertificate", "TwistExpansion",
     "UnknownVarietyError", "UsageError", "Variety", "Verdict",
     "bound_high", "bound_high_poly", "bound_low", "build_condition_polys",
     "catalog_entries", "catalog_lookup", "catalog_names", "cauchy_bound",

@@ -276,6 +276,11 @@ def _cmd_check(args) -> tuple[dict, int]:
         sheaf_echo["h0"] = h0
 
     rep = check_stability(variety, degree, h0)
+    cap = sections_bound(variety, 1, degree).value
+    if h0 > cap:
+        raise InconsistentInputError(
+            f"h0 = {h0} exceeds the section bound {format_rational(cap)} at degree {degree}"
+        )
     report = {
         "command": "check",
         "input": {"variety": _variety_dict(variety), "sheaf": sheaf_echo},
@@ -284,10 +289,14 @@ def _cmd_check(args) -> tuple[dict, int]:
     return report, 0
 
 
+def _f_and_g(cond2: Poly, cond1: Poly | None) -> dict:
+    out = {"F": cond2.to_strings()}
+    if cond1 is not None:
+        out["G"] = cond1.to_strings()
+    return out
+
+
 def _certificate_dict(cert: TwistCertificate) -> dict:
-    polys = {"F": cert.cond2.to_strings()}
-    if cert.cond1 is not None:
-        polys["G"] = cert.cond1.to_strings()
     scan = []
     for row in cert.scan:
         entry = {"k": row.k, "F": format_rational(row.cond2_value), "passed": row.passed}
@@ -298,9 +307,10 @@ def _certificate_dict(cert: TwistCertificate) -> dict:
         "k_min": cert.k_min,
         "cauchy_bound": format_rational(cert.cauchy),
         "scanned_range": list(cert.scanned_range),
+        "shift": {"c": cert.shift.c, **_f_and_g(cert.shift.cond2, cert.shift.cond1)},
         "k_pos": cert.k_pos,
         "regularity": cert.regularity,
-        "condition_polys": polys,
+        "condition_polys": _f_and_g(cert.cond2, cert.cond1),
         "scan": scan,
         "notes": list(cert.notes),
     }

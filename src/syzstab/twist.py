@@ -4,14 +4,20 @@ Twisting the input by k steps of the polarization turns both stability
 inequalities into polynomial sign conditions in k; the high cap enters
 as bound_high itself, interpolated in k (bound_high_poly).  Clearing
 denominators gives polynomials whose top terms cancel exactly, leaving
-positive leading coefficients, so a Cauchy root bound plus an exhaustive
-integer scan below it certifies positivity for every k from some point
-on.  The certificate records the scan, the bound, and the polynomials.
+positive leading coefficients.  Positivity from some point on is then
+certified by a Taylor shift: if every coefficient of F(k + c) is >= 0
+and F(c) > 0, then F > 0 on [c, oo) (the sign test behind Vincent's
+theorem and Descartes' rule of signs).  The least such integer c is
+found by binary search below the Cauchy root bound, where the test is
+proven to hold, and the rows below c are evaluated downward to the first
+failure.  The certificate records c, the shifted coefficients, the
+evaluated rows, the bound, and the polynomials.
 
 Evaluation stays exact without a Fraction operation per coefficient:
 a polynomial keeps its coefficients scaled to integers over their common
 denominator, and is evaluated at p/q by one integer Horner pass over
-homogeneous terms, reduced to a single Fraction at the end.
+homogeneous terms, reduced to a single Fraction at the end.  The Taylor
+shift runs on the same scaled integers.
 """
 
 from __future__ import annotations
@@ -92,6 +98,21 @@ class Poly:
             qpow *= q
             acc = acc * p + c * qpow
         return Fraction(acc, denom * qpow)
+
+    def scaled_shift(self, c: int) -> tuple[int, list[int]]:
+        """D and the integer coefficients of D * p(k + c), constant first,
+        for an integer c.  D > 0 is the scale evaluation uses, so the signs
+        are those of p(k + c).  Synthetic division, O(deg^2) integer steps."""
+        try:
+            denom, top_first = self._scaled
+        except AttributeError:
+            denom, top_first = self._scale()
+        a = list(reversed(top_first))
+        n = len(a) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return denom, a
 
     def _promote(self, other):
         if isinstance(other, Poly):
@@ -282,10 +303,21 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
+class TaylorShift:
+    """cond2 and cond1 rewritten as polynomials in k - c: every coefficient
+    is >= 0 and the constant is > 0, so both are positive for all k >= c."""
+
+    c: int
+    cond2: Poly
+    cond1: Poly | None
+
+
+@dataclass(frozen=True)
 class TwistCertificate:
     k_min: int
     cauchy: Fraction
     scanned_range: tuple[int, int]
+    shift: TaylorShift
     cond2: Poly
     cond1: Poly | None
     k_pos: int
@@ -294,29 +326,53 @@ class TwistCertificate:
     notes: tuple[str, ...]
 
 
+def _shifted(poly: Poly | None, c: int) -> Poly | None:
+    if poly is None:
+        return None
+    denom, shifted = poly.scaled_shift(c)
+    return Poly(Fraction(a, denom) for a in shifted)
+
+
 def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> TwistCertificate:
     """Least integer twist from which both condition polynomials stay
     strictly positive, hence every larger twist is certified stable.
 
-    All integer points between max(regularity, k_pos) and the Cauchy
-    bound are evaluated exactly; beyond the bound there are no real
-    roots and the leading coefficients are positive, so positivity is
-    permanent.  A zero value counts as a failure for k_min (stability
-    needs strict inequalities) and is recorded in the notes.
+    From start = max(regularity, k_pos), a binary search finds the least
+    integer c up to max(start, top), top the ceiling of the Cauchy bound,
+    at which both polynomials shifted to k + c have every coefficient >= 0
+    and a positive constant, so both are positive on [c, oo).  The test is
+    monotone in c: a shift by d >= 0 keeps nonnegative coefficients
+    nonnegative and does not lower the constant.  At top it must pass:
+    by Gauss-Lucas the roots of every derivative lie inside the Cauchy
+    bound, so every Taylor coefficient F^(i)(c)/i! has the sign of the
+    positive leading coefficient there; a failure raises RuntimeError.
 
-    Each k is evaluated once.  The closing check that both polynomials
-    are positive from k_min through max(top + 1, k_min + 1), where top is
-    the ceiling of the bound, reads the scanned rows from k_min on and
-    evaluates afresh only the ks past top: top + 1, and top + 2 as well
-    when k_min is top + 1 (always the case when nothing was scanned).
+    Rows are evaluated from c down to the first failing k, or down to
+    start; k_min is that k + 1, or start.  A zero value counts as a
+    failure (stability needs strict inequalities) and is recorded in the
+    notes.
     """
     polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
     start = max(hilbert.regularity, polys.k_pos)
-    radii = [cauchy_bound(polys.cond2)]
-    if polys.cond1 is not None:
-        radii.append(cauchy_bound(polys.cond1))
-    radius = max(radii)
-    top = math.ceil(radius)
+    radius = max(cauchy_bound(p) for p in conds)
+
+    def certifies(c: int) -> bool:
+        shifts = (p.scaled_shift(c)[1] for p in conds)
+        return all(s[0] > 0 and min(s) >= 0 for s in shifts)
+
+    lo, hi = start, max(start, math.ceil(radius))
+    if not certifies(hi):
+        raise RuntimeError(
+            f"Taylor shift at c = {hi}, past the Cauchy bound {radius}, is not positive"
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if certifies(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    c = hi
 
     notes = [
         "raw difference has formal degree dim+1; the top terms cancel exactly, "
@@ -328,32 +384,26 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
             "second polynomial"
         )
 
-    def row(k: int) -> ScanRow:
+    rows = []
+    for k in range(c, start - 1, -1):
         v2 = polys.cond2(k)
         v1 = polys.cond1(k) if polys.cond1 is not None else None
-        return ScanRow(k=k, cond2_value=v2, cond1_value=v1,
-                       passed=v2 > 0 and (v1 is None or v1 > 0))
-
-    rows = [row(k) for k in range(start, top + 1)]
-    last_fail = None
-    for r in rows:
-        if not r.passed:
-            last_fail = r.k
-        if r.cond2_value == 0 or r.cond1_value == 0:
-            notes.append(
-                f"equality at k = {r.k}: the certificate gives only semistability there"
-            )
-
-    k_min = start if last_fail is None else last_fail + 1
-    past_top = range(max(k_min, top + 1), max(top + 2, k_min + 2))
-    for r in rows[k_min - start:] + [row(k) for k in past_top]:
-        if not r.passed:
-            raise RuntimeError(f"positivity check failed at k = {r.k} past the scan")
+        rows.append(ScanRow(k=k, cond2_value=v2, cond1_value=v1,
+                            passed=v2 > 0 and (v1 is None or v1 > 0)))
+        if not rows[-1].passed:
+            if v2 == 0 or v1 == 0:
+                notes.append(
+                    f"equality at k = {k}: the certificate gives only semistability there"
+                )
+            break
+    rows.reverse()
+    k_min = rows[0].k if rows[0].passed else rows[0].k + 1
 
     return TwistCertificate(
         k_min=k_min,
         cauchy=radius,
-        scanned_range=(start, top),
+        scanned_range=(start, c),
+        shift=TaylorShift(c=c, cond2=_shifted(polys.cond2, c), cond1=_shifted(polys.cond1, c)),
         cond2=polys.cond2,
         cond1=polys.cond1,
         k_pos=polys.k_pos,

@@ -185,13 +185,19 @@ def _check_certificates(rng: random.Random, extra_samples: int) -> CheckResult:
         variety = catalog_lookup(name)
         cert = minimal_stable_twist(variety, d0, HilbertPoly(Poly(coeffs), reg))
         hp = Poly(coeffs)
-        for row in cert.scan:
-            h0 = hp(row.k)
-            verdict = check_stability(variety, d0 + row.k * variety.h_top, int(h0)).verdict
-            agree = (verdict is Verdict.STABLE) == row.passed
+        top = math.ceil(cert.cauchy)
+
+        def signs_ok(k):
+            return cert.cond2(k) > 0 and (cert.cond1 is None or cert.cond1(k) > 0)
+
+        # every twist from the scan start through the Cauchy radius, printed
+        # in the certificate's scan or not
+        for k in range(cert.scanned_range[0], top + 1):
+            verdict = check_stability(variety, d0 + k * variety.h_top, int(hp(k))).verdict
+            passed = signs_ok(k)
             res.record(
-                agree,
-                lambda: f"{name}, k={row.k}: scan passed={row.passed} but verdict={verdict.value}",
+                (verdict is Verdict.STABLE) == passed,
+                lambda: f"{name}, k={k}: scan passed={passed} but verdict={verdict.value}",
             )
         if cert.k_min > cert.scanned_range[0]:
             verdict = check_stability(
@@ -203,15 +209,13 @@ def _check_certificates(rng: random.Random, extra_samples: int) -> CheckResult:
                 verdict is not Verdict.STABLE,
                 lambda: f"{name}: k_min={cert.k_min} not minimal, stable at k_min-1",
             )
-        top = cert.scanned_range[1]
         for _ in range(extra_samples):
             # many draws land past the Cauchy radius, exercising the
             # no-roots-beyond-the-bound part of the certificate
             k = rng.randint(cert.k_min, top + 50)
             verdict = check_stability(variety, d0 + k * variety.h_top, int(hp(k))).verdict
-            signs_ok = cert.cond2(k) > 0 and (cert.cond1 is None or cert.cond1(k) > 0)
             res.record(
-                verdict is Verdict.STABLE and signs_ok,
+                verdict is Verdict.STABLE and signs_ok(k),
                 lambda: f"{name}, k={k}: verdict={verdict.value}",
             )
     return res

@@ -229,11 +229,13 @@ def test_criterion_8_twist_certificates():
         if not (cert.cond2(cert.k_min - 1) <= 0 or cert.k_min == cert.scanned_range[0]):
             bad.append((name, "minimality", cert.cond2(cert.k_min - 1)))
 
-        # scan agreement, twist by twist, against the standalone checker
-        for row in cert.scan:
-            verdict = check_stability(variety, row.k * h, int(hp(row.k))).verdict
-            if (verdict is Verdict.STABLE) != row.passed:
-                bad.append((name, "scan", row.k, verdict.value, row.passed))
+        # scan agreement, twist by twist from the scan start through the
+        # Cauchy radius, against the standalone checker
+        for k in range(cert.scanned_range[0], math.ceil(cert.cauchy) + 1):
+            verdict = check_stability(variety, k * h, int(hp(k))).verdict
+            passed = cert.cond2(k) > 0 and (cert.cond1 is None or cert.cond1(k) > 0)
+            if (verdict is Verdict.STABLE) != passed:
+                bad.append((name, "scan", k, verdict.value, passed))
 
         # (c) stability at 50 sampled twists past k_min
         for _ in range(50):

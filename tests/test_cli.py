@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -142,6 +143,39 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["result"]["verdict"] == "Stable"
 
+    @pytest.mark.parametrize("h0,code", [(1000000, 3), (7, 3), (6, 0)])
+    def test_h0_against_section_bound(self, tmp_path, h0, code):
+        # bound --catalog P2 --degree 2 gives 6; an h0 above it is impossible
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"variety": {"name": "P2"},
+                                    "sheaf": {"rank": 1, "degree": 2, "h0": h0}}))
+        flags = run_cli("check", "--catalog", "P2", "--degree", "2", "--h0", str(h0))
+        assert run_cli("check", "--input", str(path)) == flags
+        got, out, err = flags
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == f"error: h0 = {h0} exceeds the section bound 6 at degree 2\n"
+        else:
+            assert json.loads(out)["result"]["verdict"] == "Stable"
+
+    @pytest.mark.parametrize("constant,code", [("1000000", 3), ("1", 0)])
+    def test_hilbert_route_h0_against_section_bound(self, constant, code):
+        # h0 = P(2) = constant + 5 at degree 2
+        got, out, err = run_cli("check", "--catalog", "P2", "--degree", "0", "--hilbert",
+                                f"{constant},3/2,1/2", "--regularity", "0", "--twist", "2")
+        assert got == code
+        if code:
+            assert err == "error: h0 = 1000005 exceeds the section bound 6 at degree 2\n"
+        else:
+            assert json.loads(out)["result"]["verdict"] == "Stable"
+
+    def test_rank_checked_before_section_bound(self):
+        code, _, err = run_cli("check", "--catalog", "P2", "--rank", "2",
+                               "--degree", "2", "--h0", "1000000")
+        assert code == 1
+        assert "rank 1" in err
+
     def test_hilbert_route_needs_twist(self):
         code, _, err = run_cli("check", "--catalog", "quartic-K3", "--degree", "0",
                                "--hilbert", "2,0,2", "--regularity", "0")
@@ -188,6 +222,19 @@ class TestTwistCommand:
         report = json.loads(out)
         assert report["result"]["k_min"] == 2
         assert "G" not in report["result"]["condition_polys"]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_start_past_cauchy_bound_prints_its_row(self, fmt):
+        # the shift point is the start 40 itself, and its row is always printed
+        code, out, _ = run_cli("twist", "--catalog", "quartic-K3", "--degree", "0",
+                               "--hilbert", "2,0,2", "--regularity", "40", "--format", fmt)
+        assert code == 0
+        if fmt == "table":
+            assert [line.split()[1] for line in out.splitlines()
+                    if line.startswith("result.scan.0.k ")] == ["40"]
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [(row["k"], row["passed"]) for row in rows] == [("40", "True")]
 
     def test_requires_hilbert(self):
         code, _, err = run_cli("twist", "--catalog", "P2", "--degree", "0")
@@ -463,8 +510,9 @@ class TestOutputContracts:
         assert err.startswith("error:")
 
 
-# SHA-256 of stdout for long twist scans (hundreds to thousands of rows):
-# a change to how F and G are evaluated must leave certificates byte-identical.
+# SHA-256 of stdout for twists whose Cauchy radius lies hundreds to
+# thousands of rows past the start: a change to how F and G are evaluated or
+# shifted must leave certificates byte-identical.
 LONG_SCANS = {
     "dim2": ("--dim", "2", "--h-top", "1", "--c1-h", "-11", "--degree", "0",
              "--hilbert", "0,-11/2,1/2"),
@@ -474,12 +522,12 @@ LONG_SCANS = {
 }
 
 GOLDEN_TWISTS = [
-    ("dim2", "json", "0c87288875d68fd4bbcadeee3fc87bb7d2c07f7ef8db4c7386501b054d1a34e0"),
-    ("dim2", "csv", "716e5a1c6bdfe607e9c2bb61de115440f8a2cc09805d25cd7859a212e56154c4"),
-    ("dim3", "json", "9e254cea9e3a3819e7ab7e0e6884b2a57325e9d43c3325bc032bba3346b31ace"),
-    ("dim3", "csv", "884e97f7aa7bf7a4ae5ac14fa5906e5f03edd6dddcd118ab72d58f5bd64ecf9a"),
-    ("quartic-K3", "json", "5b1a832c75b8a7bbba4b242fb29ec983e0db32269d082efda6208c89c6309a73"),
-    ("quartic-K3", "csv", "fceb9a9b46f675e62abf94ecc0340c46b647d4116ef953e3d9d1517b4d340f1f"),
+    ("dim2", "json", "9808a479e271e93d51c65fe10385d244395a30b248b26f0a99573b7fcc1105c2"),
+    ("dim2", "csv", "f2be7e453444fabe6c1ba55198f0cf38cda3b2fb734c6c47fe159cfb31e16541"),
+    ("dim3", "json", "b511173b61e055cd08c7d9078125198a264baad8c6d856c4ad52d6067b58c855"),
+    ("dim3", "csv", "1e5a5d25e35e702009778d8b148f01b05afa60f929d2b2414e95ddff3d207069"),
+    ("quartic-K3", "json", "66226783e46f99550d4e2fea780252cb2ef80d47411baa4ba1b1fb161d7b76af"),
+    ("quartic-K3", "csv", "406f1c38b2dc58f71b333f5accd1c82ea8f1222274c861f5887df0a8e288534b"),
 ]
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syzstab import twist
 from syzstab.exactnum import genbinom
@@ -113,6 +113,12 @@ class TestPoly:
             got = p(x)
             assert type(got) is Fraction
             assert got == want
+
+    @given(poly_strategy(5), st.integers(-10**6, 10**6))
+    def test_scaled_shift_matches_compose_linear(self, p, c):
+        denom, ints = p.scaled_shift(c)
+        assert denom > 0 and all(type(a) is int for a in ints)
+        assert Poly(Fraction(a, denom) for a in ints) == p.compose_linear(1, c)
 
 
 def _polys_of(obj):
@@ -305,6 +311,70 @@ class TestConditionPolys:
             build_condition_polys(P2, 0, HilbertPoly(Poly((1, 1, 1)), 0))
 
 
+def fraction_horner(poly, k):
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * k + c
+    return acc
+
+
+def frozen_radius_scan(variety, d0, hilbert):
+    """k_min found as it was before the Taylor shift: by evaluating every
+    integer from the start through the ceiling of the Cauchy bound.  The
+    reference for the differential test."""
+    polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    start = max(hilbert.regularity, polys.k_pos)
+    top = math.ceil(max(cauchy_bound(p) for p in conds))
+    last_fail = None
+    for k in range(start, top + 1):
+        if min(fraction_horner(p, k) for p in conds) <= 0:
+            last_fail = k
+    return start if last_fail is None else last_fail + 1
+
+
+def assert_sound(cert):
+    """The certificate proves itself: the shifted polynomials are F and G
+    at k + c with nonnegative coefficients and a positive constant, the
+    rows run without a gap from the first one up to c, each holds F and G
+    at its k, and only the lowest row, at k_min - 1, may fail."""
+    start, c = cert.scanned_range
+    assert cert.shift.c == c >= start
+    for poly, shifted in ((cert.cond2, cert.shift.cond2), (cert.cond1, cert.shift.cond1)):
+        if poly is None:
+            assert shifted is None
+            continue
+        assert shifted == poly.compose_linear(1, c)
+        assert shifted.coeffs[0] > 0 and min(shifted.coeffs) >= 0
+    ks = [row.k for row in cert.scan]
+    assert ks == list(range(ks[0], c + 1))
+    for row in cert.scan:
+        assert row.cond2_value == fraction_horner(cert.cond2, row.k)
+        assert row.cond1_value == (None if cert.cond1 is None else fraction_horner(cert.cond1, row.k))
+        assert row.passed == (row.cond2_value > 0 and (cert.cond1 is None or row.cond1_value > 0))
+    assert all(row.passed for row in cert.scan[1:])
+    if cert.k_min > start:
+        assert ks[0] == cert.k_min - 1 and not cert.scan[0].passed
+    else:
+        assert ks[0] == start == cert.k_min and cert.scan[0].passed
+
+
+def custom_case(n, h, g, d0, lower, regularity=0):
+    """A custom variety with the given genus, and a Hilbert polynomial with
+    the given lower coefficients under the two that geometry pins down."""
+    c1h = (n - 1) * h - 2 * (g - 1)
+    top = [(d0 + Fraction(c1h, 2)) / math.factorial(n - 1), Fraction(h, math.factorial(n))]
+    return make_variety("custom", n, h, c1h), d0, HilbertPoly(Poly(list(lower) + top), regularity)
+
+
+@st.composite
+def twist_inputs(draw):
+    n = draw(st.integers(2, 3))
+    lower = st.lists(st.fractions(-8, 8, max_denominator=6), min_size=n - 1, max_size=n - 1)
+    return custom_case(n, draw(st.integers(1, 3)), draw(st.integers(0, 8)), draw(st.integers(0, 5)),
+                       draw(lower), draw(st.sampled_from((0, 1, 3, 7))))
+
+
 class TestMinimalStableTwist:
     def test_plane(self):
         cert = minimal_stable_twist(P2, 0, HP_P2)
@@ -322,9 +392,12 @@ class TestMinimalStableTwist:
         cert = minimal_stable_twist(K3, 0, HP_K3)
         assert cert.k_min == 4
         assert cert.cauchy == Fraction(17, 4)
-        assert cert.scanned_range == (3, 5)
+        assert cert.scanned_range == (3, 4)
         assert cert.k_pos == 3
-        assert [row.passed for row in cert.scan] == [False, True, True]
+        assert [row.passed for row in cert.scan] == [False, True]
+        assert cert.shift.c == 4
+        assert cert.shift.cond2 == Poly((5, Fraction(19, 2), 2))
+        assert cert.shift.cond1 == Poly((84, 52, 8))
 
     def test_positivity_past_scan(self):
         for v, hp in ((P2, HP_P2), (P3, HP_P3), (K3, HP_K3)):
@@ -352,17 +425,49 @@ class TestMinimalStableTwist:
                  (long_scan, HilbertPoly(Poly((0, Fraction(-11, 2), Fraction(1, 2))), 0)))
         for v, hp in cases:
             cert = minimal_stable_twist(v, 0, hp)
+            assert_sound(cert)
             assert all(row.passed for row in cert.scan if row.k >= cert.k_min)
-            assert cert.scan[cert.k_min - cert.scanned_range[0]:]
+            assert cert.scan[-1].k >= cert.k_min
 
-    def test_post_scan_check_fires(self, monkeypatch):
-        # a root bound below the scan start leaves the scan empty, so the
-        # closing check evaluates F itself and meets F(3) = -5/2
+    def test_bracket_self_check_fires(self, monkeypatch):
+        # a root bound below the start puts the upper end of the search at
+        # the start 3, where F(3) = -5/2: the shift there is not positive
         monkeypatch.setattr("syzstab.twist.cauchy_bound", lambda p: Fraction(1))
-        with pytest.raises(RuntimeError, match="k = 3"):
+        with pytest.raises(RuntimeError, match="c = 3"):
             minimal_stable_twist(K3, 0, HP_K3)
 
     def test_start_past_cauchy_bound(self):
         cert = minimal_stable_twist(K3, 0, HilbertPoly(Poly((2, 0, 2)), 40))
         assert cert.k_min == 40
-        assert cert.scan == ()
+        assert cert.scanned_range == (40, 40)
+        assert [(row.k, row.passed) for row in cert.scan] == [(40, True)]
+        assert_sound(cert)
+
+    @pytest.mark.parametrize("variety,hilbert,k_min", [
+        # genus 36, Cauchy bound about 1.7e8
+        (make_variety("custom", 4, 3, -61), (0, 0, 0, Fraction(-61, 12), Fraction(1, 8)), 317144),
+        # genus 23, 311,627 rows for the radius scan
+        (make_variety("custom", 3, 2, -40), (1, 1, -10, Fraction(1, 3)), 14090),
+    ], ids=["dim4", "dim3-genus23"])
+    def test_large_cases_take_few_rows(self, variety, hilbert, k_min):
+        cert = minimal_stable_twist(variety, 0, HilbertPoly(Poly(hilbert), 0))
+        assert cert.k_min == k_min
+        assert len(cert.scan) <= 2
+        assert_sound(cert)
+
+    @given(twist_inputs())
+    # F > 0 from k = 2 to 19 and <= 0 from 20 to 28: a search on the sign of
+    # F(c) alone can end in the first positive run
+    @example(custom_case(3, 1, 0, 0, (185, -15)))
+    # positive from the start 6 on, but F(k + 33) has a negative coefficient,
+    # so the rows run down from c = 34
+    @example(custom_case(3, 1, 3, 0, (192, Fraction(57, 2))))
+    @settings(deadline=None)
+    def test_matches_radius_scan(self, case):
+        variety, d0, hilbert = case
+        polys = build_condition_polys(variety, d0, hilbert)
+        radius = max(cauchy_bound(p) for p in (polys.cond2, polys.cond1) if p is not None)
+        assume(radius <= 10**4)
+        cert = minimal_stable_twist(variety, d0, hilbert)
+        assert cert.k_min == frozen_radius_scan(variety, d0, hilbert)
+        assert_sound(cert)
