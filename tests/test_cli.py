@@ -521,13 +521,21 @@ LONG_SCANS = {
     "quartic-K3": ("--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2"),
 }
 
+# The case ids keep the digest each case was first pinned with (the radius
+# scan's output), so a deliberate re-pin changes the digest but not the id.
 GOLDEN_TWISTS = [
-    ("dim2", "json", "9808a479e271e93d51c65fe10385d244395a30b248b26f0a99573b7fcc1105c2"),
-    ("dim2", "csv", "f2be7e453444fabe6c1ba55198f0cf38cda3b2fb734c6c47fe159cfb31e16541"),
-    ("dim3", "json", "b511173b61e055cd08c7d9078125198a264baad8c6d856c4ad52d6067b58c855"),
-    ("dim3", "csv", "1e5a5d25e35e702009778d8b148f01b05afa60f929d2b2414e95ddff3d207069"),
-    ("quartic-K3", "json", "66226783e46f99550d4e2fea780252cb2ef80d47411baa4ba1b1fb161d7b76af"),
-    ("quartic-K3", "csv", "406f1c38b2dc58f71b333f5accd1c82ea8f1222274c861f5887df0a8e288534b"),
+    pytest.param("dim2", "json", "9808a479e271e93d51c65fe10385d244395a30b248b26f0a99573b7fcc1105c2",
+                 id="dim2-json-0c87288875d68fd4bbcadeee3fc87bb7d2c07f7ef8db4c7386501b054d1a34e0"),
+    pytest.param("dim2", "csv", "f2be7e453444fabe6c1ba55198f0cf38cda3b2fb734c6c47fe159cfb31e16541",
+                 id="dim2-csv-716e5a1c6bdfe607e9c2bb61de115440f8a2cc09805d25cd7859a212e56154c4"),
+    pytest.param("dim3", "json", "b511173b61e055cd08c7d9078125198a264baad8c6d856c4ad52d6067b58c855",
+                 id="dim3-json-9e254cea9e3a3819e7ab7e0e6884b2a57325e9d43c3325bc032bba3346b31ace"),
+    pytest.param("dim3", "csv", "1e5a5d25e35e702009778d8b148f01b05afa60f929d2b2414e95ddff3d207069",
+                 id="dim3-csv-884e97f7aa7bf7a4ae5ac14fa5906e5f03edd6dddcd118ab72d58f5bd64ecf9a"),
+    pytest.param("quartic-K3", "json", "66226783e46f99550d4e2fea780252cb2ef80d47411baa4ba1b1fb161d7b76af",
+                 id="quartic-K3-json-5b1a832c75b8a7bbba4b242fb29ec983e0db32269d082efda6208c89c6309a73"),
+    pytest.param("quartic-K3", "csv", "406f1c38b2dc58f71b333f5accd1c82ea8f1222274c861f5887df0a8e288534b",
+                 id="quartic-K3-csv-fceb9a9b46f675e62abf94ecc0340c46b647d4116ef953e3d9d1517b4d340f1f"),
 ]
 
 

@@ -429,7 +429,7 @@ class TestMinimalStableTwist:
             assert all(row.passed for row in cert.scan if row.k >= cert.k_min)
             assert cert.scan[-1].k >= cert.k_min
 
-    def test_bracket_self_check_fires(self, monkeypatch):
+    def test_post_scan_check_fires(self, monkeypatch):
         # a root bound below the start puts the upper end of the search at
         # the start 3, where F(3) = -5/2: the shift there is not positive
         monkeypatch.setattr("syzstab.twist.cauchy_bound", lambda p: Fraction(1))
