@@ -28,8 +28,7 @@ from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, va
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
 from .verify import run_suite
 
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-_INT_RE = re.compile(r"^-?\d+$")
+_DEGREES_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,15 +91,17 @@ def build_parser() -> _Parser:
 
 
 def _parse_degrees(text: str) -> range:
-    m = _RANGE_RE.match(text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise UsageError(f"empty degree range {text!r}")
-        return range(lo, hi + 1)
-    if _INT_RE.match(text):
-        return range(int(text), int(text) + 1)
-    raise UsageError(f"--degree must be an integer or a range a..b, got {text!r}")
+    m = _DEGREES_RE.match(text)
+    if m is None:
+        raise UsageError(f"--degree must be an integer or a range a..b, got {text!r}")
+    try:
+        lo = int(m.group(1))
+        hi = lo if m.group(2) is None else int(m.group(2))
+    except ValueError:  # past the interpreter's int-from-string digit limit
+        raise UsageError(f"--degree has more than {sys.get_int_max_str_digits()} digits") from None
+    if lo > hi:
+        raise UsageError(f"empty degree range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_hilbert(text: str) -> tuple[Fraction, ...]:
@@ -140,10 +141,10 @@ def _resolve(args) -> tuple[Variety, SheafSpec, range]:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read input file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"input file is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, or an int past the digit limit
+            raise UsageError(f"cannot read input file: {exc}") from None
         variety, spec = parse_problem(data)
         return variety, spec, range(spec.degree, spec.degree + 1)
     variety = _variety_from_flags(args)
@@ -386,7 +387,10 @@ def _with_approx(obj):
     for key, value in obj.items():
         out[key] = _with_approx(value)
         if isinstance(value, str) and _RATIONAL_VALUE_RE.match(value):
-            out[f"{key}_approx"] = float(Fraction(value))
+            try:
+                out[f"{key}_approx"] = float(Fraction(value))
+            except OverflowError:
+                raise UsageError(f"--approx: {key} is too large for a float") from None
     return out
 
 

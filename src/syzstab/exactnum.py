@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+
+from .errors import UsageError
 
 Rational = Fraction
 
@@ -37,10 +40,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render exactly, as "p/q" or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render exactly, as "p/q" or "p" when the denominator is 1.
+
+    A numerator or denominator past the interpreter's int-to-string digit
+    limit cannot be printed exactly and raises UsageError; the limit, which
+    keeps conversion time bounded, is left in place.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise UsageError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
 
 
 def _rising(a: int, q: int, k: int) -> int:

@@ -13,11 +13,13 @@ proven to hold, and the rows below c are evaluated downward to the first
 failure.  The certificate records c, the shifted coefficients, the
 evaluated rows, the bound, and the polynomials.
 
-Evaluation stays exact without a Fraction operation per coefficient:
-a polynomial keeps its coefficients scaled to integers over their common
-denominator, and is evaluated at p/q by one integer Horner pass over
-homogeneous terms, reduced to a single Fraction at the end.  The Taylor
-shift runs on the same scaled integers.
+A polynomial is stored once, as integer numerators over one common
+denominator, and every operation stays exact without a Fraction
+operation per coefficient: sums, products and substitutions combine the
+integers, evaluation at p/q is one integer Horner pass over homogeneous
+terms reduced to a single Fraction at the end, and the Taylor shift
+rewrites the same integers.  The shifted polynomials of a certificate
+are built straight from the shifted integers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .bounds import bound_high, bound_low
 from .errors import InconsistentInputError, UsageError
@@ -37,82 +40,84 @@ class Poly:
     constant term first.  The zero polynomial has no coefficients and
     degree -1.  Immutable once built.
 
-    Evaluation is exact integer arithmetic.  On the first call the
-    coefficients a_i are scaled by D, the lcm of their denominators, and
-    cached highest degree first; x = p/q (q = 1 for an int) then gives
-    sum a_i*D * p^i * q^(n-i) over D * q^n by Horner's rule, and one
-    reduced Fraction is built from that pair."""
+    The only stored state is a pair: a denominator D > 0 and integer
+    numerators, constant first, so that coefficient i is nums[i]/D.  The
+    pair is canonical: no trailing zero numerator and gcd(D, *nums) = 1,
+    so D is the lcm of the reduced coefficient denominators (1 for the
+    zero polynomial) and equal polynomials store equal pairs.  `coeffs`,
+    `coeff` and `leading` are Fraction views of the pair.  Arithmetic,
+    evaluation and the Taylor shift run on the integers: x = p/q (q = 1
+    for an int) gives sum nums[i] * p^i * q^(n-i) over D * q^n by
+    Horner's rule, and one reduced Fraction is built from that pair."""
 
-    __slots__ = ("coeffs", "_scaled")
+    __slots__ = ("_denom", "_nums")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        denom = math.lcm(*(c.denominator for c in cs))
+        self._store(denom, [c.numerator * (denom // c.denominator) for c in cs])
+
+    @classmethod
+    def _from_ints(cls, denom: int, nums) -> "Poly":
+        """The polynomial with coefficients nums[i]/denom, for an int denom > 0."""
+        poly = cls.__new__(cls)
+        poly._store(denom, list(nums))
+        return poly
+
+    def _store(self, denom: int, nums: list[int]) -> None:
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(denom, *nums)
+        object.__setattr__(self, "_denom", denom // g)
+        object.__setattr__(self, "_nums", tuple(n // g for n in nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the coefficients, since restoring slot
-        # state would go through __setattr__; _scaled is rebuilt on first call
+        # state would go through __setattr__
         return (Poly, (self.coeffs,))
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((0, 1))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._denom) for n in self._nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._denom)
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _scale(self) -> tuple[int, tuple[int, ...]]:
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        # the zero polynomial evaluates as the constant 0
-        top_first = tuple(c.numerator * (denom // c.denominator)
-                          for c in reversed(self.coeffs)) or (0,)
-        object.__setattr__(self, "_scaled", (denom, top_first))
-        return denom, top_first
+        return Fraction(self._nums[-1], self._denom)
 
     def __call__(self, x) -> Fraction:
         """Exact value at an int or Fraction x."""
-        try:
-            denom, top_first = self._scaled
-        except AttributeError:
-            denom, top_first = self._scale()
+        nums = self._nums or (0,)  # the zero polynomial is the constant 0
         p, q = x.numerator, x.denominator
-        acc, qpow = top_first[0], 1
-        for c in top_first[1:]:
+        acc, qpow = nums[-1], 1
+        for c in nums[-2::-1]:
             qpow *= q
             acc = acc * p + c * qpow
-        return Fraction(acc, denom * qpow)
+        return Fraction(acc, self._denom * qpow)
 
     def scaled_shift(self, c: int) -> tuple[int, list[int]]:
-        """D and the integer coefficients of D * p(k + c), constant first,
-        for an integer c.  D > 0 is the scale evaluation uses, so the signs
-        are those of p(k + c).  Synthetic division, O(deg^2) integer steps."""
-        try:
-            denom, top_first = self._scaled
-        except AttributeError:
-            denom, top_first = self._scale()
-        a = list(reversed(top_first))
+        """The stored D and the integer coefficients of D * p(k + c),
+        constant first, for an integer c.  D > 0, so the signs are those of
+        p(k + c).  Synthetic division, O(deg^2) integer steps."""
+        a = list(self._nums)
         n = len(a) - 1
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 a[j] += c * a[j + 1]
-        return denom, a
+        return self._denom, a
 
     def _promote(self, other):
         if isinstance(other, Poly):
@@ -125,13 +130,15 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(i) + other.coeff(i) for i in range(size)))
+        denom = math.lcm(self._denom, other._denom)
+        sa, sb = denom // self._denom, denom // other._denom
+        return Poly._from_ints(denom, [a * sa + b * sb for a, b in
+                                       zip_longest(self._nums, other._nums, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._from_ints(self._denom, [-a for a in self._nums])
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -146,13 +153,11 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self._nums) + len(other._nums) - 1)
+        for i, a in enumerate(self._nums):
+            for j, b in enumerate(other._nums):
                 out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly._from_ints(self._denom * other._denom, out)
 
     __rmul__ = __mul__
 
@@ -160,9 +165,9 @@ class Poly:
         """Substitute the variable by a*k + b."""
         inner = Poly((b, a))
         acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        for n in reversed(self._nums):
+            acc = acc * inner + n
+        return Poly._from_ints(acc._denom * self._denom, acc._nums)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -172,10 +177,11 @@ class Poly:
         return cls(tuple(parse_rational(s) for s in items))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._denom == other._denom
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._denom, self._nums))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -290,8 +296,7 @@ def cauchy_bound(p: Poly) -> Fraction:
     root lies inside this radius."""
     if p.degree < 1:
         raise ValueError("root bound needs a nonconstant polynomial")
-    lead = p.leading
-    return 1 + max(abs(c / lead) for c in p.coeffs[:-1])
+    return 1 + Fraction(max(abs(a) for a in p._nums[:-1]), abs(p._nums[-1]))
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,7 @@ class TwistCertificate:
 def _shifted(poly: Poly | None, c: int) -> Poly | None:
     if poly is None:
         return None
-    denom, shifted = poly.scaled_shift(c)
-    return Poly(Fraction(a, denom) for a in shifted)
+    return Poly._from_ints(*poly.scaled_shift(c))
 
 
 def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> TwistCertificate:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,6 +15,16 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error(result, want_code, needle):
+    """The call exited with want_code, printed nothing on stdout, and one
+    `error:` line containing needle on stderr."""
+    code, out, err = result
+    assert code == want_code
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
 
 
 class TestBoundCommand:
@@ -203,6 +214,48 @@ class TestCheckCommand:
                                "--hilbert", "1,3/2,1/2", "--regularity", "0", "--twist", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_degenerate(self, fmt):
+        # h0 = 1: the syzygy sheaf has rank 0, so its slope is +inf
+        code, out, _ = run_cli("check", "--catalog", "P2", "--degree", "2", "--h0", "1",
+                               "--format", fmt)
+        assert code == 0
+        note = "syzygy sheaf is zero (h0 = 1); nothing to destabilize"
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert result["verdict"] == "Degenerate"
+            assert result["syzygy"] == {"degree": -2, "rank": 0, "slope": "+inf"}
+            assert result["note"] == note
+            assert result["condition1"] == result["condition2"] == {"status": "Vacuous"}
+        else:
+            rows = dict(line.split(None, 1) for line in out.splitlines())
+            assert rows["result.verdict"] == "Degenerate"
+            assert rows["result.syzygy.slope"] == "+inf"
+            assert rows["result.note"] == note
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_trivially_stable(self, fmt):
+        # degree 1 leaves no destabilizer degree in [1, d - 1]
+        code, out, _ = run_cli("check", "--catalog", "P2", "--degree", "1", "--h0", "3",
+                               "--format", fmt)
+        assert code == 0
+        note = "no admissible destabilizer degree in [1, d-1]"
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert result["verdict"] == "TriviallyStable"
+            assert result["syzygy"] == {"degree": -1, "rank": 2, "slope": "-1/2"}
+            assert result["note"] == note
+        else:
+            rows = dict(line.split(None, 1) for line in out.splitlines())
+            assert rows["result.verdict"] == "TriviallyStable"
+            assert rows["result.note"] == note
+
+    def test_hilbert_value_not_an_integer(self):
+        # P(k) = k^2/2 + 3k/2 + 1/3 is 16/3 at k = 2
+        assert_one_error(run_cli("check", "--catalog", "P2", "--degree", "0",
+                                 "--hilbert", "1/3,3/2,1/2", "--regularity", "0", "--twist", "2"),
+                         3, "hilbert polynomial is not an integer at k = 2: 16/3")
+
 
 class TestTwistCommand:
     def test_quartic_surface(self):
@@ -305,6 +358,14 @@ class TestVerifyCommand:
         _, out1, _ = run_cli("verify", "--grid", "small", "--seed", "7")
         _, out2, _ = run_cli("verify", "--grid", "small", "--seed", "7")
         assert out1 == out2
+
+    def test_verify_csv(self):
+        code, out, _ = run_cli("verify", "--grid", "small", "--seed", "0", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert list(rows[0]) == ["failed", "failures", "name", "note", "passed"]
+        assert "certificate-soundness" in {r["name"] for r in rows}
+        assert all(r["failed"] == "0" and r["failures"] == "" for r in rows)
 
 
 class TestInputFiles:
@@ -509,6 +570,15 @@ class TestOutputContracts:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_approx_on_list_report(self):
+        code, out, _ = run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",
+                               "--degree", "3..5", "--approx")
+        assert code == 0
+        rows = json.loads(out)["result"]["results"]
+        assert [(r["value"], r.get("value_approx")) for r in rows] == [
+            ("55/8", 6.875), ("99/8", 12.375), ("20", None)]
+        assert rows[0]["core_approx"] == 5.875
+
 
 # SHA-256 of stdout for twists whose Cauchy radius lies hundreds to
 # thousands of rows past the start: a change to how F and G are evaluated or
@@ -572,3 +642,74 @@ def test_degree_sweep_golden(case, form, fmt, digest):
     code, out, _ = run_cli("bound", *SWEEPS[case], "--form", form, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+USAGE_ERRORS = [
+    pytest.param(("bound", "--catalog", "P2", "--degree", "2", "--format", "xml"),
+                 "argument --format: invalid choice: 'xml'", id="format-choice"),
+    pytest.param(("bound", "--catalog", "P2", "--degree", "2", "--rank", "x"),
+                 "argument --rank: invalid int value: 'x'", id="rank-not-int"),
+    pytest.param(("bound", "--bogus"), "unrecognized arguments: --bogus", id="unknown-flag"),
+    pytest.param(("frobnicate",), "argument command: invalid choice: 'frobnicate'",
+                 id="unknown-subcommand"),
+    pytest.param(("bound", "--dim", "2", "--h-top", "1", "--degree", "2"),
+                 "give --catalog NAME or all of --dim, --h-top, --c1-h", id="partial-triple"),
+    pytest.param(("check", "--catalog", "P2", "--degree", "2", "--hilbert", "1,3/2,1/2"),
+                 "--hilbert needs --regularity", id="hilbert-without-regularity"),
+    pytest.param(("check", "--catalog", "P2", "--degree", "2", "--h0", "6", "--twist", "2"),
+                 "--twist only applies to the hilbert route", id="twist-with-h0"),
+    pytest.param(("check", "--catalog", "P2", "--degree", "2"),
+                 "give --h0, or --hilbert with --regularity and --twist", id="check-without-sections"),
+    pytest.param(("catalog", "show"), "catalog show needs a NAME", id="show-without-name"),
+    pytest.param(("catalog", "list", "P2"), "catalog list takes no NAME", id="list-with-name"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_usage_errors(argv, message):
+    assert_one_error(run_cli(*argv), 1, message)
+
+
+def test_non_object_input_file(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert_one_error(run_cli("bound", "--input", str(path)), 1, "input must be a JSON object")
+
+
+def test_input_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"variety": {"name": "P\xff"}}')
+    assert_one_error(run_cli("bound", "--input", str(path)), 1, "cannot read input file")
+
+
+# Python 3.10 before 3.10.7 has no int-to-string digit limit, so these
+# numbers convert there and the calls print them.
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-string digit limit")
+
+
+class TestHugeNumbers:
+    @needs_digit_limit
+    @pytest.mark.parametrize("extra", [("bound",), ("check", "--h0", "5")], ids=["bound", "check"])
+    def test_result_past_digit_limit(self, extra):
+        # the P5 bound at a 900-digit degree has about 4,500 digits
+        command, *flags = extra
+        assert_one_error(run_cli(command, "--catalog", "P5", "--degree", "9" * 900, *flags),
+                         1, "too many to print")
+
+    @needs_digit_limit
+    def test_input_degree_past_digit_limit(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": %s}}' % ("1" * 5000))
+        assert_one_error(run_cli("bound", "--input", str(path)), 1, "cannot read input file")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("degree", ["1" * 5000, "1.." + "1" * 5000], ids=["integer", "range"])
+    def test_degree_flag_past_digit_limit(self, degree):
+        assert_one_error(run_cli("bound", "--catalog", "P2", "--degree", degree),
+                         1, "--degree has more than")
+
+    def test_approx_past_float_range(self):
+        assert_one_error(run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",
+                                 "--degree", "1" + "0" * 200, "--approx"),
+                         1, "--approx: value is too large for a float")

@@ -471,3 +471,30 @@ class TestMinimalStableTwist:
         cert = minimal_stable_twist(variety, d0, hilbert)
         assert cert.k_min == frozen_radius_scan(variety, d0, hilbert)
         assert_sound(cert)
+
+
+def assert_canonical(p):
+    """p holds the one stored form of its coefficients: rebuilt from them it
+    is equal and hashes the same."""
+    rebuilt = Poly(p.coeffs)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+class TestStoredForm:
+    @given(poly_strategy(), poly_strategy(), rationals, rationals, st.integers(-6, 6))
+    # k/2 + k/2, k/2 - k/2, 2 * k/2 and 4 * 1/4 each cancel a common factor
+    # of the integer pair they are computed as
+    @example(Poly((0, Fraction(1, 2))), Poly((0, Fraction(1, 2))), Fraction(4), Fraction(0), 2)
+    @example(Poly((Fraction(1, 4),)), Poly(()), Fraction(4), Fraction(1, 3), 3)
+    def test_every_operation_stores_the_canonical_pair(self, p, q, a, b, n):
+        for r in (p + q, p - q, p * q, -p, p + a, a + p, p - a, a - p, p * a, a * p,
+                  p + n, n - p, n * p, p.compose_linear(a, b), p.compose_linear(n, a)):
+            assert_canonical(r)
+
+    @given(twist_inputs())
+    @settings(deadline=None, max_examples=40)
+    def test_certificate_shift_is_canonical(self, case):
+        cert = minimal_stable_twist(*case)
+        for p in (cert.cond2, cert.cond1, cert.shift.cond2, cert.shift.cond1):
+            if p is not None:
+                assert_canonical(p)
