@@ -3,7 +3,9 @@
 Subcommands: bound, check, twist, catalog, verify.  Output is JSON by
 default and is byte-identical across runs for identical invocations;
 every Rational is printed exactly as p/q, and --approx adds float
-companions without ever dropping the exact value.
+companions to the values of the result, never to the echoed input,
+without ever dropping the exact value.  Each handler returns its input
+echo, its result and its exit code; main wraps them in one report.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -18,12 +20,14 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
+from enum import Enum
 from fractions import Fraction
 
 from .bounds import BoundForm, BoundReport, sections_bound
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational
-from .stability import StabilityReport, check_stability
+from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
 from .verify import run_suite
@@ -162,9 +166,22 @@ def _resolve(args) -> tuple[Variety, SheafSpec, range]:
     return variety, spec, degrees
 
 
-def _variety_dict(v: Variety) -> dict:
-    return {"name": v.name, "dim": v.dim, "h_top": v.h_top,
-            "c1_dot_h": v.c1_dot_h, "genus": v.genus}
+def _plain(obj):
+    """A result as JSON values: an int, bool or str stays, a Fraction becomes
+    its exact string, an enum its value, math.inf "+inf", a list or tuple a
+    list, and a dataclass a dict of its fields that are not None."""
+    if isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if obj == math.inf:
+        return "+inf"
+    return {f.name: _plain(value) for f in fields(obj)
+            if (value := getattr(obj, f.name)) is not None}
 
 
 def _require_rank_one(rank: int) -> None:
@@ -184,7 +201,7 @@ def _bound_row(rep: BoundReport) -> dict:
     }
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
+def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
     reports = [sections_bound(variety, spec.rank, d, form) for d in degrees]
@@ -194,52 +211,11 @@ def _cmd_bound(args) -> tuple[dict, int]:
     else:
         result = {"results": [_bound_row(r) for r in reports]}
         degree_echo = f"{degrees[0]}..{degrees[-1]}"
-    report = {
-        "command": "bound",
-        "input": {
-            "variety": _variety_dict(variety),
-            "sheaf": {"rank": spec.rank, "degree": degree_echo},
-            "form": form.value,
-        },
-        "result": result,
-    }
-    return report, 0
+    sheaf_echo = {"rank": spec.rank, "degree": degree_echo}
+    return {"variety": _plain(variety), "sheaf": sheaf_echo, "form": form.value}, result, 0
 
 
-def _condition_dict(cond) -> dict:
-    out = {"status": cond.status.value}
-    if cond.lhs is not None:
-        out["lhs"] = format_rational(cond.lhs)
-        out["rhs"] = format_rational(cond.rhs)
-        out["threshold_degree"] = cond.threshold_degree
-    return out
-
-
-def _slope_str(value) -> str:
-    if value == math.inf:
-        return "+inf"
-    return format_rational(value)
-
-
-def _stability_dict(rep: StabilityReport) -> dict:
-    out = {
-        "verdict": rep.verdict.value,
-        "condition1": _condition_dict(rep.condition1),
-        "condition2": _condition_dict(rep.condition2),
-        "syzygy": {
-            "rank": rep.syzygy.rank,
-            "degree": rep.syzygy.degree,
-            "slope": _slope_str(rep.syzygy.slope),
-        },
-        "degree": rep.degree,
-        "h0": rep.sections,
-    }
-    if rep.note is not None:
-        out["note"] = rep.note
-    return out
-
-
-def _cmd_check(args) -> tuple[dict, int]:
+def _cmd_check(args) -> tuple[dict, dict, int]:
     variety, spec, _ = _resolve(args)
     _require_rank_one(spec.rank)
     degree, h0, regularity = spec.degree, spec.sections, spec.regularity
@@ -282,12 +258,9 @@ def _cmd_check(args) -> tuple[dict, int]:
         raise InconsistentInputError(
             f"h0 = {h0} exceeds the section bound {format_rational(cap)} at degree {degree}"
         )
-    report = {
-        "command": "check",
-        "input": {"variety": _variety_dict(variety), "sheaf": sheaf_echo},
-        "result": _stability_dict(rep),
-    }
-    return report, 0
+    result = _plain(rep)
+    result["h0"] = result.pop("sections")
+    return {"variety": _plain(variety), "sheaf": sheaf_echo}, result, 0
 
 
 def _f_and_g(cond2: Poly, cond1: Poly | None) -> dict:
@@ -317,7 +290,7 @@ def _certificate_dict(cert: TwistCertificate) -> dict:
     }
 
 
-def _cmd_twist(args) -> tuple[dict, int]:
+def _cmd_twist(args) -> tuple[dict, dict, int]:
     variety, spec, _ = _resolve(args)
     _require_rank_one(spec.rank)
     if spec.hilbert is None:
@@ -325,54 +298,29 @@ def _cmd_twist(args) -> tuple[dict, int]:
 
     hp = HilbertPoly(Poly(spec.hilbert), spec.regularity)
     cert = minimal_stable_twist(variety, spec.degree, hp)
-    report = {
-        "command": "twist",
-        "input": {
-            "variety": _variety_dict(variety),
-            "sheaf": {
-                "rank": spec.rank,
-                "degree": spec.degree,
-                "hilbert": hp.poly.to_strings(),
-                "regularity": spec.regularity,
-            },
-        },
-        "result": _certificate_dict(cert),
-    }
-    return report, 0
+    sheaf_echo = {"rank": spec.rank, "degree": spec.degree,
+                  "hilbert": hp.poly.to_strings(), "regularity": spec.regularity}
+    return {"variety": _plain(variety), "sheaf": sheaf_echo}, _certificate_dict(cert), 0
 
 
-def _cmd_catalog(args) -> tuple[dict, int]:
+def _cmd_catalog(args) -> tuple[dict, dict, int]:
     if args.action == "show":
         if args.name is None:
             raise UsageError("catalog show needs a NAME")
-        result: dict = {"entry": _variety_dict(catalog_lookup(args.name))}
+        result = {"entry": _plain(catalog_lookup(args.name))}
     else:
         if args.name is not None:
             raise UsageError("catalog list takes no NAME")
-        result = {"entries": [_variety_dict(v) for v in catalog_entries()]}
-    return {"command": "catalog", "input": {"action": args.action}, "result": result}, 0
+        result = {"entries": _plain(catalog_entries())}
+    return {"action": args.action}, result, 0
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     checks = run_suite(grid=args.grid, seed=args.seed)
-    rows = []
-    for c in checks:
-        row: dict = {"name": c.name, "passed": c.passed, "failed": c.failed,
-                     "failures": list(c.failures)}
-        if c.note is not None:
-            row["note"] = c.note
-        rows.append(row)
     total_failed = sum(c.failed for c in checks)
-    report = {
-        "command": "verify",
-        "input": {"grid": args.grid, "seed": args.seed},
-        "result": {
-            "checks": rows,
-            "total_passed": sum(c.passed for c in checks),
-            "total_failed": total_failed,
-        },
-    }
-    return report, 0 if total_failed == 0 else 2
+    result = {"checks": _plain(checks), "total_passed": sum(c.passed for c in checks),
+              "total_failed": total_failed}
+    return {"grid": args.grid, "seed": args.seed}, result, 0 if total_failed == 0 else 2
 
 
 _RATIONAL_VALUE_RE = re.compile(r"^-?\d+/\d+$")
@@ -458,9 +406,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (bound, check, twist, catalog, verify)")
-        report, code = _HANDLERS[args.command](args)
-        if args.approx:
-            report = _with_approx(report)
+        echo, result, code = _HANDLERS[args.command](args)
+        if args.approx:  # companions for the result only, never for echoed input
+            result = _with_approx(result)
+        report = {"command": args.command, "input": echo, "result": result}
         sys.stdout.write(_RENDERERS[args.format](report))
         return code
     except UsageError as exc:

@@ -8,10 +8,11 @@ positive leading coefficients.  Positivity from some point on is then
 certified by a Taylor shift: if every coefficient of F(k + c) is >= 0
 and F(c) > 0, then F > 0 on [c, oo) (the sign test behind Vincent's
 theorem and Descartes' rule of signs).  The least such integer c is
-found by binary search below the Cauchy root bound, where the test is
-proven to hold, and the rows below c are evaluated downward to the first
-failure.  The certificate records c, the shifted coefficients, the
-evaluated rows, the bound, and the polynomials.
+found by a doubling search up from the start, capped at the Cauchy root
+bound where the test is proven to hold, then bisection of the last gap;
+the rows below c are evaluated downward to the first failure.  The
+certificate records c, the shifted coefficients, the evaluated rows, the
+bound, and the polynomials.
 
 A polynomial is stored once, as integer numerators over one common
 denominator, and every operation stays exact without a Fraction
@@ -341,13 +342,16 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     """Least integer twist from which both condition polynomials stay
     strictly positive, hence every larger twist is certified stable.
 
-    From start = max(regularity, k_pos), a binary search finds the least
-    integer c up to max(start, top), top the ceiling of the Cauchy bound,
-    at which both polynomials shifted to k + c have every coefficient >= 0
-    and a positive constant, so both are positive on [c, oo).  The test is
+    From start = max(regularity, k_pos), the search finds the least
+    integer c up to top = max(start, ceiling of the Cauchy bound) at which
+    both polynomials shifted to k + c have every coefficient >= 0 and a
+    positive constant, so both are positive on [c, oo).  The test is
     monotone in c: a shift by d >= 0 keeps nonnegative coefficients
-    nonnegative and does not lower the constant.  At top it must pass:
-    by Gauss-Lucas the roots of every derivative lie inside the Cauchy
+    nonnegative and does not lower the constant.  So it is tried at
+    start, start + 1, start + 3, start + 7, ... (capped at top) until it
+    passes, and the gap after the last failure is bisected; the work
+    follows log(c - start), not log(top).  At top it must pass: by
+    Gauss-Lucas the roots of every derivative lie inside the Cauchy
     bound, so every Taylor coefficient F^(i)(c)/i! has the sign of the
     positive leading coefficient there; a failure raises RuntimeError.
 
@@ -365,11 +369,14 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
         shifts = (p.scaled_shift(c)[1] for p in conds)
         return all(s[0] > 0 and min(s) >= 0 for s in shifts)
 
-    lo, hi = start, max(start, math.ceil(radius))
-    if not certifies(hi):
-        raise RuntimeError(
-            f"Taylor shift at c = {hi}, past the Cauchy bound {radius}, is not positive"
-        )
+    top = max(start, math.ceil(radius))
+    lo = hi = start
+    while not certifies(hi):
+        if hi == top:
+            raise RuntimeError(
+                f"Taylor shift at c = {hi}, past the Cauchy bound {radius}, is not positive"
+            )
+        lo, hi = hi + 1, min(top, 2 * hi - start + 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if certifies(mid):

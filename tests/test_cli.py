@@ -579,6 +579,21 @@ class TestOutputContracts:
             ("55/8", 6.875), ("99/8", 12.375), ("20", None)]
         assert rows[0]["core_approx"] == 5.875
 
+    # a variety name that reads as p/q is echoed input, not a result: it gets
+    # no companion, even where converting it would fail
+    @pytest.mark.parametrize("name", ["3/4", "1" * 5000 + "/3", "1" * 400 + "/3"],
+                             ids=["short", "past-digit-limit", "past-float-range"])
+    def test_approx_leaves_input_alone(self, tmp_path, name):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"variety": {"name": name, "dim": 3, "h_top": 2, "c1_dot_h": 2},
+                                    "sheaf": {"rank": 1, "degree": 3}}))
+        code, out, err = run_cli("bound", "--input", str(path), "--approx")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["input"]["variety"] == {"name": name, "dim": 3, "h_top": 2,
+                                              "c1_dot_h": 2, "genus": 2}
+        assert (report["result"]["value"], report["result"]["value_approx"]) == ("55/8", 6.875)
+
 
 # SHA-256 of stdout for twists whose Cauchy radius lies hundreds to
 # thousands of rows past the start: a change to how F and G are evaluated or
@@ -640,6 +655,58 @@ GOLDEN_SWEEPS = [
 @pytest.mark.parametrize("case,form,fmt,digest", GOLDEN_SWEEPS)
 def test_degree_sweep_golden(case, form, fmt, digest):
     code, out, _ = run_cli("bound", *SWEEPS[case], "--form", form, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout for every other report shape: the three check verdicts
+# with a known h0, the Hilbert route (condition 1 applies), the catalog
+# listing and entry, and the invariant suite.  Renaming a field of a result
+# type, or changing how results become JSON, makes one of these fail.
+REPORTS = {
+    "stable": ("check", "--catalog", "P2", "--degree", "2", "--h0", "6"),
+    "degenerate": ("check", "--catalog", "P2", "--degree", "2", "--h0", "1"),
+    "trivially-stable": ("check", "--catalog", "P2", "--degree", "1", "--h0", "3"),
+    "hilbert": ("check", "--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2",
+                "--regularity", "0", "--twist", "5"),
+    "catalog": ("catalog",),
+    "catalog-show": ("catalog", "show", "P3"),
+    "verify": ("verify", "--grid", "small", "--seed", "0"),
+}
+
+GOLDEN_REPORTS = [
+    ("stable", "json", "60793201303ae357bc81419ab42b7b5eb70d3867419e981b290cbc021f04d8d6"),
+    ("stable", "table", "5eb0c611f30180901a997280a24acfd8f3f63189d63f7e77bd379831f60e9fed"),
+    ("stable", "csv", "61a076ff6afe21c3151ef1c5a968185212911c9ab5f0d8f603a9111c1d5b2d0a"),
+    ("stable", "json-approx", "03711b5d7c0a0f2fd0c6c1ce99e70f1d92affd5748f6ecb1cad717521cfa3383"),
+    ("degenerate", "json", "aea0b7c9f4e5730a891e1fc74363f1cfaba4fea213f204b7dc18ed4a589528ca"),
+    ("degenerate", "table", "8cfa9ef6ab64f4deb245ee99690ad2e850fa8d7a699e293bf04773fd985ab132"),
+    ("degenerate", "csv", "abf4c05bf199d94ece7f059a0dfd2eef4ad751f55c817c46089431704cd0b0b0"),
+    ("degenerate", "json-approx", "aea0b7c9f4e5730a891e1fc74363f1cfaba4fea213f204b7dc18ed4a589528ca"),
+    ("trivially-stable", "json", "ea50f30466f94bf50e87d58ffef41fff961c482b43f4759d033295b5923ef211"),
+    ("trivially-stable", "table", "941c1c4d17d2b28f3f32db61caa16b07b43debea45cc0d03573c60d736b1a9d2"),
+    ("trivially-stable", "csv", "e2f7580621d09963a31619e1032362da97970688aacff6d26a32532a4491051e"),
+    ("trivially-stable", "json-approx", "53d4eb5560a883029d3158b0cdf5d7af657e5f505c7d4c7916961ddbe9c826a7"),
+    ("hilbert", "json", "e0197c9d3beb1e6c12ec316374bd5d259488b6372fa678fd1e9d74ba8835ecf7"),
+    ("hilbert", "table", "025ead67cf07a41e6a7a3e7fbd243048324b8c28745b979c61b64caafec30ea1"),
+    ("hilbert", "csv", "b596060ab15a335d6ef6c7584391b8368385deff5b30b6db6fa23c5da7018689"),
+    ("hilbert", "json-approx", "23ffcf86f9e1bfaa2f42b6505f5f2419a19e15828a17134fd647531f671c4b01"),
+    ("catalog", "json", "28455134d983441ee0307bfad375e2525459c8587d7bbee458b3c07985fa5334"),
+    ("catalog", "table", "10807bb7747677533ce2b298fbc7780f314f9b90eccbaa1e6f6fad0507ddb78f"),
+    ("catalog", "csv", "b65689771f2a66424bf3f9469ae9fbd8de842b9c62cec335d0a23b69c46a7d21"),
+    ("catalog-show", "json", "b84ca86042d1fcd4687b4142c10ad5a384a32574acfc7bee0fcb9b979e2df8fe"),
+    ("catalog-show", "table", "2650b350466e0347e3c8dcff04b0f6776c1af48ad90d964a185f3755c47f57b6"),
+    ("catalog-show", "csv", "04238bc79319ad450d4dc080e575699d7d87bf88ea5f4f8af498a1581a24f110"),
+    ("verify", "json", "f7a945024690639c362c540b1826bf34bb1b55c54d9f50b33e37d7fd7537c814"),
+    ("verify", "table", "7644069f7979bf900a0e4fdb4116d45e13263ec6a6afd46b290de5d8411c5fd0"),
+    ("verify", "csv", "b1c491e898625a8081d4d1a18a867df9efb7b7e675331a79992a55f212428817"),
+]
+
+
+@pytest.mark.parametrize("case,fmt,digest", GOLDEN_REPORTS)
+def test_report_golden(case, fmt, digest):
+    fmt, _, approx = fmt.partition("-")
+    code, out, _ = run_cli(*REPORTS[case], "--format", fmt, *(["--approx"] if approx else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -333,6 +333,24 @@ def frozen_radius_scan(variety, d0, hilbert):
     return start if last_fail is None else last_fail + 1
 
 
+def frozen_bisection(variety, d0, hilbert):
+    """The shift point c found as it was before the doubling search: by
+    bisection over [start, ceil(Cauchy bound)], testing the signs of
+    compose_linear's coefficients.  The reference for the shift point."""
+    polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    lo = max(hilbert.regularity, polys.k_pos)
+    hi = max(lo, math.ceil(max(cauchy_bound(p) for p in conds)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        shifted = [p.compose_linear(1, mid).coeffs for p in conds]
+        if all(s[0] > 0 and min(s) >= 0 for s in shifted):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def assert_sound(cert):
     """The certificate proves itself: the shifted polynomials are F and G
     at k + c with nonnegative coefficients and a positive constant, the
@@ -470,6 +488,17 @@ class TestMinimalStableTwist:
         assume(radius <= 10**4)
         cert = minimal_stable_twist(variety, d0, hilbert)
         assert cert.k_min == frozen_radius_scan(variety, d0, hilbert)
+        assert cert.shift.c == frozen_bisection(variety, d0, hilbert)
+        assert_sound(cert)
+
+    def test_dim80_least_shift_far_below_cauchy_bound(self):
+        # only the two pinned Hilbert coefficients are nonzero: the Cauchy
+        # bound is about 9.1e116, the least shift point is k_min itself
+        variety, d0, hilbert = custom_case(80, 1, 0, 0, [0] * 79)
+        cert = minimal_stable_twist(variety, d0, hilbert)
+        assert cert.cauchy > 10**116
+        assert (cert.k_min, cert.shift.c) == (63195, 63195)
+        assert [(row.k, row.passed) for row in cert.scan] == [(63194, False), (63195, True)]
         assert_sound(cert)
 
 
