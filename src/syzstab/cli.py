@@ -7,6 +7,9 @@ companions to the values of the result, never to the echoed input,
 without ever dropping the exact value.  Each handler returns its input
 echo, its result and its exit code; main wraps them in one report.
 
+main(argv) may be called repeatedly in one process: every call parses
+with the one parser built at import and keeps no state between calls.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
 """
@@ -20,7 +23,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
 
@@ -180,8 +182,8 @@ def _plain(obj):
         return [_plain(item) for item in obj]
     if obj == math.inf:
         return "+inf"
-    return {f.name: _plain(value) for f in fields(obj)
-            if (value := getattr(obj, f.name)) is not None}
+    return {name: _plain(value) for name in type(obj).__dataclass_fields__
+            if (value := getattr(obj, name)) is not None}
 
 
 def _require_rank_one(rank: int) -> None:
@@ -399,11 +401,12 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (bound, check, twist, catalog, verify)")
         echo, result, code = _HANDLERS[args.command](args)

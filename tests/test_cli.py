@@ -1,12 +1,16 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+import syzstab
+from syzstab import cli
 from syzstab.cli import main
 
 
@@ -780,3 +784,115 @@ class TestHugeNumbers:
         assert_one_error(run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",
                                  "--degree", "1" + "0" * 200, "--approx"),
                          1, "--approx: value is too large for a float")
+
+
+def _poly_free(obj):
+    """obj with every Poly inside it replaced by its coefficients: _plain
+    renders no Poly, since the CLI prints polynomials with Poly.to_strings."""
+    if isinstance(obj, syzstab.Poly):
+        return obj.coeffs
+    if isinstance(obj, tuple):
+        return tuple(_poly_free(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: _poly_free(getattr(obj, f.name))
+                                           for f in dataclasses.fields(obj)})
+    return obj
+
+
+def _plain_by_fields(obj):
+    """The walk over dataclasses.fields that _plain must agree with."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain_by_fields(value) for f in dataclasses.fields(obj)
+                if (value := getattr(obj, f.name)) is not None}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_by_fields(item) for item in obj]
+    return cli._plain(obj)
+
+
+def test_plain_walks_the_fields_of_every_exported_dataclass():
+    p2, k3 = syzstab.catalog_lookup("P2"), syzstab.catalog_lookup("quartic-K3")
+    hp = syzstab.HilbertPoly(syzstab.Poly((2, 0, 2)), 0)
+    cert = syzstab.minimal_stable_twist(k3, 0, hp)
+    degenerate = syzstab.check_stability(p2, 2, 1)  # a note, and an infinite slope
+    samples = [
+        p2, syzstab.SheafSpec(1, 2, sections=6),
+        syzstab.SheafSpec(1, 0, hilbert=(Fraction(2), Fraction(1, 2)), regularity=0),
+        syzstab.sections_bound(k3, 1, 8), syzstab.check_stability(p2, 2, 6),
+        degenerate, degenerate.condition1, degenerate.syzygy,
+        syzstab.CheckResult("c", 3, 1, ["k = 2"]), syzstab.CheckResult("d", note="n"),
+        hp, syzstab.bound_high_poly(k3, 0), syzstab.build_condition_polys(k3, 0, hp),
+        cert, cert.shift, cert.scan[0],
+    ]
+    exported = {obj for name in syzstab.__all__
+                if dataclasses.is_dataclass(obj := getattr(syzstab, name))}
+    assert {type(value) for value in samples} == exported
+    for cls in exported:  # a ClassVar or InitVar pseudo-field would differ here
+        assert list(cls.__dataclass_fields__) == [f.name for f in dataclasses.fields(cls)]
+    for value in map(_poly_free, samples):
+        assert cli._plain(value) == _plain_by_fields(value), type(value).__name__
+
+
+def _mixed_invocations(problem: str) -> list[tuple[str, ...]]:
+    """Invocations of every kind main handles: each subcommand in each
+    format, --approx, an --input file, errors raised by argparse and by a
+    handler, and an exit-3 input.  Each `check --twist 5` is followed by a
+    check without --twist, so a default leaking from one call to the next
+    would show."""
+    hilbert_check = REPORTS["hilbert"]
+    calls = []
+    for fmt in ("json", "table", "csv"):
+        calls += [(*argv, "--format", fmt) for argv in (
+            ("bound", "--catalog", "P3", "--degree", "1..4"),
+            hilbert_check,
+            REPORTS["stable"],
+            ("twist", *LONG_SCANS["quartic-K3"], "--regularity", "0"),
+            ("catalog",),
+            ("catalog", "show", "P3"),
+            ("verify",),
+        )]
+    return calls + [
+        ("bound", "--catalog", "P2", "--degree", "2", "--approx"),
+        (*REPORTS["stable"], "--approx"),
+        ("check", "--input", problem),
+        ("bound", "--input", problem, "--form", "lemma"),
+        *(case.values[0] for case in USAGE_ERRORS
+          if case.id in ("format-choice", "unknown-subcommand", "rank-not-int")),
+        ("catalog", "show"),
+        ("check", "--catalog", "P2", "--degree", "2", "--h0", "1000000"),
+        hilbert_check,
+        hilbert_check[:-2],
+    ]
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"variety": {"name": "P2"}, "sheaf": {"rank": 1, "degree": 2, "h0": 6}}))
+    calls = _mixed_invocations(str(path))
+    expected = {}
+    for argv in calls:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSER", cli.build_parser())
+            expected[argv] = run_cli(*argv)
+    assert {code for code, _, _ in expected.values()} == {0, 1, 3}
+
+    def rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    for argv in calls + calls[::-1]:
+        assert run_cli(*argv) == expected[argv], argv
+
+
+@pytest.mark.parametrize("command", ["", "bound", "check", "twist", "catalog", "verify"],
+                         ids=lambda c: c or "syzstab")
+def test_help(command):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith(f"usage: syzstab {command} [-h]" if command
+                                     else "usage: syzstab [-h]")
+    code, out, _ = run_cli(*REPORTS["stable"], "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == next(
+        digest for case, fmt, digest in GOLDEN_REPORTS if (case, fmt) == ("stable", "json"))
