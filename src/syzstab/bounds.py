@@ -16,6 +16,18 @@ tolerance and no sampling.
 On the strip (dim >= 3 and 0 < (d - (2g-2))/h_top < 1) the high branch
 takes a single restriction step instead of the telescoped sum; see
 riemann_roch_bound.
+
+A degree sweep (sweep_bounds) need not evaluate a closed form at every
+degree.  From d_pos = max(2g-2, g-1) + h_top on, the degree is in the
+high branch and past the strip, and every binomial argument of
+bound_high and riemann_roch_bound that depends on d is >= 0, so each
+rising product is in its product branch: both forms are then exact
+polynomials of degree n in d.  The sweep evaluates the form in use at
+n+2 consecutive degrees from there, scales the values to one integer
+denominator and builds their forward-difference table.  The order-(n+1)
+difference must vanish, which checks that the form is the polynomial
+the table extends; every later degree then costs n integer additions.
+Degrees below d_pos go through sections_bound one by one.
 """
 
 from __future__ import annotations
@@ -79,6 +91,13 @@ def clifford_bound(n: int, h_top: int, g: int, d) -> Fraction:
     q = h_top * e
     num = h_top * _rising(p - q, q, n) + 2 * n * q * _rising(p, q, n - 1)
     return Fraction(num, 2 * q**n * math.factorial(n))
+
+
+def d_pos(g: int, h_top: int) -> int:
+    """The least degree from which the high-branch forms are polynomials in d:
+    every d >= max(2g-2, g-1) + h_top is in the high branch, off the strip,
+    and gives every d-dependent binomial argument a value >= 0."""
+    return max(2 * g - 2, g - 1) + h_top
 
 
 def _in_strip(n: int, h_top: int, g: int, d) -> bool:
@@ -208,6 +227,11 @@ class BoundReport:
     degree: int
 
 
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise InconsistentInputError(f"rank must be >= 1, got {rank}")
+
+
 def sections_bound(variety: Variety, rank: int, degree: int,
                    form: BoundForm = BoundForm.SIMPLIFIED) -> BoundReport:
     """Upper bound on h0 of a globally-generated torsion-free sheaf.
@@ -217,8 +241,7 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     rank: a globally-generated sheaf needs at least rank sections, and
     a degree-0 one is trivial with exactly that many.
     """
-    if rank < 1:
-        raise InconsistentInputError(f"rank must be >= 1, got {rank}")
+    _check_rank(rank)
     d = _check_common(variety.dim, variety.h_top, degree)
     n, h, g = variety.dim, variety.h_top, variety.genus
     branch = select_branch(g, d)
@@ -232,6 +255,53 @@ def sections_bound(variety: Variety, rank: int, degree: int,
         branch=branch, form=form, value=max(value, Fraction(rank)), core=core,
         n=n, h_top=h, genus=g, rank=rank, degree=int(d),
     )
+
+
+def sweep_bounds(variety: Variety, rank: int, degrees: range,
+                 form: BoundForm = BoundForm.SIMPLIFIED):
+    """Yield (degree, branch, core, value) of sections_bound for every degree
+    of a unit-step range, in order.
+
+    Degrees below d_pos, and a tail from d_pos on of fewer than n+3
+    degrees, go through sections_bound.  The rest extend the exact
+    forward-difference table of the closed form (see the module
+    docstring), so the rows are those of sections_bound: core is the
+    form's value and value is core + rank (simplified) or core + rank - 1
+    (lemma), floored at rank.
+    """
+    _check_rank(rank)
+    n, h, g = variety.dim, variety.h_top, variety.genus
+    first = min(max(degrees.start, d_pos(g, h)), degrees.stop)
+    if degrees.stop - first < n + 3:
+        first = degrees.stop
+    for d in range(degrees.start, first):
+        rep = sections_bound(variety, rank, d, form)
+        yield d, rep.branch, rep.core, rep.value
+    if first == degrees.stop:
+        return
+    if form is BoundForm.SIMPLIFIED:
+        closed, shift = bound_high, rank
+    else:
+        closed, shift = rank_one_bound, rank - 1
+    values = [closed(n, h, g, d) for d in range(first, first + n + 2)]
+    den = math.lcm(*(v.denominator for v in values))
+    column = [v.numerator * (den // v.denominator) for v in values]
+    table = []  # table[j] is the order-j difference at the current degree
+    for _ in range(n + 2):
+        table.append(column[0])
+        column = [b - a for a, b in zip(column, column[1:])]
+    if table.pop() != 0:
+        raise RuntimeError(
+            f"the {form.value} bound is not a polynomial of degree {n} from degree {first}")
+    shift *= den
+    floor, floor_value = rank * den, Fraction(rank)
+    steps = range(n)
+    for d in range(first, degrees.stop):
+        num = table[0]
+        yield (d, Branch.RIEMANN_ROCH, Fraction(num, den),
+               Fraction(num + shift, den) if num + shift > floor else floor_value)
+        for j in steps:
+            table[j] += table[j + 1]
 
 
 @lru_cache(maxsize=8192)

@@ -7,8 +7,11 @@ companions to the values of the result, never to the echoed input,
 without ever dropping the exact value.  Each handler returns its input
 echo, its result and its exit code; main wraps them in one report.
 
-main(argv) may be called repeatedly in one process: every call parses
-with the one parser built at import and keeps no state between calls.
+main(argv) returns the exit code of one call, 0 after --help too, and
+may be called repeatedly in one process: every call parses with the one
+parser built at import and keeps no state between calls.  Every JSON
+report is written by one emitter, byte for byte as
+json.dumps(report, sort_keys=True, indent=2) would write it.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -26,7 +29,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import BoundForm, BoundReport, sections_bound
+from .bounds import BoundForm, sections_bound, sweep_bounds
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational
 from .stability import check_stability
@@ -180,10 +183,13 @@ def _plain(obj):
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [_plain(item) for item in obj]
-    if obj == math.inf:
+    fields = getattr(type(obj), "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: _plain(value) for name in fields
+                if (value := getattr(obj, name)) is not None}
+    if isinstance(obj, float) and obj == math.inf:  # the slope of a rank-0 sheaf
         return "+inf"
-    return {name: _plain(value) for name in type(obj).__dataclass_fields__
-            if (value := getattr(obj, name)) is not None}
+    raise TypeError(f"no JSON form for {type(obj).__name__} {obj!r}")
 
 
 def _require_rank_one(rank: int) -> None:
@@ -194,24 +200,17 @@ def _require_rank_one(rank: int) -> None:
         )
 
 
-def _bound_row(rep: BoundReport) -> dict:
-    return {
-        "degree": rep.degree,
-        "branch": rep.branch.value,
-        "value": format_rational(rep.value),
-        "core": format_rational(rep.core),
-    }
-
-
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    reports = [sections_bound(variety, spec.rank, d, form) for d in degrees]
-    if len(reports) == 1:
-        result = _bound_row(reports[0])
+    rows = [{"degree": d, "branch": branch.value, "value": format_rational(value),
+             "core": format_rational(core)}
+            for d, branch, core, value in sweep_bounds(variety, spec.rank, degrees, form)]
+    if len(rows) == 1:
+        result = rows[0]
         degree_echo: object = spec.degree
     else:
-        result = {"results": [_bound_row(r) for r in reports]}
+        result = {"results": rows}
         degree_echo = f"{degrees[0]}..{degrees[-1]}"
     sheaf_echo = {"rank": spec.rank, "degree": degree_echo}
     return {"variety": _plain(variety), "sheaf": sheaf_echo, "form": form.value}, result, 0
@@ -357,8 +356,57 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     return rows
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _emit_json(obj, pad: str, out: list) -> None:
+    """Append obj to out in parts, as json.dumps(obj, sort_keys=True,
+    indent=2) writes it; pad is the newline and indent of obj's own line.
+    Keys are strings, a tuple is written as a list, and an int or a
+    (finite) float by its repr."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(f"{sep}{_json_str(key)}: ")
+            _emit_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit_json(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    _emit_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_table(report: dict) -> str:
@@ -415,6 +463,8 @@ def main(argv=None) -> int:
         report = {"command": args.command, "input": echo, "result": result}
         sys.stdout.write(_RENDERERS[args.format](report))
         return code
+    except SystemExit as exc:  # only argparse exits, after printing --help
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .bounds import bound_high, bound_low
+from .bounds import bound_high, bound_low, d_pos
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational
 from .varieties import Variety
@@ -233,16 +233,16 @@ class TwistExpansion:
 def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
     """Interpolate bound_high at degree d0 + k*h_top - 1 as a polynomial in k.
 
-    From k_pos, the least k with every binomial argument of the cap >= 0,
-    the cap has degree n in k, so its values at k_pos .. k_pos+n fix it:
-    Newton divided differences (unit spacing), then Horner in the Newton
-    basis.  The order-(n+1) difference through k_pos+n+1 must vanish, so
+    From k_pos, the least k whose degree is at least bounds.d_pos (every
+    binomial argument of the cap >= 0), the cap has degree n in k, so its
+    values at k_pos .. k_pos+n fix it: Newton divided differences (unit
+    spacing), then Horner in the Newton basis.  The order-(n+1) difference through k_pos+n+1 must vanish, so
     each call checks that the cap is the polynomial it returns.
     """
     n, h, g = variety.dim, variety.h_top, variety.genus
     if d0 < 0:
         raise InconsistentInputError(f"degree must be >= 0, got {d0}")
-    k_pos = math.ceil(Fraction(max(2 * g - 2, g - 1) + h + 1 - d0, h))
+    k_pos = math.ceil(Fraction(d_pos(g, h) + 1 - d0, h))
     diffs = [bound_high(n, h, g, d0 + k * h - 1) for k in range(k_pos, k_pos + n + 2)]
     newton = [diffs[0]]
     for j in range(1, n + 2):

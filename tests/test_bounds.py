@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from syzstab import (
     riemann_roch_bound,
     sections_bound,
     select_branch,
+    sweep_bounds,
 )
+from syzstab.varieties import Variety
 
 
 class TestCliffordBound:
@@ -152,6 +155,72 @@ class TestSectionsBound:
             for form in BoundForm:
                 rep = sections_bound(v, rank, rng.randint(0, 40), form)
                 assert rep.value >= rank
+
+
+def _variety(n, h, g):
+    return Variety("x", n, h, (n - 1) * h - 2 * (g - 1), g)
+
+
+def _direct_rows(v, rank, degrees, form, direct=sections_bound):
+    return [(d, (rep := direct(v, rank, d, form)).branch, rep.core, rep.value)
+            for d in degrees]
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_grid_matches_sections_bound(self, n, monkeypatch):
+        # every range shape around d_pos: rows below it, a tail too short for
+        # the difference table (< n+3 degrees) and one just long enough, from
+        # every start 0..d_pos+3 and every rank; 200-degree ranges start at 0
+        # and at each degree d_pos-1..d_pos+3, in one rank per variety and form
+        for h in range(1, 6):
+            for g in range(13):
+                v, top = _variety(n, h, g), bounds.d_pos(g, h) + 4
+                # the rows below d_pos are sections_bound calls: caching them
+                # (one cache per variety) changes no value, only the cost
+                direct = functools.lru_cache(maxsize=None)(sections_bound)
+                monkeypatch.setattr(bounds, "sections_bound", direct)
+                for form in BoundForm:
+                    for rank in range(1, 5):
+                        want = _direct_rows(v, rank, range(top + n + 2), form, direct)
+                        for start in range(top):
+                            for length in (1, n + 2, n + 3):
+                                got = sweep_bounds(v, rank, range(start, start + length), form)
+                                assert list(got) == want[start:start + length]
+                    rank = 1 + (h + g + (form is BoundForm.LEMMA)) % 4
+                    want = _direct_rows(v, rank, range(top + 199), form, direct)
+                    for start in {0, *range(max(top - 5, 0), top)}:
+                        got = sweep_bounds(v, rank, range(start, start + 200), form)
+                        assert list(got) == want[start:start + 200]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 20), st.sampled_from(BoundForm),
+           st.integers(1, 6), st.integers(0, 90), st.integers(1, 250))
+    def test_matches_sections_bound(self, n, h, g, form, rank, start, length):
+        v, degrees = _variety(n, h, g), range(start, start + length)
+        assert list(sweep_bounds(v, rank, degrees, form)) == _direct_rows(v, rank, degrees, form)
+
+    def test_tail_costs_n_plus_2_closed_forms(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bound_high(*args)
+
+        monkeypatch.setattr(bounds, "bound_high", counted)
+        rows = list(sweep_bounds(catalog_lookup("P5"), 1, range(4, 3005)))
+        assert len(calls) == 7 and rows[-1][3] == math.comb(3009, 5)
+
+    def test_self_check_rejects_a_non_polynomial(self, monkeypatch):
+        # one extra power of d: the order-(n+1) difference no longer vanishes
+        monkeypatch.setattr(bounds, "bound_high",
+                            lambda n, h, g, d: bound_high(n, h, g, d) + d ** (n + 1))
+        with pytest.raises(RuntimeError, match="not a polynomial of degree 2"):
+            list(sweep_bounds(catalog_lookup("P2"), 1, range(0, 10)))
+
+    def test_rejects_bad_rank_past_d_pos(self):
+        with pytest.raises(InconsistentInputError, match="rank must be >= 1, got 0"):
+            list(sweep_bounds(catalog_lookup("P2"), 0, range(50, 100)))
 
 
 class TestRestrictionSum:

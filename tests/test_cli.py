@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import syzstab
 from syzstab import cli
@@ -775,7 +776,8 @@ class TestHugeNumbers:
         assert_one_error(run_cli("bound", "--input", str(path)), 1, "cannot read input file")
 
     @needs_digit_limit
-    @pytest.mark.parametrize("degree", ["1" * 5000, "1.." + "1" * 5000], ids=["integer", "range"])
+    @pytest.mark.parametrize("degree", ["1" * 5000, "1.." + "1" * 5000, "1" * 5000 + ".." + "2" * 5000],
+                             ids=["integer", "range", "range-start"])
     def test_degree_flag_past_digit_limit(self, degree):
         assert_one_error(run_cli("bound", "--catalog", "P2", "--degree", degree),
                          1, "--degree has more than")
@@ -784,6 +786,53 @@ class TestHugeNumbers:
         assert_one_error(run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",
                                  "--degree", "1" + "0" * 200, "--approx"),
                          1, "--approx: value is too large for a float")
+
+
+# A sweep rejects a bad first degree or rank with the message a single
+# degree gets, also when the range lies past d_pos, and prints no stdout.
+SWEEP_ERRORS = [
+    pytest.param(("--catalog", "P2", "--degree=-3..10"), 3,
+                 "degree must be >= 0 (degree-0 sheaves are trivial, negative is impossible), got -3",
+                 id="negative-start"),
+    # without "=", argparse takes a range starting "-" for an option
+    pytest.param(("--catalog", "P2", "--degree", "-3..10"), 1,
+                 "argument --degree: expected one argument", id="negative-start-as-option"),
+    pytest.param(("--catalog", "P2", "--degree", "0..10", "--rank", "0"), 3,
+                 "rank must be >= 1, got 0", id="rank-zero"),
+    pytest.param(("--catalog", "P2", "--degree", "50..100", "--rank", "0"), 3,
+                 "rank must be >= 1, got 0", id="rank-zero-past-d-pos"),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", SWEEP_ERRORS)
+def test_sweep_errors(argv, code, message):
+    assert run_cli("bound", *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("form", ["simplified", "lemma"])
+def test_sweep_rows_are_single_degree_results(form):
+    # genus 5: the range crosses both branches, the strip and d_pos = 11
+    variety = ("--dim", "4", "--h-top", "3", "--c1-h", "1")
+    code, out, _ = run_cli("bound", *variety, "--rank", "2", "--degree", "0..40", "--form", form)
+    assert code == 0
+    rows = json.loads(out)["result"]["results"]
+    singles = [json.loads(run_cli("bound", *variety, "--rank", "2", "--degree", str(d),
+                                  "--form", form)[1])["result"] for d in range(41)]
+    assert rows == singles
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_render_json_writes_what_json_dumps_writes(tree):
+    assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 def _poly_free(obj):
@@ -885,13 +934,20 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["", "bound", "check", "twist", "catalog", "verify"],
                          ids=lambda c: c or "syzstab")
-def test_help(command):
-    out = io.StringIO()
-    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
-        main([command, "--help"] if command else ["--help"])
-    assert exc.value.code == 0
+def test_help(command, monkeypatch):
+    argv = [command, "--help"] if command else ["--help"]
+    out, text = io.StringIO(), io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    with redirect_stdout(text), pytest.raises(SystemExit):  # argparse's own help text
+        cli._PARSER.parse_args(argv)
+    assert out.getvalue() == text.getvalue()
     assert out.getvalue().startswith(f"usage: syzstab {command} [-h]" if command
                                      else "usage: syzstab [-h]")
+    monkeypatch.setattr(sys, "argv", ["syzstab", *argv])
+    with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.run()  # the console script: the process still exits 0
+    assert exc.value.code == 0
     code, out, _ = run_cli(*REPORTS["stable"], "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == next(
