@@ -17,17 +17,21 @@ On the strip (dim >= 3 and 0 < (d - (2g-2))/h_top < 1) the high branch
 takes a single restriction step instead of the telescoped sum; see
 riemann_roch_bound.
 
-A degree sweep (sweep_bounds) need not evaluate a closed form at every
-degree.  From d_pos = max(2g-2, g-1) + h_top on, the degree is in the
-high branch and past the strip, and every binomial argument of
-bound_high and riemann_roch_bound that depends on d is >= 0, so each
-rising product is in its product branch: both forms are then exact
-polynomials of degree n in d.  The sweep evaluates the form in use at
-n+2 consecutive degrees from there, scales the values to one integer
-denominator and builds their forward-difference table.  The order-(n+1)
-difference must vanish, which checks that the form is the polynomial
-the table extends; every later degree then costs n integer additions.
-Degrees below d_pos go through sections_bound one by one.
+A degree sweep (sweep_ratios, and its Fraction view sweep_bounds) need
+not evaluate a closed form at every degree.  From d_pos = max(2g-2,
+g-1) + h_top on, the degree is in the high branch and past the strip,
+and every binomial argument of bound_high and riemann_roch_bound that
+depends on d is >= 0, so each rising product is in its product branch:
+both forms are then exact polynomials of degree n in d.  The sweep
+evaluates the form in use at n+2 consecutive degrees from there, scales
+the values to one integer denominator and builds their forward-difference
+table.  The order-(n+1) difference must vanish, which checks that the
+form is the polynomial the table extends; every later degree then costs
+n integer additions.  Degrees below d_pos go through sections_bound one
+by one.  A sweep row is integers: the core and the value are numerators
+over one denominator, the table's from d_pos on, so a caller that prints
+rows reduces each pair once (exactnum.format_ratio) and builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -257,16 +261,18 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     )
 
 
-def sweep_bounds(variety: Variety, rank: int, degrees: range,
+def sweep_ratios(variety: Variety, rank: int, degrees: range,
                  form: BoundForm = BoundForm.SIMPLIFIED):
-    """Yield (degree, branch, core, value) of sections_bound for every degree
-    of a unit-step range, in order.
+    """Yield the rows of sections_bound for every degree of a unit-step
+    range, in order, as integers: (degree, branch, core numerator, value
+    numerator, denominator), the ratios not reduced.
 
     Degrees below d_pos, and a tail from d_pos on of fewer than n+3
-    degrees, go through sections_bound.  The rest extend the exact
+    degrees, go through sections_bound, and a row splits its Fractions
+    over the core's denominator.  The rest extend the exact
     forward-difference table of the closed form (see the module
-    docstring), so the rows are those of sections_bound: core is the
-    form's value and value is core + rank (simplified) or core + rank - 1
+    docstring) and share the table's denominator: core is the form's
+    value and value is core + rank (simplified) or core + rank - 1
     (lemma), floored at rank.
     """
     _check_rank(rank)
@@ -276,7 +282,9 @@ def sweep_bounds(variety: Variety, rank: int, degrees: range,
         first = degrees.stop
     for d in range(degrees.start, first):
         rep = sections_bound(variety, rank, d, form)
-        yield d, rep.branch, rep.core, rep.value
+        den = rep.core.denominator
+        yield (d, rep.branch, rep.core.numerator,
+               rep.value.numerator * (den // rep.value.denominator), den)
     if first == degrees.stop:
         return
     if form is BoundForm.SIMPLIFIED:
@@ -294,14 +302,23 @@ def sweep_bounds(variety: Variety, rank: int, degrees: range,
         raise RuntimeError(
             f"the {form.value} bound is not a polynomial of degree {n} from degree {first}")
     shift *= den
-    floor, floor_value = rank * den, Fraction(rank)
+    floor = rank * den
     steps = range(n)
+    branch = Branch.RIEMANN_ROCH
     for d in range(first, degrees.stop):
         num = table[0]
-        yield (d, Branch.RIEMANN_ROCH, Fraction(num, den),
-               Fraction(num + shift, den) if num + shift > floor else floor_value)
+        value = num + shift
+        yield d, branch, num, value if value > floor else floor, den
         for j in steps:
             table[j] += table[j + 1]
+
+
+def sweep_bounds(variety: Variety, rank: int, degrees: range,
+                 form: BoundForm = BoundForm.SIMPLIFIED):
+    """Yield (degree, branch, core, value) of sections_bound for every degree
+    of a unit-step range, in order: the rows of sweep_ratios as Fractions."""
+    for d, branch, core, value, den in sweep_ratios(variety, rank, degrees, form):
+        yield d, branch, Fraction(core, den), Fraction(value, den)
 
 
 @lru_cache(maxsize=8192)

@@ -9,9 +9,19 @@ echo, its result and its exit code; main wraps them in one report.
 
 main(argv) returns the exit code of one call, 0 after --help too, and
 may be called repeatedly in one process: every call parses with the one
-parser built at import and keeps no state between calls.  Every JSON
-report is written by one emitter, byte for byte as
-json.dumps(report, sort_keys=True, indent=2) would write it.
+parser built at import and keeps no state between calls.  A value that
+reads as a degree range with a negative start (-3..10) is never taken
+for an option, as argparse already treats a plain negative number.
+
+Every JSON report is written by one emitter, byte for byte as
+json.dumps(report, sort_keys=True, indent=2) would write it.  The
+emitter dispatches on exact types.  A list of flat rows (dicts that
+share one key set and hold only str and int values, such as the rows of
+a bound sweep) is written from one template built per list, its columns
+checked and escaped whole; any other list is walked item by item.  Sweep
+rows come from bounds.sweep_ratios as integer numerators over a
+denominator, and each value is printed by exactnum.format_ratio without
+building a Fraction.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -28,10 +38,11 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 
-from .bounds import BoundForm, sections_bound, sweep_bounds
+from .bounds import BoundForm, sections_bound, sweep_ratios
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_rational, parse_rational
+from .exactnum import format_ratio, format_rational, parse_rational
 from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
@@ -41,6 +52,13 @@ _DEGREES_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a plain negative number as a value, never as an
+        # option; a degree range with a negative start is read the same way
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -203,9 +221,9 @@ def _require_rank_one(rank: int) -> None:
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    rows = [{"degree": d, "branch": branch.value, "value": format_rational(value),
-             "core": format_rational(core)}
-            for d, branch, core, value in sweep_bounds(variety, spec.rank, degrees, form)]
+    rows = [{"degree": d, "branch": branch.value, "value": format_ratio(value, den),
+             "core": format_ratio(core, den)}
+            for d, branch, core, value, den in sweep_ratios(variety, spec.rank, degrees, form)]
     if len(rows) == 1:
         result = rows[0]
         degree_echo: object = spec.degree
@@ -358,15 +376,61 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 _json_str = json.encoder.encode_basestring_ascii
 
+# How a column of flat rows is written, by the one exact type of its values.
+_COLUMN_WRITERS = {str: _json_str, int: int.__repr__}
+
+
+def _emit_rows(rows, pad: str, out: list) -> bool:
+    """Write rows, a non-empty list or tuple, as _emit_json would and
+    return True when every item is a non-empty dict with the first item's
+    keys, and each key holds values of one exact type, str or int;
+    otherwise write nothing and return False.
+
+    Each column is type-checked and written as a whole, and every row is
+    written from one %-template built from the sorted keys and pad: each
+    key is JSON-escaped, then every % in the template's literal text is
+    doubled, so no key is read as a format."""
+    head = rows[0]
+    # the first row's value types are tested first: a bool or a nested
+    # value there, as in a twist scan, ends the test before any column
+    if (type(head) is not dict or not head
+            or not _COLUMN_WRITERS.keys() >= set(map(type, head.values()))
+            or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(head)}):
+        return False
+    keys = sorted(head)
+    try:
+        columns = [list(map(itemgetter(key), rows)) for key in keys]
+    except KeyError:  # an item with another key set of the same size
+        return False
+    writers = []
+    for column in columns:
+        kinds = set(map(type, column))
+        write = _COLUMN_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is None:
+            return False
+        writers.append(write)
+    inner, key_pad = pad + "  ", pad + "    "
+    literals = [f"{',' if i else '{'}{key_pad}{_json_str(key)}: " for i, key in enumerate(keys)]
+    template = inner + "%s".join(text.replace("%", "%%") for text in literals) + "%s" + inner + "}"
+    rows_values = zip(*(map(write, column) for write, column in zip(writers, columns)))
+    out.extend(("[", ",".join(map(template.__mod__, rows_values)), pad + "]"))
+    return True
+
 
 def _emit_json(obj, pad: str, out: list) -> None:
     """Append obj to out in parts, as json.dumps(obj, sort_keys=True,
     indent=2) writes it; pad is the newline and indent of obj's own line.
-    Keys are strings, a tuple is written as a list, and an int or a
-    (finite) float by its repr."""
-    if isinstance(obj, str):
+    obj is built of the exact types str, int, float (finite), bool, None,
+    dict (with str keys), list and tuple; a tuple is written as a list,
+    and an int or a float by its repr.  A list of flat rows, such as the
+    rows of a bound sweep, is written from one template (_emit_rows); any
+    other list item by item."""
+    t = type(obj)
+    if t is str:
         out.append(_json_str(obj))
-    elif isinstance(obj, dict):
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
         if not obj:
             out.append("{}")
             return
@@ -377,9 +441,11 @@ def _emit_json(obj, pad: str, out: list) -> None:
             _emit_json(obj[key], inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif t is list or t is tuple:
         if not obj:
             out.append("[]")
+            return
+        if _emit_rows(obj, pad, out):
             return
         inner = pad + "  "
         sep = "[" + inner
@@ -394,12 +460,10 @@ def _emit_json(obj, pad: str, out: list) -> None:
         out.append("false")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
+    elif t is float:
         out.append(float.__repr__(obj))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def render_json(report: dict) -> str:
@@ -430,12 +494,15 @@ def render_csv(report: dict) -> str:
         items = result["scan"]
     else:
         items = [dict(_flatten(result))]
-    columns = sorted({key for item in items for key in item})
+    columns = sorted(set().union(*items))
+    if len(columns) > 1 and set(map(len, items)) == {len(columns)}:
+        rows = map(itemgetter(*columns), items)  # every item has every column
+    else:
+        rows = ([item.get(c) for c in columns] for item in items)  # None is written ""
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(columns)
-    for item in items:
-        writer.writerow(["" if item.get(c) is None else item.get(c) for c in columns])
+    writer.writerows(rows)
     return sink.getvalue()
 
 

@@ -39,21 +39,35 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Render exactly, as "p/q" or "p" when the denominator is 1.
+def _format_reduced(num: int, den: int) -> str:
+    """"p/q", or "p" when den is 1, for a reduced ratio (den > 0).
 
     A numerator or denominator past the interpreter's int-to-string digit
     limit cannot be printed exactly and raises UsageError; the limit, which
     keeps conversion time bounded, is left in place.
     """
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise UsageError(
             f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print"
         ) from None
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Render the integer ratio num/den (den > 0) exactly, reduced by their
+    gcd: "p/q", or "p" when den divides num."""
+    if den != 1:
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    return _format_reduced(num, den)
+
+
+def format_rational(value: Fraction) -> str:
+    """Render exactly, as "p/q" or "p" when the denominator is 1: the rule
+    of format_ratio, without the gcd, since a Fraction is reduced."""
+    return _format_reduced(value.numerator, value.denominator)
 
 
 def _rising(a: int, q: int, k: int) -> int:

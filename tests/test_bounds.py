@@ -200,6 +200,16 @@ class TestSweepBounds:
         v, degrees = _variety(n, h, g), range(start, start + length)
         assert list(sweep_bounds(v, rank, degrees, form)) == _direct_rows(v, rank, degrees, form)
 
+    def test_table_rows_are_integers_over_one_denominator(self):
+        # a genus-2 threefold: values with proper fractions; d_pos = 4
+        v = _variety(3, 2, 2)
+        rows = list(bounds.sweep_ratios(v, 2, range(0, 40), BoundForm.LEMMA))
+        assert all(type(x) is int for row in rows for x in (row[0], *row[2:]))
+        table_dens = {den for d, _, _, _, den in rows if d >= bounds.d_pos(2, 2)}
+        assert len(table_dens) == 1 and table_dens != {1}
+        assert [(d, b, Fraction(c, den), Fraction(val, den)) for d, b, c, val, den in rows] \
+            == _direct_rows(v, 2, range(0, 40), BoundForm.LEMMA)
+
     def test_tail_costs_n_plus_2_closed_forms(self, monkeypatch):
         calls = []
 

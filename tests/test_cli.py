@@ -639,10 +639,13 @@ def test_long_twist_scan_golden(case, fmt, digest):
 # SHA-256 of stdout for long degree sweeps in both forms: a change to how the
 # closed forms are evaluated must leave every report byte-identical.  The
 # dim-4 variety has genus 5, so its range crosses both branches and the strip
-# (degrees 9 and 10).
+# (degrees 9 and 10).  The dim-3 variety has genus 2 and rows with proper
+# fractions; with --approx, and in table form, its rows are not the flat
+# str/int rows that the JSON emitter writes from one template.
 SWEEPS = {
     "P5": ("--catalog", "P5", "--degree", "0..3000"),
     "dim4": ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--degree", "0..400"),
+    "dim3": ("--dim", "3", "--h-top", "2", "--c1-h", "2", "--degree", "0..300"),
 }
 
 GOLDEN_SWEEPS = [
@@ -654,18 +657,24 @@ GOLDEN_SWEEPS = [
     ("dim4", "lemma", "csv", "832256b9211865895110ef7fd471acfc4cb4a302fb416faeb4b3ec3ea4d38f3b"),
     ("dim4", "simplified", "json", "f71763ab56c460fab1a8f26db98ad24789a2256776d44a9b323485d1a19e9a5a"),
     ("dim4", "simplified", "csv", "6ddc708d959b518f94c5462b98c535368256a65a43bbe5f879d95b13e55ff8bb"),
+    ("dim4", "simplified", "table", "bdbe9e6c10b6dc775828ad53989aafd10fde9142d60b62ac4bcd400a975545e6"),
+    ("dim3", "simplified", "json-approx", "86a72eefb5f8079f71a57b658ba3cb556ad5fa0ccdb8df9d843d8057f6122b36"),
+    ("dim3", "lemma", "csv-approx", "3c9a5ea1c286666e61aa3be47fc759b372b405762968463f9002fede61f32b9b"),
 ]
 
 
 @pytest.mark.parametrize("case,form,fmt,digest", GOLDEN_SWEEPS)
 def test_degree_sweep_golden(case, form, fmt, digest):
-    code, out, _ = run_cli("bound", *SWEEPS[case], "--form", form, "--format", fmt)
+    fmt, _, approx = fmt.partition("-")
+    code, out, _ = run_cli("bound", *SWEEPS[case], "--form", form, "--format", fmt,
+                           *(["--approx"] if approx else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of stdout for every other report shape: the three check verdicts
-# with a known h0, the Hilbert route (condition 1 applies), the catalog
+# with a known h0, the Hilbert route (condition 1 applies), a twist on a
+# genus-1 surface (no condition 1, so its scan rows have no G), the catalog
 # listing and entry, and the invariant suite.  Renaming a field of a result
 # type, or changing how results become JSON, makes one of these fail.
 REPORTS = {
@@ -674,6 +683,8 @@ REPORTS = {
     "trivially-stable": ("check", "--catalog", "P2", "--degree", "1", "--h0", "3"),
     "hilbert": ("check", "--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2",
                 "--regularity", "0", "--twist", "5"),
+    "twist-genus-1": ("twist", "--dim", "2", "--h-top", "1", "--c1-h", "1", "--degree", "0",
+                      "--hilbert=-500,1/2,1/2", "--regularity", "0"),
     "catalog": ("catalog",),
     "catalog-show": ("catalog", "show", "P3"),
     "verify": ("verify", "--grid", "small", "--seed", "0"),
@@ -696,6 +707,8 @@ GOLDEN_REPORTS = [
     ("hilbert", "table", "025ead67cf07a41e6a7a3e7fbd243048324b8c28745b979c61b64caafec30ea1"),
     ("hilbert", "csv", "b596060ab15a335d6ef6c7584391b8368385deff5b30b6db6fa23c5da7018689"),
     ("hilbert", "json-approx", "23ffcf86f9e1bfaa2f42b6505f5f2419a19e15828a17134fd647531f671c4b01"),
+    ("twist-genus-1", "json", "ba214557bb4163fd7a7058e674dfc2adfaec85582f05ef562fa9551775d32100"),
+    ("twist-genus-1", "csv", "3719eb9d5b6fcc1e6f7236460941e82e2ed30aabf5303c5e85efe99d970f0b0d"),
     ("catalog", "json", "28455134d983441ee0307bfad375e2525459c8587d7bbee458b3c07985fa5334"),
     ("catalog", "table", "10807bb7747677533ce2b298fbc7780f314f9b90eccbaa1e6f6fad0507ddb78f"),
     ("catalog", "csv", "b65689771f2a66424bf3f9469ae9fbd8de842b9c62cec335d0a23b69c46a7d21"),
@@ -794,9 +807,10 @@ SWEEP_ERRORS = [
     pytest.param(("--catalog", "P2", "--degree=-3..10"), 3,
                  "degree must be >= 0 (degree-0 sheaves are trivial, negative is impossible), got -3",
                  id="negative-start"),
-    # without "=", argparse takes a range starting "-" for an option
-    pytest.param(("--catalog", "P2", "--degree", "-3..10"), 1,
-                 "argument --degree: expected one argument", id="negative-start-as-option"),
+    # without "=" too: a range starting "-" is a value, like a negative number
+    pytest.param(("--catalog", "P2", "--degree", "-3..10"), 3,
+                 "degree must be >= 0 (degree-0 sheaves are trivial, negative is impossible), got -3",
+                 id="negative-start-as-option"),
     pytest.param(("--catalog", "P2", "--degree", "0..10", "--rank", "0"), 3,
                  "rank must be >= 1, got 0", id="rank-zero"),
     pytest.param(("--catalog", "P2", "--degree", "50..100", "--rank", "0"), 3,
@@ -832,6 +846,49 @@ _JSON_TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_JSON_TREES)
 def test_render_json_writes_what_json_dumps_writes(tree):
+    assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+# Keys of the rows that the emitter writes from one template: text that
+# %-formatting, str.format or JSON escaping could trip on, and any text.
+_ROW_KEYS = st.text(st.sampled_from('%{}"\\s\u00e9\u2603\n'), max_size=4) | st.text(max_size=6)
+_ROW_SCALARS = st.text(max_size=8) | st.integers()
+_ODD_VALUES = (_ROW_SCALARS | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+               | st.lists(_ROW_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=3), _ROW_SCALARS,
+                                                                      max_size=2))
+
+
+@st.composite
+def _row_lists(draw):
+    """A list of flat dicts that share one key set, each key holding str or
+    int values, with some items broken: a key added or missing, a value of
+    another type, an empty dict, or any other JSON value."""
+    keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=5, unique=True))
+    kinds = {key: draw(st.sampled_from([st.text(max_size=8), st.integers()])) for key in keys}
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        item = {key: draw(kinds[key]) for key in keys}
+        shape = draw(st.sampled_from(["row"] * 12 + ["extra", "missing", "odd", "empty", "other"]))
+        if shape == "extra":
+            item[draw(_ROW_KEYS.filter(lambda key: key not in item))] = draw(_ROW_SCALARS)
+        elif shape == "missing":
+            del item[draw(st.sampled_from(keys))]
+        elif shape == "odd":
+            item[draw(st.sampled_from(keys))] = draw(_ODD_VALUES)
+        elif shape == "empty":
+            item = {}
+        elif shape == "other":
+            item = draw(_JSON_TREES)
+        items.append(item)
+    return tuple(items) if draw(st.booleans()) else items
+
+
+_ROW_TREES = _row_lists() | _row_lists().map(lambda rows: {"result": {"results": rows}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROW_TREES)
+def test_render_json_writes_row_lists_as_json_dumps_writes(tree):
     assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
