@@ -17,21 +17,16 @@ On the strip (dim >= 3 and 0 < (d - (2g-2))/h_top < 1) the high branch
 takes a single restriction step instead of the telescoped sum; see
 riemann_roch_bound.
 
-A degree sweep (sweep_ratios, and its Fraction view sweep_bounds) need
-not evaluate a closed form at every degree.  From d_pos = max(2g-2,
-g-1) + h_top on, the degree is in the high branch and past the strip,
-and every binomial argument of bound_high and riemann_roch_bound that
-depends on d is >= 0, so each rising product is in its product branch:
-both forms are then exact polynomials of degree n in d.  The sweep
-evaluates the form in use at n+2 consecutive degrees from there, scales
-the values to one integer denominator and builds their forward-difference
-table.  The order-(n+1) difference must vanish, which checks that the
-form is the polynomial the table extends; every later degree then costs
-n integer additions.  Degrees below d_pos go through sections_bound one
-by one.  A sweep row is integers: the core and the value are numerators
-over one denominator, the table's from d_pos on, so a caller that prints
-rows reduces each pair once (exactnum.format_ratio) and builds no
-Fraction.
+From d_pos on (see d_pos) the high-branch forms are exact polynomials of
+degree n in d, built by closed_form_poly: the package's one
+interpolation, and its one check that a form is the polynomial it is
+taken for.  A degree sweep (sweep_ratios, and its Fraction view
+sweep_bounds) extends that polynomial's integer forward-difference table
+past d_pos, each degree for n integer additions; degrees below d_pos go
+through sections_bound one by one.  A sweep row is integers, the core
+and the value numerators over one denominator (the polynomial's from
+d_pos on), so a caller that prints rows reduces each pair once
+(exactnum.format_ratio) and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -44,6 +39,7 @@ from functools import lru_cache
 
 from .errors import InconsistentInputError
 from .exactnum import _rising
+from .poly import Poly
 from .varieties import Variety
 
 
@@ -218,6 +214,35 @@ def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
     return Fraction(num - den, den)
 
 
+def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
+    """The closed form in use as an exact polynomial in d, equal to it at
+    every integer d >= d_pos: bound_high (simplified) or riemann_roch_bound,
+    which is rank_one_bound there (lemma).
+
+    Its values at x_j = d_pos + j (j = 0..n+1) over one integer denominator
+    L have forward differences D_j, and D_{n+1} must vanish.  L*n! times the
+    form is sum_j D_j*(n!/j!)*(d-x_0)...(d-x_{j-1}), built by Horner's rule.
+    """
+    closed = bound_high if form is BoundForm.SIMPLIFIED else riemann_roch_bound
+    start = d_pos(g, h_top)
+    values = [closed(n, h_top, g, d) for d in range(start, start + n + 2)]
+    den = math.lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (den // v.denominator) for v in values]
+    for j in range(1, n + 2):  # diffs[j] becomes D_j
+        for i in range(n + 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    if diffs.pop() != 0:
+        raise RuntimeError(
+            f"the {form.value} bound is not a polynomial of degree {n} from degree {start}")
+    acc, scale = [0] * (n + 1), 1  # scale is n!/j!
+    for j in range(n, -1, -1):
+        for i in range(n, 0, -1):  # acc *= (d - x_j)
+            acc[i] = acc[i - 1] - (start + j) * acc[i]
+        acc[0] = diffs[j] * scale - (start + j) * acc[0]
+        scale *= j or 1
+    return Poly._from_ints(den * scale, acc)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     branch: Branch
@@ -269,11 +294,10 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
 
     Degrees below d_pos, and a tail from d_pos on of fewer than n+3
     degrees, go through sections_bound, and a row splits its Fractions
-    over the core's denominator.  The rest extend the exact
-    forward-difference table of the closed form (see the module
-    docstring) and share the table's denominator: core is the form's
-    value and value is core + rank (simplified) or core + rank - 1
-    (lemma), floored at rank.
+    over the core's denominator.  The rest extend the forward-difference
+    table of closed_form_poly (see the module docstring) and share its
+    denominator: core is the form's value and value is core + rank
+    (simplified) or core + rank - 1 (lemma), floored at rank.
     """
     _check_rank(rank)
     n, h, g = variety.dim, variety.h_top, variety.genus
@@ -287,21 +311,12 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
                rep.value.numerator * (den // rep.value.denominator), den)
     if first == degrees.stop:
         return
-    if form is BoundForm.SIMPLIFIED:
-        closed, shift = bound_high, rank
-    else:
-        closed, shift = rank_one_bound, rank - 1
-    values = [closed(n, h, g, d) for d in range(first, first + n + 2)]
-    den = math.lcm(*(v.denominator for v in values))
-    column = [v.numerator * (den // v.denominator) for v in values]
-    table = []  # table[j] is the order-j difference at the current degree
-    for _ in range(n + 2):
-        table.append(column[0])
-        column = [b - a for a, b in zip(column, column[1:])]
-    if table.pop() != 0:
-        raise RuntimeError(
-            f"the {form.value} bound is not a polynomial of degree {n} from degree {first}")
-    shift *= den
+    den, shifted = closed_form_poly(n, h, g, form).scaled_shift(first)
+    table = [sum(c * k ** i for i, c in enumerate(shifted)) for k in range(n + 1)]
+    for j in range(1, n + 1):  # table[j] becomes the order-j difference at first
+        for i in range(n, j - 1, -1):
+            table[i] -= table[i - 1]
+    shift = (rank if form is BoundForm.SIMPLIFIED else rank - 1) * den
     floor = rank * den
     steps = range(n)
     branch = Branch.RIEMANN_ROCH

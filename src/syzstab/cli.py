@@ -9,9 +9,10 @@ echo, its result and its exit code; main wraps them in one report.
 
 main(argv) returns the exit code of one call, 0 after --help too, and
 may be called repeatedly in one process: every call parses with the one
-parser built at import and keeps no state between calls.  A value that
-reads as a degree range with a negative start (-3..10) is never taken
-for an option, as argparse already treats a plain negative number.
+parser built at import and keeps no state between calls.  A degree
+range with a negative start (-3..10), a negative p/q and a coefficient
+list that starts with one (-30,3/2) are never taken for an option, as
+argparse already treats a plain negative number.
 
 Every JSON report is written by one emitter, byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it.  The
@@ -55,9 +56,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads a plain negative number as a value, never as an
-        # option; a degree range with a negative start is read the same way
+        # option; so are -3..10, -3/2 and -30,3/2 (see the module docstring)
         self._negative_number_matcher = re.compile(
-            self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$")
+            self._negative_number_matcher.pattern + r"|^-\d+\.\.-?\d+$|^-\d+(/\d+)?(,|$)")
 
     def error(self, message):
         raise UsageError(message)

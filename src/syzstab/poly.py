@@ -1,0 +1,165 @@
+"""Exact univariate polynomials over the rationals (Poly)."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import zip_longest
+
+from .exactnum import format_rational, parse_rational
+
+
+class Poly:
+    """Dense univariate polynomial with exact Rational coefficients,
+    constant term first.  The zero polynomial has no coefficients and
+    degree -1.  Immutable once built.
+
+    The only stored state is a pair: a denominator D > 0 and integer
+    numerators, constant first, so that coefficient i is nums[i]/D.  The
+    pair is canonical: no trailing zero numerator and gcd(D, *nums) = 1,
+    so D is the lcm of the reduced coefficient denominators (1 for the
+    zero polynomial) and equal polynomials store equal pairs.  `coeffs`,
+    `coeff` and `leading` are Fraction views of the pair.  Arithmetic,
+    evaluation and the Taylor shift run on the integers: x = p/q (q = 1
+    for an int) gives sum nums[i] * p^i * q^(n-i) over D * q^n by
+    Horner's rule, and one reduced Fraction is built from that pair."""
+
+    __slots__ = ("_denom", "_nums")
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        denom = math.lcm(*(c.denominator for c in cs))
+        self._store(denom, [c.numerator * (denom // c.denominator) for c in cs])
+
+    @classmethod
+    def _from_ints(cls, denom: int, nums) -> "Poly":
+        """The polynomial with coefficients nums[i]/denom, for an int denom > 0."""
+        poly = cls.__new__(cls)
+        poly._store(denom, list(nums))
+        return poly
+
+    def _store(self, denom: int, nums: list[int]) -> None:
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(denom, *nums)
+        object.__setattr__(self, "_denom", denom // g)
+        object.__setattr__(self, "_nums", tuple(n // g for n in nums))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the coefficients, since restoring slot
+        # state would go through __setattr__
+        return (Poly, (self.coeffs,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._denom) for n in self._nums)
+
+    @property
+    def degree(self) -> int:
+        return len(self._nums) - 1
+
+    def coeff(self, i: int) -> Fraction:
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._denom)
+        return Fraction(0)
+
+    @property
+    def leading(self) -> Fraction:
+        if not self._nums:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Fraction(self._nums[-1], self._denom)
+
+    def __call__(self, x) -> Fraction:
+        """Exact value at an int or Fraction x."""
+        nums = self._nums or (0,)  # the zero polynomial is the constant 0
+        p, q = x.numerator, x.denominator
+        acc, qpow = nums[-1], 1
+        for c in nums[-2::-1]:
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self._denom * qpow)
+
+    def scaled_shift(self, c: int) -> tuple[int, list[int]]:
+        """The stored D and the integer coefficients of D * p(k + c),
+        constant first, for an integer c.  D > 0, so the signs are those of
+        p(k + c).  Synthetic division, O(deg^2) integer steps."""
+        a = list(self._nums)
+        n = len(a) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return self._denom, a
+
+    def _promote(self, other):
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly((other,))
+        return None
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        denom = math.lcm(self._denom, other._denom)
+        sa, sb = denom // self._denom, denom // other._denom
+        return Poly._from_ints(denom, [a * sa + b * sb for a, b in
+                                       zip_longest(self._nums, other._nums, fillvalue=0)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly._from_ints(self._denom, [-a for a in self._nums])
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        out = [0] * (len(self._nums) + len(other._nums) - 1)
+        for i, a in enumerate(self._nums):
+            for j, b in enumerate(other._nums):
+                out[i + j] += a * b
+        return Poly._from_ints(self._denom * other._denom, out)
+
+    __rmul__ = __mul__
+
+    def compose_linear(self, a, b) -> "Poly":
+        """Substitute the variable by a*k + b (ints or Fractions): with
+        a*k + b = (u*k + v)/m over ints, p(x/m) is shifted by v (scaled_shift),
+        then coefficient i is scaled by u^i."""
+        m = math.lcm(a.denominator, b.denominator)
+        u, v = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+        n = max(self.degree, 0)
+        scaled = Poly._from_ints(self._denom * m ** n,
+                                 [c * m ** (n - i) for i, c in enumerate(self._nums)])
+        denom, shifted = scaled.scaled_shift(v)
+        return Poly._from_ints(denom, [c * u ** i for i, c in enumerate(shifted)])
+
+    def to_strings(self) -> list[str]:
+        return [format_rational(c) for c in self.coeffs]
+
+    @classmethod
+    def from_strings(cls, items) -> "Poly":
+        return cls(tuple(parse_rational(s) for s in items))
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and self._denom == other._denom
+                and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self._denom, self._nums))
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)!r})"

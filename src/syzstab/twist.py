@@ -2,25 +2,18 @@
 
 Twisting the input by k steps of the polarization turns both stability
 inequalities into polynomial sign conditions in k; the high cap enters
-as bound_high itself, interpolated in k (bound_high_poly).  Clearing
-denominators gives polynomials whose top terms cancel exactly, leaving
-positive leading coefficients.  Positivity from some point on is then
-certified by a Taylor shift: if every coefficient of F(k + c) is >= 0
-and F(c) > 0, then F > 0 on [c, oo) (the sign test behind Vincent's
-theorem and Descartes' rule of signs).  The least such integer c is
-found by a doubling search up from the start, capped at the Cauchy root
-bound where the test is proven to hold, then bisection of the last gap;
-the rows below c are evaluated downward to the first failure.  The
-certificate records c, the shifted coefficients, the evaluated rows, the
-bound, and the polynomials.
-
-A polynomial is stored once, as integer numerators over one common
-denominator, and every operation stays exact without a Fraction
-operation per coefficient: sums, products and substitutions combine the
-integers, evaluation at p/q is one integer Horner pass over homogeneous
-terms reduced to a single Fraction at the end, and the Taylor shift
-rewrites the same integers.  The shifted polynomials of a certificate
-are built straight from the shifted integers.
+as its exact polynomial in the degree (bounds.closed_form_poly) composed
+with the twisted degree (bound_high_poly).  Clearing denominators gives
+polynomials whose top terms cancel exactly, leaving positive leading
+coefficients.  Positivity from some point on is then certified by a
+Taylor shift: if every coefficient of F(k + c) is >= 0 and F(c) > 0,
+then F > 0 on [c, oo) (the sign test behind Vincent's theorem and
+Descartes' rule of signs).  The least such integer c is found by a
+doubling search up from the start, capped at the Cauchy root bound where
+the test is proven to hold, then bisection of the last gap; the rows
+below c are evaluated downward to the first failure.  The certificate
+records c, the shifted coefficients, the evaluated rows, the bound, and
+the polynomials (poly.Poly, re-exported here).
 """
 
 from __future__ import annotations
@@ -28,164 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
-from .bounds import bound_high, bound_low, d_pos
+from .bounds import BoundForm, bound_low, closed_form_poly, d_pos
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_rational, parse_rational
+from .poly import Poly
 from .varieties import Variety
-
-
-class Poly:
-    """Dense univariate polynomial with exact Rational coefficients,
-    constant term first.  The zero polynomial has no coefficients and
-    degree -1.  Immutable once built.
-
-    The only stored state is a pair: a denominator D > 0 and integer
-    numerators, constant first, so that coefficient i is nums[i]/D.  The
-    pair is canonical: no trailing zero numerator and gcd(D, *nums) = 1,
-    so D is the lcm of the reduced coefficient denominators (1 for the
-    zero polynomial) and equal polynomials store equal pairs.  `coeffs`,
-    `coeff` and `leading` are Fraction views of the pair.  Arithmetic,
-    evaluation and the Taylor shift run on the integers: x = p/q (q = 1
-    for an int) gives sum nums[i] * p^i * q^(n-i) over D * q^n by
-    Horner's rule, and one reduced Fraction is built from that pair."""
-
-    __slots__ = ("_denom", "_nums")
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        denom = math.lcm(*(c.denominator for c in cs))
-        self._store(denom, [c.numerator * (denom // c.denominator) for c in cs])
-
-    @classmethod
-    def _from_ints(cls, denom: int, nums) -> "Poly":
-        """The polynomial with coefficients nums[i]/denom, for an int denom > 0."""
-        poly = cls.__new__(cls)
-        poly._store(denom, list(nums))
-        return poly
-
-    def _store(self, denom: int, nums: list[int]) -> None:
-        while nums and nums[-1] == 0:
-            nums.pop()
-        g = math.gcd(denom, *nums)
-        object.__setattr__(self, "_denom", denom // g)
-        object.__setattr__(self, "_nums", tuple(n // g for n in nums))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild from the coefficients, since restoring slot
-        # state would go through __setattr__
-        return (Poly, (self.coeffs,))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self._denom) for n in self._nums)
-
-    @property
-    def degree(self) -> int:
-        return len(self._nums) - 1
-
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._nums):
-            return Fraction(self._nums[i], self._denom)
-        return Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._nums[-1], self._denom)
-
-    def __call__(self, x) -> Fraction:
-        """Exact value at an int or Fraction x."""
-        nums = self._nums or (0,)  # the zero polynomial is the constant 0
-        p, q = x.numerator, x.denominator
-        acc, qpow = nums[-1], 1
-        for c in nums[-2::-1]:
-            qpow *= q
-            acc = acc * p + c * qpow
-        return Fraction(acc, self._denom * qpow)
-
-    def scaled_shift(self, c: int) -> tuple[int, list[int]]:
-        """The stored D and the integer coefficients of D * p(k + c),
-        constant first, for an integer c.  D > 0, so the signs are those of
-        p(k + c).  Synthetic division, O(deg^2) integer steps."""
-        a = list(self._nums)
-        n = len(a) - 1
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                a[j] += c * a[j + 1]
-        return self._denom, a
-
-    def _promote(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        denom = math.lcm(self._denom, other._denom)
-        sa, sb = denom // self._denom, denom // other._denom
-        return Poly._from_ints(denom, [a * sa + b * sb for a, b in
-                                       zip_longest(self._nums, other._nums, fillvalue=0)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._from_ints(self._denom, [-a for a in self._nums])
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        out = [0] * (len(self._nums) + len(other._nums) - 1)
-        for i, a in enumerate(self._nums):
-            for j, b in enumerate(other._nums):
-                out[i + j] += a * b
-        return Poly._from_ints(self._denom * other._denom, out)
-
-    __rmul__ = __mul__
-
-    def compose_linear(self, a, b) -> "Poly":
-        """Substitute the variable by a*k + b."""
-        inner = Poly((b, a))
-        acc = Poly()
-        for n in reversed(self._nums):
-            acc = acc * inner + n
-        return Poly._from_ints(acc._denom * self._denom, acc._nums)
-
-    def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items) -> "Poly":
-        return cls(tuple(parse_rational(s) for s in items))
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and self._denom == other._denom
-                and self._nums == other._nums)
-
-    def __hash__(self):
-        return hash((self._denom, self._nums))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
 
 
 @dataclass(frozen=True)
@@ -231,28 +71,14 @@ class TwistExpansion:
 
 
 def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
-    """Interpolate bound_high at degree d0 + k*h_top - 1 as a polynomial in k.
-
-    From k_pos, the least k whose degree is at least bounds.d_pos (every
-    binomial argument of the cap >= 0), the cap has degree n in k, so its
-    values at k_pos .. k_pos+n fix it: Newton divided differences (unit
-    spacing), then Horner in the Newton basis.  The order-(n+1) difference through k_pos+n+1 must vanish, so
-    each call checks that the cap is the polynomial it returns.
-    """
+    """bound_high at degree d0 + k*h_top - 1 as a polynomial in k: the cap's
+    polynomial in d (bounds.closed_form_poly) composed with that degree.
+    k_pos is the least k whose degree is at least bounds.d_pos."""
     n, h, g = variety.dim, variety.h_top, variety.genus
     if d0 < 0:
         raise InconsistentInputError(f"degree must be >= 0, got {d0}")
-    k_pos = math.ceil(Fraction(d_pos(g, h) + 1 - d0, h))
-    diffs = [bound_high(n, h, g, d0 + k * h - 1) for k in range(k_pos, k_pos + n + 2)]
-    newton = [diffs[0]]
-    for j in range(1, n + 2):
-        diffs = [(b - a) / j for a, b in zip(diffs, diffs[1:])]
-        newton.append(diffs[0])
-    if newton[n + 1] != 0:
-        raise RuntimeError(f"bound_high is not a polynomial of degree {n} from k_pos = {k_pos}")
-    poly = Poly()
-    for i in reversed(range(n + 1)):
-        poly = poly * Poly((-(k_pos + i), 1)) + newton[i]
+    k_pos = -((d0 - 1 - d_pos(g, h)) // h)
+    poly = closed_form_poly(n, h, g, BoundForm.SIMPLIFIED).compose_linear(h, d0 - 1)
     return TwistExpansion(poly=poly, k_pos=k_pos)
 
 
@@ -332,12 +158,6 @@ class TwistCertificate:
     notes: tuple[str, ...]
 
 
-def _shifted(poly: Poly | None, c: int) -> Poly | None:
-    if poly is None:
-        return None
-    return Poly._from_ints(*poly.scaled_shift(c))
-
-
 def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> TwistCertificate:
     """Least integer twist from which both condition polynomials stay
     strictly positive, hence every larger twist is certified stable.
@@ -414,7 +234,8 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
         k_min=k_min,
         cauchy=radius,
         scanned_range=(start, c),
-        shift=TaylorShift(c=c, cond2=_shifted(polys.cond2, c), cond1=_shifted(polys.cond1, c)),
+        shift=TaylorShift(c=c, cond2=polys.cond2.compose_linear(1, c), cond1=None
+                          if polys.cond1 is None else polys.cond1.compose_linear(1, c)),
         cond2=polys.cond2,
         cond1=polys.cond1,
         k_pos=polys.k_pos,

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import bound_high, bound_low, rank_one_bound, restriction_sum, sections_bound
+from .bounds import bound_high, bound_low, d_pos, rank_one_bound, restriction_sum, sections_bound
 from .exactnum import falling_sum_check
 from .stability import Verdict, check_stability
 from .twist import HilbertPoly, Poly, bound_high_poly, minimal_stable_twist
@@ -88,8 +88,7 @@ def _check_monotone_high(rng: random.Random, samples: int) -> CheckResult:
         n = rng.randint(2, 4)
         h = rng.randint(1, 4)
         g = rng.randint(0, 6)
-        base = max(2 * g - 2, g - 1) + h
-        d1 = base + Fraction(rng.randint(1, 300), rng.randint(1, 6))
+        d1 = d_pos(g, h) + Fraction(rng.randint(1, 300), rng.randint(1, 6))
         d2 = d1 + Fraction(rng.randint(1, 240), rng.randint(1, 6))
         b1, b2 = bound_high(n, h, g, d1), bound_high(n, h, g, d2)
         ok = b1 > 0 and b2 > 0 and -d1 / b1 < -d2 / b2
@@ -148,12 +147,9 @@ def _check_sharp_delpezzo(surfaces, multiples, ranks) -> CheckResult:
 
 
 def _check_expansion(d0_values, span: int) -> CheckResult:
-    """bound_high_poly against bound_high at the twists k_pos .. k_pos+span.
-
-    The first n+1 twists are the interpolation nodes of bound_high_poly,
-    so they agree by construction; the rest check that the cap is the
-    polynomial the expansion claims.
-    """
+    """bound_high_poly against bound_high at the twists k_pos .. k_pos+span:
+    the cap's polynomial in d, interpolated at d_pos .. d_pos+n+1 and composed
+    with the degree d0 + k*h_top - 1, checked at each twist."""
     res = CheckResult("twist-expansion-agreement")
     for name in ("P2", "P3", "quartic-K3", "cubic-surface", "quintic-surface"):
         variety = catalog_lookup(name)

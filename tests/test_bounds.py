@@ -227,10 +227,30 @@ class TestSweepBounds:
                             lambda n, h, g, d: bound_high(n, h, g, d) + d ** (n + 1))
         with pytest.raises(RuntimeError, match="not a polynomial of degree 2"):
             list(sweep_bounds(catalog_lookup("P2"), 1, range(0, 10)))
+        # the lemma form's polynomial is read from riemann_roch_bound
+        monkeypatch.setattr(bounds, "riemann_roch_bound",
+                            lambda n, h, g, d: riemann_roch_bound(n, h, g, d) + d ** (n + 1))
+        with pytest.raises(RuntimeError, match="not a polynomial of degree 2"):
+            list(sweep_bounds(catalog_lookup("P2"), 1, range(0, 10), BoundForm.LEMMA))
 
     def test_rejects_bad_rank_past_d_pos(self):
         with pytest.raises(InconsistentInputError, match="rank must be >= 1, got 0"):
             list(sweep_bounds(catalog_lookup("P2"), 0, range(50, 100)))
+
+
+class TestClosedFormPoly:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_closed_form_from_d_pos(self, n):
+        # every integer degree d_pos .. d_pos+60 of every form, h 1-9, g 0-20
+        for h in range(1, 10):
+            for g in range(21):
+                start = bounds.d_pos(g, h)
+                for form, closed in ((BoundForm.SIMPLIFIED, bound_high),
+                                     (BoundForm.LEMMA, riemann_roch_bound)):
+                    poly = bounds.closed_form_poly(n, h, g, form)
+                    assert poly.degree == n
+                    for d in range(start, start + 61):
+                        assert poly(d) == closed(n, h, g, d), (n, h, g, form, d)
 
 
 class TestRestrictionSum:

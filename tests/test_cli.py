@@ -823,6 +823,20 @@ def test_sweep_errors(argv, code, message):
     assert run_cli("bound", *argv) == (code, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("twist", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0"),
+    ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0", "--twist", "5"),
+    # P(3) is negative or not an integer: exit 3 on both forms
+    ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0", "--twist", "3"),
+], ids=["twist", "check", "check-impossible"])
+@pytest.mark.parametrize("hilbert", ["-30,3/2,3/2", "-61/2,3/2,3/2"])
+def test_negative_first_hilbert_coefficient_as_option_value(argv, hilbert):
+    # a list that starts with a negative coefficient is a value, as with "="
+    spaced = run_cli(*argv, "--hilbert", hilbert)
+    assert spaced[:2] == run_cli(*argv, f"--hilbert={hilbert}")[:2]
+    assert spaced[0] in (0, 3) and "expected one argument" not in spaced[2]
+
+
 @pytest.mark.parametrize("form", ["simplified", "lemma"])
 def test_sweep_rows_are_single_degree_results(form):
     # genus 5: the range crosses both branches, the strip and d_pos = 11

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from syzstab import twist
+from syzstab import bounds, twist
 from syzstab.exactnum import genbinom
 from syzstab import (
     HilbertPoly,
@@ -269,9 +269,9 @@ class TestInterpolatedCap:
         lambda n, d: d ** (n + 1),          # a polynomial of degree n+1
     ])
     def test_cap_of_wrong_shape_is_caught(self, monkeypatch, extra):
-        # the divided difference through the extra node is then non-zero
-        real = twist.bound_high
-        monkeypatch.setattr(twist, "bound_high",
+        # the order-(n+1) difference through the extra node is then non-zero
+        real = bounds.bound_high
+        monkeypatch.setattr(bounds, "bound_high",
                             lambda n, h, g, d: real(n, h, g, d) + extra(n, d))
         with pytest.raises(RuntimeError, match="not a polynomial"):
             bound_high_poly(P3, 2)
