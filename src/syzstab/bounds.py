@@ -25,8 +25,9 @@ sweep_bounds) extends that polynomial's integer forward-difference table
 past d_pos, each degree for n integer additions; degrees below d_pos go
 through sections_bound one by one.  A sweep row is integers, the core
 and the value numerators over one denominator (the polynomial's from
-d_pos on), so a caller that prints rows reduces each pair once
-(exactnum.format_ratio) and builds no Fraction.
+d_pos on).  value - core is a multiple of that denominator unless the
+value is floored at rank, so a caller that prints rows reduces both with
+one gcd per row and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -349,13 +350,15 @@ def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     section d//h + 1 times and add up the rank-1 bounds in dimension n-1.
 
     The closed forms are supposed to dominate this sum wherever the
-    induction's own hypotheses hold.
+    induction's own hypotheses hold.  Like a closed form it is one integer
+    ratio: the terms' numerators over the lcm of their denominators, one
+    Fraction built at the end.
     """
     if n < 2:
         raise ValueError("restriction needs dimension >= 2")
     d = _check_common(n, h_top, d)
-    steps = d // h_top
-    return sum(
-        (_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(steps + 1)),
-        Fraction(0),
-    )
+    terms = [_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
+    # a set, not a generator: unpacking an iterator of unknown length regrows
+    # the argument tuple, and those reallocations raised peak RSS run by run
+    den = math.lcm(*{t.denominator for t in terms})
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)

@@ -17,12 +17,16 @@ argparse already treats a plain negative number.
 Every JSON report is written by one emitter, byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it.  The
 emitter dispatches on exact types.  A list of flat rows (dicts that
-share one key set and hold only str and int values, such as the rows of
-a bound sweep) is written from one template built per list, its columns
-checked and escaped whole; any other list is walked item by item.  Sweep
-rows come from bounds.sweep_ratios as integer numerators over a
-denominator, and each value is printed by exactnum.format_ratio without
-building a Fraction.
+share one key set and hold only str and int values, such as the catalog
+listing) is written from one template built per list, its columns
+checked and escaped whole; any other list is walked item by item.
+
+The rows of a bound sweep are text from the start: one pass over
+bounds.sweep_ratios turns each row's integers into a tuple of printed
+columns with one gcd and no Fraction or dict, and the JSON writer fills
+the same row template with them, unchecked, while the CSV writer joins
+each into one line.  The table form and --approx read the rows as dicts,
+and a single degree stays one dict (printed by exactnum.format_ratio).
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -43,7 +47,7 @@ from operator import itemgetter
 
 from .bounds import BoundForm, sections_bound, sweep_ratios
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_ratio, format_rational, parse_rational
+from .exactnum import format_ratio, format_rational, parse_rational, too_many_digits
 from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
@@ -219,16 +223,59 @@ def _require_rank_one(rank: int) -> None:
         )
 
 
+# The columns of a sweep row, sorted as JSON and CSV write them, and those
+# written as JSON strings: every column but degree.
+_SWEEP_COLUMNS = ("branch", "core", "degree", "value")
+_SWEEP_QUOTED = frozenset(("branch", "core", "value"))
+
+
+class _SweepRows(list):
+    """The rows of a bound sweep, at least two, each a tuple of its printed
+    columns (_SWEEP_COLUMNS).  render_json and render_csv write them whole,
+    with no per-row dict or check: every column is digits, "/", "-" or a
+    Branch value, so none needs escaping or quoting."""
+
+
+def _sweep_rows(ratios, rank: int) -> _SweepRows:
+    """The rows of sweep_ratios as text, with one gcd per row: value - core
+    is a multiple of the denominator unless the value is floored at rank,
+    so the value reduces by the core's gcd.  The branch text is looked up
+    once per run of rows in one branch."""
+    rows = _SweepRows()
+    append, gcd = rows.append, math.gcd
+    floored = str(rank)
+    branch = text = None
+    for d, row_branch, core, value, den in ratios:
+        if row_branch is not branch:
+            branch, text = row_branch, row_branch.value
+        g = gcd(core, den)
+        if g != 1:
+            core, value, den = core // g, value // g, den // g
+        try:
+            if den == 1:
+                append((text, str(core), str(d), str(value)))
+            else:
+                append((text, f"{core}/{den}", str(d),
+                        floored if value == rank * den else f"{value}/{den}"))
+        except ValueError:  # past the int-to-string digit limit
+            raise too_many_digits() from None
+    return rows
+
+
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    rows = [{"degree": d, "branch": branch.value, "value": format_ratio(value, den),
-             "core": format_ratio(core, den)}
-            for d, branch, core, value, den in sweep_ratios(variety, spec.rank, degrees, form)]
-    if len(rows) == 1:
-        result = rows[0]
+    ratios = sweep_ratios(variety, spec.rank, degrees, form)
+    if len(degrees) == 1:
+        (d, branch, core, value, den), = ratios
+        result = {"degree": d, "branch": branch.value, "value": format_ratio(value, den),
+                  "core": format_ratio(core, den)}
         degree_echo: object = spec.degree
     else:
+        rows = _sweep_rows(ratios, spec.rank)
+        if args.approx or args.format == "table":  # these read row dicts, as of one degree
+            rows = [{"degree": d, "branch": branch, "value": value, "core": core}
+                    for d, (branch, core, _, value) in zip(degrees, rows)]
         result = {"results": rows}
         degree_echo = f"{degrees[0]}..{degrees[-1]}"
     sheaf_echo = {"rank": spec.rank, "degree": degree_echo}
@@ -387,10 +434,8 @@ def _emit_rows(rows, pad: str, out: list) -> bool:
     keys, and each key holds values of one exact type, str or int;
     otherwise write nothing and return False.
 
-    Each column is type-checked and written as a whole, and every row is
-    written from one %-template built from the sorted keys and pad: each
-    key is JSON-escaped, then every % in the template's literal text is
-    doubled, so no key is read as a format."""
+    Each column is type-checked and written as a whole, and the rows by
+    _write_rows."""
     head = rows[0]
     # the first row's value types are tested first: a bool or a nested
     # value there, as in a twist scan, ends the test before any column
@@ -410,12 +455,27 @@ def _emit_rows(rows, pad: str, out: list) -> bool:
         if write is None:
             return False
         writers.append(write)
-    inner, key_pad = pad + "  ", pad + "    "
-    literals = [f"{',' if i else '{'}{key_pad}{_json_str(key)}: " for i, key in enumerate(keys)]
-    template = inner + "%s".join(text.replace("%", "%%") for text in literals) + "%s" + inner + "}"
-    rows_values = zip(*(map(write, column) for write, column in zip(writers, columns)))
-    out.extend(("[", ",".join(map(template.__mod__, rows_values)), pad + "]"))
+    _write_rows(keys, zip(*(map(write, column) for write, column in zip(writers, columns))),
+                pad, out)
     return True
+
+
+def _write_rows(keys, rows, pad: str, out: list, quoted=frozenset()) -> None:
+    """Append rows, a non-empty iterable of tuples of printed values in the
+    order of keys (sorted), as _emit_json writes a list of dicts.
+
+    Every row is written from one %-template built from keys and pad: each
+    key is JSON-escaped, then every % of the template's literal text is
+    doubled, so no key is read as a format.  A value of a key in quoted is
+    put between double quotes, so it must need no JSON escaping."""
+    inner, key_pad = pad + "  ", pad + "    "
+    slots = []
+    for i, key in enumerate(keys):
+        mark = '"' if key in quoted else ""
+        literal = f"{',' if i else '{'}{key_pad}{_json_str(key)}: {mark}".replace("%", "%%")
+        slots.append(f"{literal}%s{mark}")
+    template = inner + "".join(slots) + inner + "}"
+    out.extend(("[", ",".join(map(template.__mod__, rows)), pad + "]"))
 
 
 def _emit_json(obj, pad: str, out: list) -> None:
@@ -423,9 +483,9 @@ def _emit_json(obj, pad: str, out: list) -> None:
     indent=2) writes it; pad is the newline and indent of obj's own line.
     obj is built of the exact types str, int, float (finite), bool, None,
     dict (with str keys), list and tuple; a tuple is written as a list,
-    and an int or a float by its repr.  A list of flat rows, such as the
-    rows of a bound sweep, is written from one template (_emit_rows); any
-    other list item by item."""
+    and an int or a float by its repr.  The rows of a bound sweep
+    (_SweepRows), and any list of flat rows (_emit_rows), are written from
+    one template; any other list item by item."""
     t = type(obj)
     if t is str:
         out.append(_json_str(obj))
@@ -463,6 +523,8 @@ def _emit_json(obj, pad: str, out: list) -> None:
         out.append("null")
     elif t is float:
         out.append(float.__repr__(obj))
+    elif t is _SweepRows:
+        _write_rows(_SWEEP_COLUMNS, obj, pad, out, _SWEEP_QUOTED)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -482,6 +544,8 @@ def render_table(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     result = report.get("result", {})
+    if isinstance(result, dict) and type(result.get("results")) is _SweepRows:
+        return "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, result["results"]), ""))
     if isinstance(result, dict) and isinstance(result.get("results"), list):
         items = result["results"]
     elif isinstance(result, dict) and isinstance(result.get("entries"), list):

@@ -49,9 +49,14 @@ def _format_reduced(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        raise UsageError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print"
-        ) from None
+        raise too_many_digits() from None
+
+
+def too_many_digits() -> UsageError:
+    """The error of a result whose integers are past the int-to-string
+    digit limit (str raised ValueError on them)."""
+    return UsageError(
+        f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print")
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -280,6 +280,21 @@ class TestRestrictionSum:
             restriction_sum(n, h, g, d + h)
             assert restriction_sum(n, h, g, d) == literal
 
+    def test_matches_fraction_sum_on_grid(self):
+        # the sum as it was built before it became one integer ratio: a
+        # running Fraction sum of the memoised rank-1 terms
+        def fraction_sum(n, h, g, d):
+            return sum((bounds._rank_one_step(n - 1, h, g, d - i * h) for i in range(d // h + 1)),
+                       Fraction(0))
+
+        for n in range(2, 6):
+            for h in range(1, 6):
+                for g in range(8):
+                    for d in range(60):
+                        got = restriction_sum(n, h, g, d)
+                        assert type(got) is Fraction
+                        assert got == fraction_sum(n, h, g, d), (n, h, g, d)
+
 
 class TestFormRelations:
     def test_low_cap_matches_summed_form(self):

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import syzstab
 from syzstab import cli
@@ -847,6 +847,72 @@ def test_sweep_rows_are_single_degree_results(form):
     singles = [json.loads(run_cli("bound", *variety, "--rank", "2", "--degree", str(d),
                                   "--form", form)[1])["result"] for d in range(41)]
     assert rows == singles
+
+
+def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
+    """A bound sweep's stdout as the CLI wrote it while sweep rows were
+    dicts: one row dict per degree from sections_bound, --approx companions
+    for the values that are proper fractions, then json.dumps, csv.writer,
+    or _flatten in table form."""
+    c1_h = (n - 1) * h_top - 2 * (g - 1)
+    variety = syzstab.make_variety("custom", n, h_top, c1_h)
+    rows = []
+    for d in degrees:
+        rep = syzstab.sections_bound(variety, rank, d, syzstab.BoundForm(form))
+        row = {"degree": d, "branch": rep.branch.value, "value": str(rep.value), "core": str(rep.core)}
+        if approx:
+            for key in ("value", "core"):
+                if getattr(rep, key).denominator != 1:
+                    row[f"{key}_approx"] = float(getattr(rep, key))
+        rows.append(row)
+    report = {"command": "bound",
+              "input": {"variety": {"name": "custom", "dim": n, "h_top": h_top, "c1_dot_h": c1_h,
+                                    "genus": g},
+                        "sheaf": {"rank": rank, "degree": f"{degrees[0]}..{degrees[-1]}"},
+                        "form": form},
+              "result": {"results": rows}}
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        columns = sorted(set().union(*rows))
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(c) for c in columns] for row in rows)
+        return sink.getvalue()
+    flat = cli._flatten(report)
+    width = max(len(k) for k, _ in flat)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in flat)
+
+
+# Ranges from 0..60 that cross the Clifford branch, the strip, d_pos and the
+# rank floor (at degree 0), and a curve whose difference table starts at 0.
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 5), h_top=st.integers(1, 5), g=st.integers(0, 8), rank=st.integers(1, 4),
+       start=st.integers(0, 60), length=st.integers(2, 300),
+       form=st.sampled_from(["LemmaSumForm", "SimplifiedForm"]),
+       fmt=st.sampled_from(["json", "csv", "table"]), approx=st.booleans())
+@example(n=4, h_top=3, g=5, rank=3, start=0, length=40, form="SimplifiedForm", fmt="json", approx=False)
+@example(n=4, h_top=3, g=5, rank=3, start=0, length=40, form="LemmaSumForm", fmt="csv", approx=False)
+@example(n=3, h_top=2, g=2, rank=2, start=0, length=30, form="LemmaSumForm", fmt="json", approx=True)
+@example(n=1, h_top=1, g=0, rank=2, start=0, length=9, form="SimplifiedForm", fmt="csv", approx=False)
+def test_sweep_output_matches_row_dict_reference(n, h_top, g, rank, start, length, form, fmt, approx):
+    degrees = range(start, start + length)
+    flag = "lemma" if form == "LemmaSumForm" else "simplified"
+    code, out, err = run_cli("bound", "--dim", str(n), "--h-top", str(h_top),
+                             "--c1-h", str((n - 1) * h_top - 2 * (g - 1)), "--rank", str(rank),
+                             "--degree", f"{start}..{degrees[-1]}", "--form", flag,
+                             "--format", fmt, *(["--approx"] if approx else []))
+    assert (code, err) == (0, "")
+    assert out == _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx)
+
+
+def test_sweep_rows_print_a_floored_value_as_the_rank():
+    # no variety is known to floor a fractional core, so the row is made up:
+    # core -1/2 and value 2 = rank, both over the denominator 2
+    branch = syzstab.Branch.CLIFFORD
+    rows = cli._sweep_rows([(7, branch, -1, 4, 2), (8, branch, 4, 8, 6)], 2)
+    assert rows == [("Clifford", "-1/2", "7", "2"), ("Clifford", "2/3", "8", "4/3")]
 
 
 _JSON_TREES = st.recursive(
