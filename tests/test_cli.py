@@ -672,12 +672,16 @@ def test_degree_sweep_golden(case, form, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 of stdout for every other report shape: the three check verdicts
-# with a known h0, the Hilbert route (condition 1 applies), a twist on a
-# genus-1 surface (no condition 1, so its scan rows have no G), the catalog
-# listing and entry, and the invariant suite.  Renaming a field of a result
+# SHA-256 of stdout for every other report shape: a single-degree bound in
+# the strip (proper fractions) and in the lemma form at rank 3, the three
+# check verdicts with a known h0, the Hilbert route (condition 1 applies), a
+# twist on a genus-1 surface (no condition 1, so its scan rows have no G),
+# the catalog listing and entry, and the invariant suite.  Renaming a field of a result
 # type, or changing how results become JSON, makes one of these fail.
 REPORTS = {
+    "bound-strip": ("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2", "--degree", "3"),
+    "bound-lemma": ("bound", "--dim", "4", "--h-top", "3", "--c1-h", "1", "--rank", "3",
+                    "--degree", "40", "--form", "lemma"),
     "stable": ("check", "--catalog", "P2", "--degree", "2", "--h0", "6"),
     "degenerate": ("check", "--catalog", "P2", "--degree", "2", "--h0", "1"),
     "trivially-stable": ("check", "--catalog", "P2", "--degree", "1", "--h0", "3"),
@@ -691,6 +695,14 @@ REPORTS = {
 }
 
 GOLDEN_REPORTS = [
+    ("bound-strip", "json", "4ea06714e92a05c84fe7f4917c7ba291076c112066fb8c8b4ae743bd162e5de3"),
+    ("bound-strip", "table", "9fd3da8ae908504ec7c9c7416bea6f762d1bf7484e7cb924a8d6ded60b1e9646"),
+    ("bound-strip", "csv", "ddcd9b2e5158de32f4d16c9242a7a0471707e8c35ba027e071d00d842a91b688"),
+    ("bound-strip", "json-approx", "974623c525b4458b16132daa7b6a289b7e61cf543a6fb7f5cc7af28b24dd8c79"),
+    ("bound-lemma", "json", "7184382694b0a9c26d3c86caf81caa03e957b5d24efa0803f6f538ef6430043a"),
+    ("bound-lemma", "table", "1e4c8c0ed64cd5a5160c4904548b9c13d43bd4e3552935442b61355bae9fe7d4"),
+    ("bound-lemma", "csv", "a26fafe72b69d2d80c2151f896e7a475f012dd115d0121388f04b917f918fe14"),
+    ("bound-lemma", "json-approx", "7401be289536abec266a838a855a9e1d06f5babe5acabb5520cca08655c89069"),
     ("stable", "json", "60793201303ae357bc81419ab42b7b5eb70d3867419e981b290cbc021f04d8d6"),
     ("stable", "table", "5eb0c611f30180901a997280a24acfd8f3f63189d63f7e77bd379831f60e9fed"),
     ("stable", "csv", "61a076ff6afe21c3151ef1c5a968185212911c9ab5f0d8f603a9111c1d5b2d0a"),
