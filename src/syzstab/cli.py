@@ -16,17 +16,15 @@ argparse already treats a plain negative number.
 
 Every JSON report is written by one emitter, byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it.  The
-emitter dispatches on exact types.  A list of flat rows (dicts that
-share one key set and hold only str and int values, such as the catalog
-listing) is written from one template built per list, its columns
-checked and escaped whole; any other list is walked item by item.
+emitter dispatches on exact types and walks every list item by item,
+except the rows of a bound sweep.
 
-The rows of a bound sweep are text from the start: one pass over
+Every bound result is printed by one row printer: one pass over
 bounds.sweep_ratios turns each row's integers into a tuple of printed
-columns with one gcd and no Fraction or dict, and the JSON writer fills
-the same row template with them, unchecked, while the CSV writer joins
-each into one line.  The table form and --approx read the rows as dicts,
-and a single degree stays one dict (printed by exactnum.format_ratio).
+columns with one gcd and no Fraction or dict.  The JSON writer fills one
+row template with a sweep's tuples, unchecked, and the CSV writer joins
+each into one line.  A single degree, the table form and --approx turn
+the tuples into row dicts, and a single degree's result is its one row.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -43,11 +41,10 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
 
 from .bounds import BoundForm, sections_bound, sweep_ratios
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_ratio, format_rational, parse_rational, too_many_digits
+from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
@@ -223,15 +220,13 @@ def _require_rank_one(rank: int) -> None:
         )
 
 
-# The columns of a sweep row, sorted as JSON and CSV write them, and those
-# written as JSON strings: every column but degree.
+# The columns of a sweep row, sorted as JSON and CSV write them.
 _SWEEP_COLUMNS = ("branch", "core", "degree", "value")
-_SWEEP_QUOTED = frozenset(("branch", "core", "value"))
 
 
 class _SweepRows(list):
-    """The rows of a bound sweep, at least two, each a tuple of its printed
-    columns (_SWEEP_COLUMNS).  render_json and render_csv write them whole,
+    """The rows of a bound result, each a tuple of its printed columns
+    (_SWEEP_COLUMNS).  render_json and render_csv write them whole,
     with no per-row dict or check: every column is digits, "/", "-" or a
     Branch value, so none needs escaping or quoting."""
 
@@ -265,20 +260,14 @@ def _sweep_rows(ratios, rank: int) -> _SweepRows:
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    ratios = sweep_ratios(variety, spec.rank, degrees, form)
-    if len(degrees) == 1:
-        (d, branch, core, value, den), = ratios
-        result = {"degree": d, "branch": branch.value, "value": format_ratio(value, den),
-                  "core": format_ratio(core, den)}
-        degree_echo: object = spec.degree
-    else:
-        rows = _sweep_rows(ratios, spec.rank)
-        if args.approx or args.format == "table":  # these read row dicts, as of one degree
-            rows = [{"degree": d, "branch": branch, "value": value, "core": core}
-                    for d, (branch, core, _, value) in zip(degrees, rows)]
-        result = {"results": rows}
-        degree_echo = f"{degrees[0]}..{degrees[-1]}"
-    sheaf_echo = {"rank": spec.rank, "degree": degree_echo}
+    rows = _sweep_rows(sweep_ratios(variety, spec.rank, degrees, form), spec.rank)
+    single = len(degrees) == 1
+    if single or args.approx or args.format == "table":  # these read row dicts
+        rows = [{"degree": d, "branch": branch, "value": value, "core": core}
+                for d, (branch, core, _, value) in zip(degrees, rows)]
+    result = rows[0] if single else {"results": rows}
+    sheaf_echo = {"rank": spec.rank,
+                  "degree": spec.degree if single else f"{degrees[0]}..{degrees[-1]}"}
     return {"variety": _plain(variety), "sheaf": sheaf_echo, "form": form.value}, result, 0
 
 
@@ -424,57 +413,14 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 _json_str = json.encoder.encode_basestring_ascii
 
-# How a column of flat rows is written, by the one exact type of its values.
-_COLUMN_WRITERS = {str: _json_str, int: int.__repr__}
 
-
-def _emit_rows(rows, pad: str, out: list) -> bool:
-    """Write rows, a non-empty list or tuple, as _emit_json would and
-    return True when every item is a non-empty dict with the first item's
-    keys, and each key holds values of one exact type, str or int;
-    otherwise write nothing and return False.
-
-    Each column is type-checked and written as a whole, and the rows by
-    _write_rows."""
-    head = rows[0]
-    # the first row's value types are tested first: a bool or a nested
-    # value there, as in a twist scan, ends the test before any column
-    if (type(head) is not dict or not head
-            or not _COLUMN_WRITERS.keys() >= set(map(type, head.values()))
-            or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(head)}):
-        return False
-    keys = sorted(head)
-    try:
-        columns = [list(map(itemgetter(key), rows)) for key in keys]
-    except KeyError:  # an item with another key set of the same size
-        return False
-    writers = []
-    for column in columns:
-        kinds = set(map(type, column))
-        write = _COLUMN_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-        if write is None:
-            return False
-        writers.append(write)
-    _write_rows(keys, zip(*(map(write, column) for write, column in zip(writers, columns))),
-                pad, out)
-    return True
-
-
-def _write_rows(keys, rows, pad: str, out: list, quoted=frozenset()) -> None:
-    """Append rows, a non-empty iterable of tuples of printed values in the
-    order of keys (sorted), as _emit_json writes a list of dicts.
-
-    Every row is written from one %-template built from keys and pad: each
-    key is JSON-escaped, then every % of the template's literal text is
-    doubled, so no key is read as a format.  A value of a key in quoted is
-    put between double quotes, so it must need no JSON escaping."""
+def _write_rows(rows: _SweepRows, pad: str, out: list) -> None:
+    """Append rows, a non-empty _SweepRows, as _emit_json writes a list of
+    dicts: every row from one %-template built from pad, with degree
+    written as a number and the other columns between double quotes."""
     inner, key_pad = pad + "  ", pad + "    "
-    slots = []
-    for i, key in enumerate(keys):
-        mark = '"' if key in quoted else ""
-        literal = f"{',' if i else '{'}{key_pad}{_json_str(key)}: {mark}".replace("%", "%%")
-        slots.append(f"{literal}%s{mark}")
-    template = inner + "".join(slots) + inner + "}"
+    template = (f'{inner}{{{key_pad}"branch": "%s",{key_pad}"core": "%s",'
+                f'{key_pad}"degree": %s,{key_pad}"value": "%s"{inner}}}')
     out.extend(("[", ",".join(map(template.__mod__, rows)), pad + "]"))
 
 
@@ -484,8 +430,8 @@ def _emit_json(obj, pad: str, out: list) -> None:
     obj is built of the exact types str, int, float (finite), bool, None,
     dict (with str keys), list and tuple; a tuple is written as a list,
     and an int or a float by its repr.  The rows of a bound sweep
-    (_SweepRows), and any list of flat rows (_emit_rows), are written from
-    one template; any other list item by item."""
+    (_SweepRows) are written from one template; any other list item by
+    item."""
     t = type(obj)
     if t is str:
         out.append(_json_str(obj))
@@ -506,8 +452,6 @@ def _emit_json(obj, pad: str, out: list) -> None:
         if not obj:
             out.append("[]")
             return
-        if _emit_rows(obj, pad, out):
-            return
         inner = pad + "  "
         sep = "[" + inner
         for item in obj:
@@ -524,7 +468,7 @@ def _emit_json(obj, pad: str, out: list) -> None:
     elif t is float:
         out.append(float.__repr__(obj))
     elif t is _SweepRows:
-        _write_rows(_SWEEP_COLUMNS, obj, pad, out, _SWEEP_QUOTED)
+        _write_rows(obj, pad, out)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -543,27 +487,22 @@ def render_table(report: dict) -> str:
 
 
 def render_csv(report: dict) -> str:
-    result = report.get("result", {})
-    if isinstance(result, dict) and type(result.get("results")) is _SweepRows:
-        return "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, result["results"]), ""))
-    if isinstance(result, dict) and isinstance(result.get("results"), list):
-        items = result["results"]
-    elif isinstance(result, dict) and isinstance(result.get("entries"), list):
-        items = result["entries"]
-    elif isinstance(result, dict) and isinstance(result.get("checks"), list):
-        items = [
-            {**row, "failures": "; ".join(row["failures"])}
-            for row in result["checks"]
-        ]
-    elif isinstance(result, dict) and isinstance(result.get("scan"), list):
-        items = result["scan"]
+    """The result's list of rows (a sweep's, the catalog's, verify's checks
+    or a twist's scan) as CSV, one column per key; any other result is one
+    row of its flattened fields."""
+    result = report["result"]
+    for key in ("results", "entries", "checks", "scan"):
+        items = result.get(key)
+        if type(items) is _SweepRows:
+            return "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, items), ""))
+        if isinstance(items, list):
+            break
     else:
         items = [dict(_flatten(result))]
+    if key == "checks":
+        items = [{**row, "failures": "; ".join(row["failures"])} for row in items]
     columns = sorted(set().union(*items))
-    if len(columns) > 1 and set(map(len, items)) == {len(columns)}:
-        rows = map(itemgetter(*columns), items)  # every item has every column
-    else:
-        rows = ([item.get(c) for c in columns] for item in items)  # None is written ""
+    rows = ([item.get(c) for c in columns] for item in items)  # None is written ""
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(columns)

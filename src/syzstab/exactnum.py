@@ -39,19 +39,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def _format_reduced(num: int, den: int) -> str:
-    """"p/q", or "p" when den is 1, for a reduced ratio (den > 0).
-
-    A numerator or denominator past the interpreter's int-to-string digit
-    limit cannot be printed exactly and raises UsageError; the limit, which
-    keeps conversion time bounded, is left in place.
-    """
-    try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:
-        raise too_many_digits() from None
-
-
 def too_many_digits() -> UsageError:
     """The error of a result whose integers are past the int-to-string
     digit limit (str raised ValueError on them)."""
@@ -59,20 +46,18 @@ def too_many_digits() -> UsageError:
         f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print")
 
 
-def format_ratio(num: int, den: int) -> str:
-    """Render the integer ratio num/den (den > 0) exactly, reduced by their
-    gcd: "p/q", or "p" when den divides num."""
-    if den != 1:
-        g = math.gcd(num, den)
-        if g != 1:
-            num, den = num // g, den // g
-    return _format_reduced(num, den)
-
-
 def format_rational(value: Fraction) -> str:
-    """Render exactly, as "p/q" or "p" when the denominator is 1: the rule
-    of format_ratio, without the gcd, since a Fraction is reduced."""
-    return _format_reduced(value.numerator, value.denominator)
+    """Render exactly, as "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator past the interpreter's int-to-string digit
+    limit cannot be printed exactly and raises UsageError; the limit, which
+    keeps conversion time bounded, is left in place.
+    """
+    num, den = value.numerator, value.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise too_many_digits() from None
 
 
 def _rising(a: int, q: int, k: int) -> int:

@@ -640,8 +640,8 @@ def test_long_twist_scan_golden(case, fmt, digest):
 # closed forms are evaluated must leave every report byte-identical.  The
 # dim-4 variety has genus 5, so its range crosses both branches and the strip
 # (degrees 9 and 10).  The dim-3 variety has genus 2 and rows with proper
-# fractions; with --approx, and in table form, its rows are not the flat
-# str/int rows that the JSON emitter writes from one template.
+# fractions; with --approx, and in table form, its rows are row dicts
+# rather than the tuples that the JSON and CSV writers print whole.
 SWEEPS = {
     "P5": ("--catalog", "P5", "--degree", "0..3000"),
     "dim4": ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--degree", "0..400"),
@@ -898,7 +898,8 @@ def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
 
 
 # Ranges from 0..60 that cross the Clifford branch, the strip, d_pos and the
-# rank floor (at degree 0), and a curve whose difference table starts at 0.
+# rank floor (at degree 0), a curve whose difference table starts at 0, and
+# P3 with --approx, whose row dicts hold only str and int values.
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 5), h_top=st.integers(1, 5), g=st.integers(0, 8), rank=st.integers(1, 4),
        start=st.integers(0, 60), length=st.integers(2, 300),
@@ -908,6 +909,7 @@ def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
 @example(n=4, h_top=3, g=5, rank=3, start=0, length=40, form="LemmaSumForm", fmt="csv", approx=False)
 @example(n=3, h_top=2, g=2, rank=2, start=0, length=30, form="LemmaSumForm", fmt="json", approx=True)
 @example(n=1, h_top=1, g=0, rank=2, start=0, length=9, form="SimplifiedForm", fmt="csv", approx=False)
+@example(n=3, h_top=1, g=0, rank=1, start=0, length=51, form="SimplifiedForm", fmt="json", approx=True)
 def test_sweep_output_matches_row_dict_reference(n, h_top, g, rank, start, length, form, fmt, approx):
     degrees = range(start, start + length)
     flag = "lemma" if form == "LemmaSumForm" else "simplified"
@@ -941,8 +943,8 @@ def test_render_json_writes_what_json_dumps_writes(tree):
     assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
-# Keys of the rows that the emitter writes from one template: text that
-# %-formatting, str.format or JSON escaping could trip on, and any text.
+# Keys of flat rows, such as the catalog listing's: text that %-formatting,
+# str.format or JSON escaping could trip on, and any text.
 _ROW_KEYS = st.text(st.sampled_from('%{}"\\s\u00e9\u2603\n'), max_size=4) | st.text(max_size=6)
 _ROW_SCALARS = st.text(max_size=8) | st.integers()
 _ODD_VALUES = (_ROW_SCALARS | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from syzstab import UsageError, falling_sum_check, format_rational, genbinom, parse_rational
-from syzstab.exactnum import format_ratio
+from syzstab import Branch, UsageError, falling_sum_check, format_rational, genbinom, parse_rational
+from syzstab.cli import _sweep_rows
 
 # Python 3.10 before 3.10.7 has no int-to-string digit limit, so numbers
 # past it convert there.
@@ -79,20 +79,34 @@ class TestRationalStrings:
         assert parse_rational(format_rational(r)) == r
 
 
+def printed_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) as the bound row printer, cli._sweep_rows, prints
+    a core and a value: reduced by their gcd, as "p/q", or "p" when den
+    divides num.  The made-up row's core and value are both num/den, and
+    must print alike."""
+    (_, core, _, value), = _sweep_rows([(0, Branch.RIEMANN_ROCH, num, num, den)], 1)
+    assert core == value
+    return core
+
+
 class TestFormatRatio:
+    """How the bound row printer prints an integer ratio.  The class keeps
+    the name of exactnum.format_ratio, which printed a single degree before
+    every bound result went through the row printer."""
+
     @pytest.mark.parametrize("num,den,text", [
         (6, 1, "6"), (-6, 1, "-6"), (0, 7, "0"), (12, 4, "3"), (-12, 4, "-3"),
         (6, 4, "3/2"), (-6, 4, "-3/2"), (5, 7, "5/7"), (-10**30, 6, "-500000000000000000000000000000/3"),
     ])
     def test_reduces_and_prints(self, num, den, text):
-        assert format_ratio(num, den) == text
+        assert printed_ratio(num, den) == text
 
     @given(st.integers(min_value=-10**40, max_value=10**40),
            st.integers(min_value=1, max_value=10**20), st.integers(min_value=1, max_value=10**6))
     def test_matches_format_rational(self, num, den, scale):
         # scale makes the pair unreduced whatever num and den are
-        assert format_ratio(num * scale, den * scale) == format_rational(Fraction(num, den))
-        assert format_ratio(num, 1) == format_rational(Fraction(num))
+        assert printed_ratio(num * scale, den * scale) == format_rational(Fraction(num, den))
+        assert printed_ratio(num, 1) == format_rational(Fraction(num))
 
     @needs_digit_limit
     @pytest.mark.parametrize("num,den", [(10**5000, 1), (10**5000 + 1, 3), (1, 10**5000 + 1),
@@ -101,13 +115,13 @@ class TestFormatRatio:
     def test_past_digit_limit(self, num, den):
         message = f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print"
         with pytest.raises(UsageError, match=message):
-            format_ratio(num, den)
+            printed_ratio(num, den)
         with pytest.raises(UsageError, match=message):
             format_rational(Fraction(num, den))
 
     @needs_digit_limit
     def test_reduction_brings_a_pair_under_the_digit_limit(self):
-        assert format_ratio(3 * 10**5000, 10**5000) == "3"
+        assert printed_ratio(3 * 10**5000, 10**5000) == "3"
 
 
 class TestFallingSum:
