@@ -362,3 +362,18 @@ def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     # the argument tuple, and those reallocations raised peak RSS run by run
     den = math.lcm(*{t.denominator for t in terms})
     return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+
+
+def restriction_sums(n: int, h_top: int, g: int, degrees: range):
+    """Yield restriction_sum(n, h_top, g, d) for every degree d of a
+    unit-step range, in order.  The sum at d + h_top is the sum at d plus
+    the rank-1 bound at d + h_top, so one running Fraction per residue
+    class mod h_top carries it; a class's first degree seeds it from
+    restriction_sum."""
+    sums: dict[int, Fraction] = {}
+    for d in degrees:
+        r = d % h_top
+        total = sums.get(r)
+        sums[r] = (restriction_sum(n, h_top, g, d) if total is None
+                   else total + _rank_one_step(n - 1, h_top, g, d))
+        yield sums[r]

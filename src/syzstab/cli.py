@@ -8,8 +8,11 @@ without ever dropping the exact value.  Each handler returns its input
 echo, its result and its exit code; main wraps them in one report.
 
 main(argv) returns the exit code of one call, 0 after --help too, and
-may be called repeatedly in one process: every call parses with the one
-parser built at import and keeps no state between calls.  A degree
+may be called repeatedly in one process: every call parses with the
+parsers built at import and keeps no state between calls.  An argv
+that starts with a command goes straight to that command's parser; only
+an argv that does not (empty, --help, an unknown name) goes through the
+top-level parser, which writes the help and error text.  A degree
 range with a negative start (-3..10), a negative p/q and a coefficient
 list that starts with one (-30,3/2) are never taken for an option, as
 argparse already treats a plain negative number.
@@ -83,6 +86,7 @@ def build_parser() -> _Parser:
                      description="Exact section bounds, stability certificates, "
                                  "and minimal stable twists")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # name -> its parser, for main's dispatch
 
     p_bound = sub.add_parser("bound", parents=[source, output],
                              help="upper bound on global sections")
@@ -524,10 +528,17 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required (bound, check, twist, catalog, verify)")
+        parser = _PARSER.commands.get(argv[0]) if argv else None
+        if parser is not None:  # parsed once, as the top-level parser would hand it on
+            args = parser.parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = _PARSER.parse_args(argv)
+            if args.command is None:
+                raise UsageError("a subcommand is required (bound, check, twist, catalog, verify)")
         echo, result, code = _HANDLERS[args.command](args)
         if args.approx:  # companions for the result only, never for echoed input
             result = _with_approx(result)

@@ -94,6 +94,12 @@ def falling_sum_check(x, a: int, m: int, k: int) -> bool:
     with every C expressed through genbinom (C(z, j) = genbinom(z-j, j)).
     Requires positive integers a <= m, k, and x - m - k >= 0 so that all
     the binomials sit in the product branch.
+
+    Checked as one integer identity, with no Fraction per term: for
+    x = p/q the left side is sum_i _rising(p-(i+k)q, q, k) over q^k * k!
+    and the right side a difference of two _rising(., q, k+1) over
+    q^(k+1) * (k+1)!, so the sides are equal iff their numerators are
+    once the left one is scaled by q * (k+1).
     """
     if a < 1 or m < 1 or k < 1:
         raise ValueError("a, m, k must be positive integers")
@@ -102,6 +108,7 @@ def falling_sum_check(x, a: int, m: int, k: int) -> bool:
     x = Fraction(x)
     if x - m - k < 0:
         raise ValueError("need x - m - k >= 0")
-    lhs = sum((genbinom(x - i - k, k) for i in range(a, m + 1)), Fraction(0))
-    rhs = genbinom(x - a - k, k + 1) - genbinom(x - m - k - 1, k + 1)
-    return lhs == rhs
+    p, q = x.numerator, x.denominator
+    lhs = sum(_rising(p - (i + k) * q, q, k) for i in range(a, m + 1))
+    rhs = _rising(p - (a + k) * q, q, k + 1) - _rising(p - (m + k + 1) * q, q, k + 1)
+    return lhs * q * (k + 1) == rhs

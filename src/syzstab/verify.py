@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import bound_high, bound_low, d_pos, rank_one_bound, restriction_sum, sections_bound
+from .bounds import _rank_one_step, bound_high, bound_low, d_pos, restriction_sums, sections_bound
 from .exactnum import falling_sum_check
 from .stability import Verdict, check_stability
 from .twist import HilbertPoly, Poly, bound_high_poly, minimal_stable_twist
@@ -73,7 +73,7 @@ def _check_monotone_low(rng: random.Random, samples: int) -> CheckResult:
         d1 = Fraction(rng.randint(1, 360), rng.randint(1, 6))
         d2 = d1 + Fraction(rng.randint(1, 240), rng.randint(1, 6))
         a1, a2 = bound_low(n, h, d1), bound_low(n, h, d2)
-        ok = a1 > 0 and a2 > 0 and -d1 / a1 < -d2 / a2
+        ok = a1 > 0 and a2 > 0 and d1 * a2 > d2 * a1  # -d1/a1 < -d2/a2
         res.record(ok, lambda: f"n={n}, h={h}, d1={d1}, d2={d2}")
     return res
 
@@ -91,7 +91,7 @@ def _check_monotone_high(rng: random.Random, samples: int) -> CheckResult:
         d1 = d_pos(g, h) + Fraction(rng.randint(1, 300), rng.randint(1, 6))
         d2 = d1 + Fraction(rng.randint(1, 240), rng.randint(1, 6))
         b1, b2 = bound_high(n, h, g, d1), bound_high(n, h, g, d2)
-        ok = b1 > 0 and b2 > 0 and -d1 / b1 < -d2 / b2
+        ok = b1 > 0 and b2 > 0 and d1 * b2 > d2 * b1  # -d1/b1 < -d2/b2
         res.record(ok, lambda: f"n={n}, h={h}, g={g}, d1={d1}, d2={d2}")
     return res
 
@@ -105,9 +105,8 @@ def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
     for n in dims:
         for h in h_tops:
             for g in genera:
-                for d in degrees:
-                    closed = rank_one_bound(n, h, g, d)
-                    oracle = restriction_sum(n, h, g, d)
+                for d, oracle in zip(degrees, restriction_sums(n, h, g, degrees)):
+                    closed = _rank_one_step(n, h, g, d)
                     res.record(
                         closed >= oracle,
                         lambda: f"n={n}, h={h}, g={g}, d={d}: {closed} < {oracle}",

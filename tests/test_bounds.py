@@ -295,6 +295,26 @@ class TestRestrictionSum:
                         assert type(got) is Fraction
                         assert got == fraction_sum(n, h, g, d), (n, h, g, d)
 
+    def test_running_sums_match_each_sum(self):
+        # starts below, at and above h_top; each range holds every residue
+        # class mod h_top at least three times, so each is seeded and extended
+        for n in range(2, 5):
+            for h in range(1, 6):
+                for g in range(5):
+                    for start in sorted({0, h - 1, h, h + 1, 2 * h + 3}):
+                        degrees = range(start, start + 3 * h + 4)
+                        bounds._rank_one_step.cache_clear()
+                        got = list(bounds.restriction_sums(n, h, g, degrees))
+                        assert all(type(v) is Fraction for v in got)
+                        assert got == [restriction_sum(n, h, g, d) for d in degrees], (n, h, g, start)
+
+    def test_running_sums_reject_what_each_sum_rejects(self):
+        assert list(bounds.restriction_sums(3, 2, 1, range(5, 5))) == []
+        with pytest.raises(ValueError):
+            list(bounds.restriction_sums(1, 1, 0, range(0, 4)))
+        with pytest.raises(InconsistentInputError):
+            list(bounds.restriction_sums(2, 1, 0, range(-1, 4)))
+
 
 class TestFormRelations:
     def test_low_cap_matches_summed_form(self):

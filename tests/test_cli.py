@@ -6,6 +6,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1103,3 +1104,108 @@ def test_help(command, monkeypatch):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == next(
         digest for case, fmt, digest in GOLDEN_REPORTS if (case, fmt) == ("stable", "json"))
+
+
+class _Parsed(Exception):
+    """Raised by a stand-in handler with the Namespace main hands it."""
+
+
+def _top_level_route(argv):
+    """main's parse as it was before a command's argv went straight to the
+    command's parser: the whole argv through the top-level parser.  The
+    Namespace's fields, or the exit code, stdout and stderr main gave."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args = cli._PARSER.parse_args(list(argv))
+        if args.command is None:
+            raise syzstab.UsageError("a subcommand is required (bound, check, twist, catalog, verify)")
+    except syzstab.UsageError as exc:
+        return 1, "", f"error: {exc}\n"
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), ""
+    return vars(args)
+
+
+def _dispatch_route(argv):
+    """What main makes of argv with every handler replaced by one that
+    raises its Namespace: the Namespace's fields, or the exit code,
+    stdout and stderr."""
+    def record(args):
+        raise _Parsed(args)
+
+    with mock.patch.dict(cli._HANDLERS, dict.fromkeys(cli._HANDLERS, record)):
+        try:
+            return run_cli(*argv)
+        except _Parsed as parsed:
+            return vars(parsed.args[0])
+
+
+_PARITY_ARGVS = [
+    *REPORTS.values(),
+    *(case.values[0] for case in USAGE_ERRORS),
+    *(("bound", *case.values[0]) for case in SWEEP_ERRORS),
+    ("--help",), *((command, "--help") for command in cli._HANDLERS),
+    (), ("-h",), ("bou",), ("--format", "json", "bound"), ("bound", "-h", "--bogus"),
+    ("bound", "--catalog", "P2", "--degree", "2", "--", "--rank"),
+    ("check", "--cat", "P2", "--deg=2", "--h0", "-6"), ("check", "--h", "2"),
+    ("twist", "--catalog", "P2", "--degree", "0", "--hilbert", "-30,3/2,3/2", "--regularity", "0"),
+    ("catalog", "show", "P3", "--format=csv", "--approx"), ("catalog", "list", "P2", "stray"),
+    ("verify", "--grid", "tiny"), ("verify", "--seed", "-4", "--gr=full"),
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    assert _dispatch_route(argv) == _top_level_route(argv)
+
+
+# every flag of every command, whole or abbreviated, its value joined by
+# "=" or apart (a choice flag's choices and one bad value, else _VALUES),
+# in any order and with a stray token
+_FLAGS = {
+    "bound": ("--catalog", "--dim", "--h-top", "--c1-h", "--input", "--rank", "--degree",
+              "--form", "--format", "--approx"),
+    "check": ("--catalog", "--dim", "--h-top", "--c1-h", "--input", "--rank", "--degree",
+              "--h0", "--hilbert", "--regularity", "--twist", "--format", "--approx"),
+    "twist": ("--catalog", "--dim", "--h-top", "--c1-h", "--input", "--rank", "--degree",
+              "--hilbert", "--regularity", "--format", "--approx"),
+    "catalog": ("--format", "--approx"),
+    "verify": ("--grid", "--seed", "--format", "--approx"),
+}
+_CHOICES = {"--format": ("json", "csv", "table", "xml"), "--form": ("lemma", "simplified", "x"),
+            "--grid": ("small", "full", "tiny")}
+_VALUES = st.integers(-50, 50).map(str) | st.sampled_from(
+    ["P2", "quartic-K3", "x", "", "-3..10", "1..4", "-3/2", "-30,3/2", "2,0,2", "-h"])
+_STRAY = st.sampled_from(["list", "show", "P3", "stray", "-x", "--bogus", "--", "-", "-5",
+                          "--help", "-h", "bound"])
+
+
+@st.composite
+def _command_argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    groups = []
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=6)):
+        spelled = flag[:draw(st.integers(3, len(flag)))] if draw(st.booleans()) else flag
+        if flag == "--approx":
+            groups.append([spelled])
+            continue
+        value = draw(st.sampled_from(_CHOICES[flag]) if flag in _CHOICES else _VALUES)
+        groups.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
+    groups += [[token] for token in draw(st.lists(_STRAY, max_size=1))]
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_argvs() | st.lists(_STRAY | _VALUES, max_size=3))
+def test_dispatch_parses_drawn_argvs_as_the_top_level_parser(argv):
+    assert _dispatch_route(argv) == _top_level_route(argv)
+
+
+def test_main_reads_sys_argv(monkeypatch):
+    for argv in (REPORTS["stable"], USAGE_ERRORS[0].values[0], ("bound", "--help")):
+        expected = run_cli(*argv)
+        monkeypatch.setattr(sys, "argv", ["syzstab", *argv])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert (main(), out.getvalue(), err.getvalue()) == expected

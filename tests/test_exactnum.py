@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from syzstab import Branch, UsageError, falling_sum_check, format_rational, genbinom, parse_rational
 from syzstab.cli import _sweep_rows
@@ -159,3 +159,25 @@ class TestFallingSum:
             falling_sum_check(10, 0, 4, 2)
         with pytest.raises(ValueError):
             falling_sum_check(10, 1, 4, 0)
+
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 5),
+           st.integers(0, 300), st.integers(1, 9))
+    @example(a=1, span=2, k=2, num=1, den=2)  # x - m - k - 1 = -1/2: the identity fails
+    @example(a=2, span=0, k=3, num=0, den=1)  # x - m - k = 0
+    def test_matches_the_fraction_sum(self, a, span, k, num, den):
+        # x - m - k = num/den >= 0; below 1 it puts C(x-m, k+1) on the
+        # piecewise zero, where the two sides differ
+        m = a + span
+        x = m + k + Fraction(num, den)
+        assert falling_sum_check(x, a, m, k) == _fraction_falling_sum_check(x, a, m, k)
+        if Fraction(num, den) < 1 and x.denominator > 1:
+            assert not falling_sum_check(x, a, m, k)
+
+
+def _fraction_falling_sum_check(x, a, m, k):
+    """falling_sum_check as it was built before it became one integer
+    identity: a genbinom Fraction per term."""
+    x = Fraction(x)
+    lhs = sum((genbinom(x - i - k, k) for i in range(a, m + 1)), Fraction(0))
+    rhs = genbinom(x - a - k, k + 1) - genbinom(x - m - k - 1, k + 1)
+    return lhs == rhs
