@@ -1,4 +1,11 @@
-"""Exact univariate polynomials over the rationals (Poly)."""
+"""Exact univariate polynomials over the rationals (Poly), and the
+Taylor-shift positivity test (positive_shift).
+
+A Poly stores one integer polynomial over one denominator, so callers
+such as the twist conditions build their coefficients on the integers and
+wrap them once (Poly._from_ints).  positive_shift is the sign test behind
+the twist certificates: when it passes, the shifted polynomials it
+returns are the ones the certificate prints."""
 
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ class Poly:
     __slots__ = ("_denom", "_nums")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         denom = math.lcm(*(c.denominator for c in cs))
         self._store(denom, [c.numerator * (denom // c.denominator) for c in cs])
 
@@ -42,8 +49,10 @@ class Poly:
         while nums and nums[-1] == 0:
             nums.pop()
         g = math.gcd(denom, *nums)
-        object.__setattr__(self, "_denom", denom // g)
-        object.__setattr__(self, "_nums", tuple(n // g for n in nums))
+        if g != 1:
+            denom, nums = denom // g, [n // g for n in nums]
+        object.__setattr__(self, "_denom", denom)
+        object.__setattr__(self, "_nums", tuple(nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -97,7 +106,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((other,))
+            return Poly._from_ints(other.denominator, [other.numerator])
         return None
 
     def __add__(self, other):
@@ -118,7 +127,10 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        denom = math.lcm(self._denom, other._denom)
+        sa, sb = denom // self._denom, denom // other._denom
+        return Poly._from_ints(denom, [a * sa - b * sb for a, b in
+                                       zip_longest(self._nums, other._nums, fillvalue=0)])
 
     def __rsub__(self, other):
         return -(self - other)
@@ -163,3 +175,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def positive_shift(polys, c: int) -> tuple[Poly, ...] | None:
+    """The Taylor-shift positivity test at an integer c: each p(k + c), when
+    every coefficient of each is >= 0 and each constant is > 0, so that each
+    p is positive on [c, oo) (the sign test behind Vincent's theorem);
+    None otherwise."""
+    shifted = []
+    for p in polys:
+        denom, nums = p.scaled_shift(c)
+        if not (nums and nums[0] > 0 and min(nums) >= 0):
+            return None
+        shifted.append(Poly._from_ints(denom, nums))
+    return tuple(shifted)

@@ -5,15 +5,18 @@ inequalities into polynomial sign conditions in k; the high cap enters
 as its exact polynomial in the degree (bounds.closed_form_poly) composed
 with the twisted degree (bound_high_poly).  Clearing denominators gives
 polynomials whose top terms cancel exactly, leaving positive leading
-coefficients.  Positivity from some point on is then certified by a
-Taylor shift: if every coefficient of F(k + c) is >= 0 and F(c) > 0,
-then F > 0 on [c, oo) (the sign test behind Vincent's theorem and
-Descartes' rule of signs).  The least such integer c is found by a
+coefficients; each condition is built as integer numerators over one
+denominator, from the numerators of the Hilbert polynomial and the cap.
+Positivity from some point on is then certified by a Taylor shift: if
+every coefficient of F(k + c) is >= 0 and F(c) > 0, then F > 0 on
+[c, oo) (the sign test behind Vincent's theorem and Descartes' rule of
+signs; poly.positive_shift).  The least such integer c is found by a
 doubling search up from the start, capped at the Cauchy root bound where
 the test is proven to hold, then bisection of the last gap; the rows
 below c are evaluated downward to the first failure.  The certificate
-records c, the shifted coefficients, the evaluated rows, the bound, and
-the polynomials (poly.Poly, re-exported here).
+records c, the shifted coefficients (the passing test's own result), the
+evaluated rows, the bound, and the polynomials (poly.Poly, re-exported
+here).
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .bounds import BoundForm, bound_low, closed_form_poly, d_pos
 from .errors import InconsistentInputError, UsageError
-from .poly import Poly
+from .poly import Poly, positive_shift
 from .varieties import Variety
 
 
@@ -97,15 +101,26 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
     n+1 terms cancel exactly, leaving degree n with positive leading
     coefficient h_top*(1 - 1/n)/(n-1)!.  cond1 (only when g >= 2) =
     (2g-2)*(P(k) - 1) - d(k)*bound_low(n, h, 2g-2).
+
+    Each is one integer polynomial over one denominator, built from the
+    numerators of P = p/D_P and of the cap E = e/D_E with no intermediate
+    Poly.  Over D_P*D_E, a = (p - D_P)*D_E is P - 1 and delta = a - e*D_P
+    is P - 1 - E, so coefficient i of cond2 is d0*delta_i - a_i +
+    h*delta_{i-1}; cond1 is taken over D_P times the denominator of
+    bound_low.
     """
     n, h, g = variety.dim, variety.h_top, variety.genus
     if n < 2:
         raise UsageError("twist certificates need dimension >= 2")
     validate_hilbert(variety, d0, hilbert)
     expansion = bound_high_poly(variety, d0)
-    dpoly = Poly((d0, h))
-    p_minus_1 = hilbert.poly - 1
-    cond2 = (dpoly - 1) * p_minus_1 - dpoly * expansion.poly
+    dp, de, e = hilbert.poly._denom, expansion.poly._denom, expansion.poly._nums
+    p_minus_1 = list(hilbert.poly._nums)  # over D_P; P has degree n >= 2
+    p_minus_1[0] -= dp
+    a = [x * de for x in p_minus_1]
+    delta = [x - y * dp for x, y in zip_longest(a, e, fillvalue=0)]
+    cond2 = Poly._from_ints(dp * de, [d0 * x - y + h * z for x, y, z in
+                                      zip(delta + [0], a + [0], [0] + delta)])
     want_lead = Fraction(h, 1) * (1 - Fraction(1, n)) / math.factorial(n - 1)
     if cond2.degree != n or cond2.leading != want_lead or want_lead <= 0:
         raise RuntimeError(
@@ -114,7 +129,12 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
         )
     cond1 = None
     if g >= 2:
-        cond1 = (2 * g - 2) * p_minus_1 - dpoly * bound_low(n, h, 2 * g - 2)
+        low = bound_low(n, h, 2 * g - 2)
+        u, v = low.numerator * dp, low.denominator
+        nums = [(2 * g - 2) * v * x for x in p_minus_1]
+        nums[0] -= d0 * u
+        nums[1] -= h * u
+        cond1 = Poly._from_ints(dp * v, nums)
     return ConditionPolys(cond2=cond2, cond1=cond1, k_pos=expansion.k_pos)
 
 
@@ -185,13 +205,9 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     start = max(hilbert.regularity, polys.k_pos)
     radius = max(cauchy_bound(p) for p in conds)
 
-    def certifies(c: int) -> bool:
-        shifts = (p.scaled_shift(c)[1] for p in conds)
-        return all(s[0] > 0 and min(s) >= 0 for s in shifts)
-
     top = max(start, math.ceil(radius))
     lo = hi = start
-    while not certifies(hi):
+    while (shift := positive_shift(conds, hi)) is None:
         if hi == top:
             raise RuntimeError(
                 f"Taylor shift at c = {hi}, past the Cauchy bound {radius}, is not positive"
@@ -199,10 +215,10 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
         lo, hi = hi + 1, min(top, 2 * hi - start + 1)
     while lo < hi:
         mid = (lo + hi) // 2
-        if certifies(mid):
-            hi = mid
-        else:
+        if (passed := positive_shift(conds, mid)) is None:
             lo = mid + 1
+        else:
+            hi, shift = mid, passed
     c = hi
 
     notes = [
@@ -234,8 +250,7 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
         k_min=k_min,
         cauchy=radius,
         scanned_range=(start, c),
-        shift=TaylorShift(c=c, cond2=polys.cond2.compose_linear(1, c), cond1=None
-                          if polys.cond1 is None else polys.cond1.compose_linear(1, c)),
+        shift=TaylorShift(c=c, cond2=shift[0], cond1=shift[1] if len(shift) > 1 else None),
         cond2=polys.cond2,
         cond1=polys.cond1,
         k_pos=polys.k_pos,

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from syzstab import bounds, twist
 from syzstab.exactnum import genbinom
+from syzstab.poly import positive_shift
 from syzstab import (
     HilbertPoly,
     InconsistentInputError,
@@ -17,6 +18,7 @@ from syzstab import (
     UsageError,
     bound_high,
     bound_high_poly,
+    bound_low,
     build_condition_polys,
     catalog_lookup,
     cauchy_bound,
@@ -393,6 +395,47 @@ def twist_inputs(draw):
                        draw(lower), draw(st.sampled_from((0, 1, 3, 7))))
 
 
+def frozen_condition_polys(variety, d0, hilbert):
+    """F and G built by Poly algebra, as build_condition_polys built them
+    before it worked on the integer numerators: the reference for the
+    differential test."""
+    n, h, g = variety.dim, variety.h_top, variety.genus
+    dpoly = Poly((d0, h))
+    p_minus_1 = hilbert.poly - 1
+    cond2 = (dpoly - 1) * p_minus_1 - dpoly * bound_high_poly(variety, d0).poly
+    cond1 = None
+    if g >= 2:
+        cond1 = (2 * g - 2) * p_minus_1 - dpoly * bound_low(n, h, 2 * g - 2)
+    return cond2, cond1
+
+
+@st.composite
+def condition_inputs(draw):
+    n = draw(st.integers(2, 5))
+    lower = draw(st.lists(st.fractions(-60, 60, max_denominator=30), min_size=n - 1, max_size=n - 1))
+    return custom_case(n, draw(st.integers(1, 6)), draw(st.integers(0, 8)), draw(st.integers(0, 20)),
+                       lower)
+
+
+class TestIntegerConditionPolys:
+    @given(condition_inputs())
+    # genus 0 and 1 have no G; genus 2 (P - 1 = 0 at the constant) has one
+    @example(custom_case(2, 1, 0, 0, [0]))
+    @example(custom_case(3, 4, 1, 20, [Fraction(-7, 30), 0]))
+    @example(custom_case(2, 2, 2, 0, [1]))
+    @settings(deadline=None)
+    def test_matches_poly_algebra(self, case):
+        variety, d0, hilbert = case
+        polys = build_condition_polys(variety, d0, hilbert)
+        want2, want1 = frozen_condition_polys(variety, d0, hilbert)
+        assert (polys.cond1 is None) == (want1 is None) == (variety.genus < 2)
+        for got, want in ((polys.cond2, want2), (polys.cond1, want1)):
+            if want is not None:
+                assert (got._denom, got._nums) == (want._denom, want._nums)
+                assert hash(got) == hash(want)
+                assert_canonical(got)
+
+
 class TestMinimalStableTwist:
     def test_plane(self):
         cert = minimal_stable_twist(P2, 0, HP_P2)
@@ -500,6 +543,51 @@ class TestMinimalStableTwist:
         assert (cert.k_min, cert.shift.c) == (63195, 63195)
         assert [(row.k, row.passed) for row in cert.scan] == [(63194, False), (63195, True)]
         assert_sound(cert)
+
+
+def shifted_polys(max_deg=4):
+    """A polynomial as p(k - c) for a p with nonnegative coefficients and a
+    positive constant, so its Taylor shift by c passes, or any polynomial."""
+    nonneg = st.lists(st.fractions(0, 50, max_denominator=20), max_size=max_deg).map(
+        lambda cs: Poly([Fraction(1, 7) + cs[0]] + cs[1:] if cs else [3]))
+    return st.one_of(
+        st.tuples(nonneg, st.integers(-50, 50)).map(lambda pc: pc[0].compose_linear(1, -pc[1])),
+        poly_strategy(max_deg))
+
+
+class TestPositiveShift:
+    @given(st.lists(shifted_polys(), min_size=1, max_size=3), st.integers(-50, 50))
+    # F(k + 1) = k^2 + k: no negative coefficient, but a zero constant
+    @example([Poly((0, -1, 1))], 1)
+    def test_is_the_taylor_shift_when_it_passes(self, polys, c):
+        want = [p.compose_linear(1, c) for p in polys]
+        passes = all(q.coeff(0) > 0 and min(q.coeffs) >= 0 for q in want)
+        got = positive_shift(polys, c)
+        assert got == (tuple(want) if passes else None)
+        for q in got or ():
+            assert_canonical(q)
+
+    def test_passes_at_the_shift_point(self):
+        # F(k) = (k - 1)(k - 2) + k: F(k + 2) = k^2 + 2k + 2
+        f = Poly((2, -2, 1))
+        assert positive_shift([f], 2) == (Poly((2, 2, 1)),)
+        assert positive_shift([f, Poly((1, 1))], 2) == (Poly((2, 2, 1)), Poly((3, 1)))
+
+    def test_rejects_a_negative_coefficient(self):
+        # F(k) = k^2 - 2k + 2 has no real root, but its -2 fails the test at
+        # c = 0; at c = 1, F(k + 1) = k^2 + 1 passes
+        assert positive_shift([Poly((2, -2, 1))], 0) is None
+        assert positive_shift([Poly((2, -2, 1))], 1) == (Poly((1, 0, 1)),)
+        # one failing polynomial fails the pair
+        assert positive_shift([Poly((1, 1)), Poly((2, -2, 1))], 0) is None
+
+    def test_rejects_a_zero_constant(self):
+        # the equality edge: F(k + 1) = k^2 + k is >= 0 on [0, oo) but 0 at k = 0
+        f = Poly((0, -1, 1))
+        assert positive_shift([f], 1) is None
+        assert positive_shift([f], 2) == (Poly((2, 3, 1)),)
+        # the zero polynomial's constant is 0
+        assert positive_shift([Poly((Fraction(1, 3),)), Poly(())], 0) is None
 
 
 def assert_canonical(p):
