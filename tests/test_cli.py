@@ -938,6 +938,12 @@ _JSON_TREES = st.recursive(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_render_json_writes_what_json_dumps_writes(tree):
+    assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
 # Keys of flat rows, such as the catalog listing's: text that %-formatting,
 # str.format or JSON escaping could trip on, and any text.
 _ROW_KEYS = st.text(st.sampled_from('%{}"\\s\u00e9\u2603\n'), max_size=4) | st.text(max_size=6)
@@ -975,11 +981,9 @@ def _row_lists(draw):
 _ROW_TREES = _row_lists() | _row_lists().map(lambda rows: {"result": {"results": rows}})
 
 
-# Any JSON tree, or a list of flat rows (bare or as a report's results)
-# with some items broken: each takes the same item-by-item walk.
-@settings(max_examples=250, deadline=None)
-@given(_JSON_TREES | _ROW_TREES)
-def test_render_json_writes_what_json_dumps_writes(tree):
+@settings(max_examples=300, deadline=None)
+@given(_ROW_TREES)
+def test_render_json_writes_row_lists_as_json_dumps_writes(tree):
     assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
