@@ -5,15 +5,17 @@ the polarizing divisor, and the intersection number of the anticanonical
 class with its (n-1)-st power.  The sectional genus is always derived
 from those three by adjunction, never accepted from the user, so an
 inconsistent quadruple cannot be constructed.
+
+The catalog is the literal table `_CATALOG` below: one (name, dim,
+h_top, c1_dot_h) row per variety, sorted by name, which is the order
+`syzstab catalog` prints.  Each row goes through make_variety, so its
+genus is derived and checked like any user's.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 
 from .errors import InconsistentInputError, InvalidVarietyError, UnknownVarietyError, UsageError
 from .exactnum import parse_rational
@@ -54,29 +56,42 @@ def make_variety(name: str, dim: int, h_top: int, c1_dot_h: int) -> Variety:
     return Variety(name, dim, h_top, c1_dot_h, derive_genus(dim, h_top, c1_dot_h))
 
 
-@lru_cache(maxsize=1)
-def _catalog() -> dict[str, Variety]:
-    raw = resources.files("syzstab.data").joinpath("catalog.json").read_text()
-    data = json.loads(raw)
-    entries = {}
-    for row in data["entries"]:
-        entries[row["name"]] = make_variety(
-            row["name"], row["dim"], row["h_top"], row["c1_dot_h"]
-        )
-    return entries
+_CATALOG = {
+    name: make_variety(name, dim, h_top, c1_dot_h)
+    for name, dim, h_top, c1_dot_h in (
+        ("P1", 1, 1, 2),
+        ("P2", 2, 1, 3),
+        ("P3", 3, 1, 4),
+        ("P4", 4, 1, 5),
+        ("P5", 5, 1, 6),
+        ("cubic-surface", 2, 3, 3),
+        ("delpezzo-1", 2, 1, 1),
+        ("delpezzo-2", 2, 2, 2),
+        ("delpezzo-3", 2, 3, 3),
+        ("delpezzo-4", 2, 4, 4),
+        ("delpezzo-5", 2, 5, 5),
+        ("delpezzo-6", 2, 6, 6),
+        ("delpezzo-7", 2, 7, 7),
+        ("delpezzo-8", 2, 8, 8),
+        ("delpezzo-9", 2, 9, 9),
+        ("quadric-surface", 2, 2, 4),
+        ("quartic-K3", 2, 4, 0),
+        ("quintic-surface", 2, 5, -5),
+    )
+}
 
 
 def catalog_names() -> list[str]:
-    return sorted(_catalog())
+    return list(_CATALOG)
 
 
 def catalog_entries() -> list[Variety]:
-    return [_catalog()[name] for name in catalog_names()]
+    return list(_CATALOG.values())
 
 
 def catalog_lookup(name: str) -> Variety:
     try:
-        return _catalog()[name]
+        return _CATALOG[name]
     except KeyError:
         raise UnknownVarietyError(
             f"unknown variety {name!r}; available: {', '.join(catalog_names())}"
@@ -134,12 +149,11 @@ def parse_problem(data: dict) -> tuple[Variety, SheafSpec]:
         variety = catalog_lookup(name)
     elif len(numeric) == 3:
         variety = make_variety(name or "custom", numeric["dim"], numeric["h_top"], numeric["c1_dot_h"])
-        if name is not None and name in catalog_names():
-            stock = catalog_lookup(name)
-            if (stock.dim, stock.h_top, stock.c1_dot_h) != (variety.dim, variety.h_top, variety.c1_dot_h):
-                raise InconsistentInputError(
-                    f"variety block for {name!r} disagrees with the catalog entry"
-                )
+        stock = _CATALOG.get(name)
+        if stock is not None and (stock.dim, stock.h_top, stock.c1_dot_h) != (
+            variety.dim, variety.h_top, variety.c1_dot_h
+        ):
+            raise InconsistentInputError(f"variety block for {name!r} disagrees with the catalog entry")
     else:
         raise UsageError('variety block needs "name" or all of "dim", "h_top", "c1_dot_h"')
 

@@ -46,6 +46,10 @@ class TestCliffordBound:
         with pytest.raises(InconsistentInputError):
             clifford_bound(1, 2, 3, -1)
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            clifford_bound(0, 1, 0, 1)
+
 
 class TestRiemannRochBound:
     def test_curve_value(self):
@@ -71,6 +75,10 @@ class TestSimplifiedCaps:
 
     def test_low_cap_on_curve(self):
         assert bound_low(1, 3, 4) == 2
+
+    def test_low_cap_rejects_h_top_zero(self):
+        with pytest.raises(ValueError, match="h_top must be >= 1, got 0"):
+            bound_low(2, 0, 1)
 
     def test_low_cap_k3_point(self):
         assert bound_low(2, 4, 4) == 3

@@ -300,6 +300,11 @@ class TestTwistCommand:
         assert code == 1
         assert "--hilbert" in err
 
+    def test_negative_degree_is_inconsistent(self):
+        # the Hilbert polynomial passes its checks; the degree is refused after
+        assert run_cli("twist", "--catalog", "P2", "--degree", "-1", "--hilbert", "1,1/2,1/2",
+                       "--regularity", "0") == (3, "", "error: degree must be >= 0, got -1\n")
+
     def test_curve_not_applicable(self):
         code, _, err = run_cli("twist", "--catalog", "P1", "--degree", "0",
                                "--hilbert", "1,1", "--regularity", "0")

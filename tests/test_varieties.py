@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import syzstab
 from syzstab import (
     InconsistentInputError,
     InvalidVarietyError,
@@ -83,6 +90,19 @@ class TestCatalog:
     def test_unknown_name_lists_choices(self):
         with pytest.raises(UnknownVarietyError, match="quartic-K3"):
             catalog_lookup("P9")
+
+    def test_needs_no_data_file_and_no_resources_import(self):
+        # -S: a site hook may import importlib.resources in any interpreter
+        package = Path(syzstab.__file__).parent
+        probe = ("import sys; from syzstab import cli; code = cli.main(['catalog', 'show', 'P3']); "
+                 "assert 'importlib.resources' not in sys.modules, 'importlib.resources loaded'; "
+                 "sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(package.parent)))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["entry"]["name"] == "P3"
+        stray = [p.name for p in package.iterdir() if p.suffix != ".py" and p.name != "__pycache__"]
+        assert stray == []
 
 
 class TestSheafSpec:

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from syzstab.verify import run_suite
+from syzstab import cli, verify
+from syzstab.verify import CheckResult, run_suite
 
 EXPECTED_CHECKS = {
     "telescoping-identity",
@@ -55,3 +58,30 @@ class TestFullGrid:
         assert by_name["telescoping-identity"].passed == 200
         assert by_name["ratio-monotonicity-low"].passed == 200
         assert by_name["ratio-monotonicity-high"].passed == 200
+
+
+class TestFailurePath:
+    def test_record_counts_every_failure_and_itemizes_the_first_ten(self):
+        described = []
+
+        def describe(i):
+            return lambda: described.append(i) or f"case {i}"
+
+        res = CheckResult("demo")
+        res.record(True, describe(-1))
+        res.record(False, "plain text")
+        for i in range(1, 13):
+            res.record(False, describe(i))
+        assert (res.passed, res.failed) == (1, 13)
+        assert res.failures == ["plain text"] + [f"case {i}" for i in range(1, 10)] + ["..."]
+        assert described == list(range(1, 10))  # never for a pass or a failure past the tenth
+
+    def test_a_failed_check_makes_verify_exit_2(self, monkeypatch, capsys):
+        samples = {c.name: c for c in run_suite()}["telescoping-identity"].passed
+        monkeypatch.setattr(verify, "falling_sum_check", lambda *args: False)
+        assert cli.main(["verify"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["total_failed"] == samples
+        telescoping = next(c for c in result["checks"] if c["name"] == "telescoping-identity")
+        assert (telescoping["passed"], telescoping["failed"]) == (0, samples)
+        assert len(telescoping["failures"]) == 11 and telescoping["failures"][-1] == "..."
