@@ -39,6 +39,7 @@ from .twist import (
     bound_high_poly,
     build_condition_polys,
     cauchy_bound,
+    fujiwara_bound,
     minimal_stable_twist,
     validate_hilbert,
 )
@@ -66,7 +67,7 @@ __all__ = [
     "bound_high", "bound_high_poly", "bound_low", "build_condition_polys",
     "catalog_entries", "catalog_lookup", "catalog_names", "cauchy_bound",
     "check_stability", "clifford_bound", "derive_genus", "falling_sum_check",
-    "format_rational", "genbinom", "make_variety", "minimal_stable_twist",
+    "format_rational", "fujiwara_bound", "genbinom", "make_variety", "minimal_stable_twist",
     "parse_problem", "parse_rational", "rank_one_bound", "restriction_sum",
     "riemann_roch_bound", "run_suite", "sections_bound", "select_branch",
     "slope", "sweep_bounds", "syzygy_invariants", "validate_hilbert",

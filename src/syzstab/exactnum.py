@@ -21,7 +21,7 @@ from .errors import UsageError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,14 +29,21 @@ def parse_rational(text: str) -> Fraction:
 
     Only plain integer-over-integer strings are accepted; decimal or
     exponent notation is rejected so a lossy value can never sneak in.
+    The value is built from the matched digit groups, numerator first, as
+    Fraction(text) would build it: a group past the int-from-string digit
+    limit raises the same ValueError.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIONAL_RE.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    sign, num, den = m.groups()
+    num = -int(num) if sign == "-" else int(num)
+    if den is None:
+        return Fraction(num)
+    den = int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def too_many_digits() -> UsageError:

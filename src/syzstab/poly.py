@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import parse_rational, too_many_digits
 
 
 class Poly:
@@ -160,7 +160,16 @@ class Poly:
         return Poly._from_ints(denom, [c * u ** i for i, c in enumerate(shifted)])
 
     def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        """Each coefficient as format_rational prints it, "p/q" or "p",
+        reduced from the stored pair with one gcd and no Fraction; an
+        integer past the int-to-string digit limit raises the same
+        UsageError."""
+        denom = self._denom
+        try:
+            return [f"{n // g}/{denom // g}" if (g := math.gcd(n, denom)) != denom
+                    else str(n // denom) for n in self._nums]
+        except ValueError:
+            raise too_many_digits() from None
 
     @classmethod
     def from_strings(cls, items) -> "Poly":

@@ -10,13 +10,16 @@ denominator, from the numerators of the Hilbert polynomial and the cap.
 Positivity from some point on is then certified by a Taylor shift: if
 every coefficient of F(k + c) is >= 0 and F(c) > 0, then F > 0 on
 [c, oo) (the sign test behind Vincent's theorem and Descartes' rule of
-signs; poly.positive_shift).  The least such integer c is found by a
-doubling search up from the start, capped at the Cauchy root bound where
-the test is proven to hold, then bisection of the last gap; the rows
-below c are evaluated downward to the first failure.  The certificate
-records c, the shifted coefficients (the passing test's own result), the
-evaluated rows, the bound, and the polynomials (poly.Poly, re-exported
-here).
+signs; poly.positive_shift).  The least such integer c is found by one
+bisection from the start up to a root bound where the test is proven to
+hold: the lesser of the Cauchy bound and Fujiwara's bound rounded up to
+a power of two (fujiwara_bound).  Both lie strictly above the modulus of
+every root, so by Gauss-Lucas above every root of every derivative too,
+and each Taylor coefficient F^(i)(c)/i! has the sign of the positive
+leading coefficient there.  The rows below c are evaluated downward to
+the first failure.  The certificate records c, the shifted coefficients
+(the passing test's own result), the evaluated rows, the Cauchy bound,
+and the polynomials (poly.Poly, re-exported here).
 """
 
 from __future__ import annotations
@@ -45,21 +48,24 @@ def validate_hilbert(variety: Variety, d0: int, hp: HilbertPoly) -> None:
     is h_top/n! and the next is (d0 + c1_dot_h/2)/(n-1)!.
 
     Lower coefficients depend on data outside the inputs, so they are
-    the user's responsibility.
+    the user's responsibility.  Both are compared with the stored
+    numerators over the stored denominator D by cross-multiplication;
+    Fractions are built only for the error message.
     """
     n = variety.dim
     if hp.poly.degree != n:
         raise InconsistentInputError(
             f"hilbert polynomial must have degree {n}, got degree {hp.poly.degree}"
         )
-    want_top = Fraction(variety.h_top, math.factorial(n))
-    if hp.poly.coeff(n) != want_top:
+    denom, nums = hp.poly._denom, hp.poly._nums
+    fact = math.factorial(n - 1)
+    if nums[n] * n * fact != variety.h_top * denom:
         raise InconsistentInputError(
-            f"hilbert leading coefficient must be h_top/n! = {want_top}, "
-            f"got {hp.poly.coeff(n)}"
+            f"hilbert leading coefficient must be h_top/n! = "
+            f"{Fraction(variety.h_top, math.factorial(n))}, got {hp.poly.coeff(n)}"
         )
-    want_next = (d0 + Fraction(variety.c1_dot_h, 2)) / math.factorial(n - 1)
-    if hp.poly.coeff(n - 1) != want_next:
+    if 2 * fact * nums[n - 1] != (2 * d0 + variety.c1_dot_h) * denom:
+        want_next = (d0 + Fraction(variety.c1_dot_h, 2)) / fact
         raise InconsistentInputError(
             f"hilbert second coefficient must be (d0 + c1_dot_h/2)/(n-1)! = {want_next}, "
             f"got {hp.poly.coeff(n - 1)}"
@@ -121,8 +127,10 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
     delta = [x - y * dp for x, y in zip_longest(a, e, fillvalue=0)]
     cond2 = Poly._from_ints(dp * de, [d0 * x - y + h * z for x, y, z in
                                       zip(delta + [0], a + [0], [0] + delta)])
-    want_lead = Fraction(h, 1) * (1 - Fraction(1, n)) / math.factorial(n - 1)
-    if cond2.degree != n or cond2.leading != want_lead or want_lead <= 0:
+    # the lead h*(n-1)/n!, compared across the stored denominator
+    if (cond2.degree != n or h * (n - 1) <= 0
+            or cond2._nums[-1] * math.factorial(n) != h * (n - 1) * cond2._denom):
+        want_lead = Fraction(h, 1) * (1 - Fraction(1, n)) / math.factorial(n - 1)
         raise RuntimeError(
             f"condition polynomial has degree {cond2.degree}, leading "
             f"{cond2.leading if cond2.coeffs else 0}; expected degree {n} with leading {want_lead}"
@@ -139,11 +147,32 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
 
 
 def cauchy_bound(p: Poly) -> Fraction:
-    """1 + max|c_i/c_deg| over the non-leading coefficients; every real
-    root lies inside this radius."""
+    """1 + max|c_i/c_deg| over the non-leading coefficients; every root,
+    real or complex, has modulus strictly below it."""
     if p.degree < 1:
         raise ValueError("root bound needs a nonconstant polynomial")
-    return 1 + Fraction(max(abs(a) for a in p._nums[:-1]), abs(p._nums[-1]))
+    lead = abs(p._nums[-1])
+    return Fraction(max(abs(a) for a in p._nums[:-1]) + lead, lead)
+
+
+def fujiwara_bound(p: Poly) -> int:
+    """A power of two strictly above the modulus of every root, real or
+    complex: Fujiwara's bound 2*max(|c_i/c_n|^(1/(n-i)), |c_0/(2c_n)|^(1/n))
+    over i = 1..n-1, with each ratio rounded up from bit lengths alone.
+
+    For a nonzero numerator a and the lead b, |a| < 2^len(a) and
+    |b| >= 2^(len(b)-1), so |a/b| < 2^(len(a)-len(b)+1) and
+    |a/(2b)| < 2^(len(a)-len(b)); the root of each power of two is
+    rounded up to the next one.  Zero coefficients add nothing; the
+    result is at least 1."""
+    if p.degree < 1:
+        raise ValueError("root bound needs a nonconstant polynomial")
+    n, nums = p.degree, p._nums
+    lead = nums[-1].bit_length()
+    # ceil(e/m) as -(-e // m): the exponent of 2 over each term of the max
+    exps = [-((lead - a.bit_length() - (i > 0)) // (n - i))
+            for i, a in enumerate(nums[:-1]) if a]
+    return 1 << max(0, 1 + max(exps, default=-1))
 
 
 @dataclass(frozen=True)
@@ -183,17 +212,24 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     strictly positive, hence every larger twist is certified stable.
 
     From start = max(regularity, k_pos), the search finds the least
-    integer c up to top = max(start, ceiling of the Cauchy bound) at which
-    both polynomials shifted to k + c have every coefficient >= 0 and a
-    positive constant, so both are positive on [c, oo).  The test is
-    monotone in c: a shift by d >= 0 keeps nonnegative coefficients
-    nonnegative and does not lower the constant.  So it is tried at
-    start, start + 1, start + 3, start + 7, ... (capped at top) until it
-    passes, and the gap after the last failure is bisected; the work
-    follows log(c - start), not log(top).  At top it must pass: by
-    Gauss-Lucas the roots of every derivative lie inside the Cauchy
-    bound, so every Taylor coefficient F^(i)(c)/i! has the sign of the
-    positive leading coefficient there; a failure raises RuntimeError.
+    integer c up to top = max(start, min(ceiling of the Cauchy bound, P))
+    at which both polynomials shifted to k + c have every coefficient
+    >= 0 and a positive constant, so both are positive on [c, oo).  P is
+    Fujiwara's bound rounded up to a power of two (fujiwara_bound), the
+    larger over the two polynomials.  The test is monotone in c: a shift
+    by d >= 0 keeps nonnegative coefficients nonnegative and does not
+    lower the constant.  So one bisection over [start, top] finds c in
+    at most log2(top - start) + 1 tests.
+
+    At top the test must pass, and is run there only when no midpoint
+    passed.  Both bounds are strict: every root of each polynomial has
+    modulus below them (Cauchy's radius is 1 + max|c_i/c_n|, and P is
+    a power of two above Fujiwara's bound, which a root can reach:
+    k - 6 has its root on it).  By Gauss-Lucas the roots of every
+    derivative lie in the convex hull of the roots, so below top as
+    well, and every Taylor coefficient F^(i)(c)/i! at c = top has the
+    sign of the positive leading coefficient; a failure there raises
+    RuntimeError naming the bound.
 
     Rows are evaluated from c down to the first failing k, or down to
     start; k_min is that k + 1, or start.  A zero value counts as a
@@ -204,15 +240,10 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
     start = max(hilbert.regularity, polys.k_pos)
     radius = max(cauchy_bound(p) for p in conds)
+    bound = min(radius, max(fujiwara_bound(p) for p in conds))
 
-    top = max(start, math.ceil(radius))
-    lo = hi = start
-    while (shift := positive_shift(conds, hi)) is None:
-        if hi == top:
-            raise RuntimeError(
-                f"Taylor shift at c = {hi}, past the Cauchy bound {radius}, is not positive"
-            )
-        lo, hi = hi + 1, min(top, 2 * hi - start + 1)
+    lo, hi = start, max(start, math.ceil(bound))
+    shift = None
     while lo < hi:
         mid = (lo + hi) // 2
         if (passed := positive_shift(conds, mid)) is None:
@@ -220,6 +251,10 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
         else:
             hi, shift = mid, passed
     c = hi
+    if shift is None and (shift := positive_shift(conds, c)) is None:
+        raise RuntimeError(
+            f"Taylor shift at c = {c}, past the root bound {bound}, is not positive"
+        )
 
     notes = [
         "raw difference has formal degree dim+1; the top terms cancel exactly, "

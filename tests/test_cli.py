@@ -813,6 +813,18 @@ class TestHugeNumbers:
         assert_one_error(run_cli("bound", "--catalog", "P2", "--degree", degree),
                          1, "--degree has more than")
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", [("twist",), ("check", "--twist", "5")], ids=["twist", "check"])
+    def test_hilbert_coefficient_past_digit_limit(self, command):
+        # the ValueError of int() on the 5000 digits, after the list's prefix
+        name, *flags = command
+        limit = sys.get_int_max_str_digits()
+        assert run_cli(name, "--catalog", "P2", "--degree", "0", "--regularity", "0",
+                       "--hilbert", "1" * 5000 + ",3/2,1/2", *flags) == (
+            1, "", f"error: bad --hilbert coefficient list: Exceeds the limit ({limit} digits) "
+                   "for integer string conversion: value has 5000 digits; use "
+                   "sys.set_int_max_str_digits() to increase the limit\n")
+
     def test_approx_past_float_range(self):
         assert_one_error(run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",
                                  "--degree", "1" + "0" * 200, "--approx"),

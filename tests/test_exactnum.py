@@ -57,6 +57,12 @@ class TestGenbinom:
             genbinom(1, -1)
 
 
+# Decimal digits of any script, as \d and int() read them, and the
+# whitespace str.strip() removes.
+digit_strings = st.text(st.characters(categories=("Nd",)), min_size=1, max_size=30)
+spaces = st.text(st.sampled_from(" \t\n\r\x0b\x0c\u00a0\u2003\u3000"), max_size=3)
+
+
 class TestRationalStrings:
     def test_format(self):
         assert format_rational(Fraction(3, 1)) == "3"
@@ -77,6 +83,45 @@ class TestRationalStrings:
     def test_round_trip(self, p, q):
         r = Fraction(p, q)
         assert parse_rational(format_rational(r)) == r
+
+    @given(st.sampled_from(["", "+", "-"]), digit_strings, st.none() | digit_strings,
+           spaces, spaces)
+    # leading zeros, a zero denominator, Arabic-Indic and fullwidth digits
+    @example("-", "0007", "0004", " ", "\t\n")
+    @example("+", "3", "000", "", "")
+    @example("", "\u0663", "\uff14", "\u3000", "\u00a0")
+    def test_matches_fraction_of_the_text(self, sign, num, den, lead, trail):
+        text = f"{lead}{sign}{num}" + ("" if den is None else f"/{den}") + trail
+        if den is not None and int(den) == 0:
+            with pytest.raises(ZeroDivisionError):
+                Fraction(text)
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == f"zero denominator: {text!r}"
+            return
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == Fraction(text)
+
+    @pytest.mark.parametrize("bad", ["1.5", "2e3", "1_000", "1 / 2", "1/-2", "/2", "1/", "- 1",
+                                     "", "three"])
+    def test_rejection_message(self, bad):
+        with pytest.raises(ValueError) as info:
+            parse_rational(bad)
+        assert str(info.value) == f"not a rational literal: {bad!r}"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("text", ["1" * 5000, "-000" + "7" * 5000 + "/3", "3/" + "9" * 5000,
+                                      "8" * 5000 + "/" + "0" * 5000],
+                             ids=["integer", "numerator", "denominator", "both"])
+    def test_past_digit_limit_as_fraction(self, text):
+        # the ValueError int() raises on the first long group, unchanged
+        with pytest.raises(ValueError) as want:
+            Fraction(text)
+        with pytest.raises(ValueError) as got:
+            parse_rational(text)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion")
 
 
 def printed_ratio(num: int, den: int) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import math
@@ -183,6 +184,106 @@ class TestCauchyBound:
                 assert (p(k) > 0) == sign
 
 
+def below_fujiwara_power(p, top):
+    """Fujiwara's bound 2*max(|c_i/c_n|^(1/(n-i)), |c_0/(2c_n)|^(1/n)) is
+    strictly below top, checked exactly on the powers of each term."""
+    n, lead, half = p.degree, p.leading, Fraction(top, 2)
+    return (all(abs(p.coeff(i) / lead) < half ** (n - i) for i in range(1, n))
+            and abs(p.coeff(0) / (2 * lead)) < half ** n)
+
+
+class TestFujiwaraBound:
+    def test_root_on_the_unrounded_bound(self):
+        # Fujiwara's bound of k - 6 is 2 * |-6/2| = 6, the root itself: the
+        # shift test fails there (constant 0) and passes at the power of two
+        p = Poly((-6, 1))
+        assert twist.fujiwara_bound(p) == 8
+        assert positive_shift([p], 6) is None
+        assert positive_shift([p], 8) == (Poly((2, 1)),)
+
+    def test_complex_roots(self):
+        # (k - 10)^2 + 1 has roots 10 +- i; |-20| < 2^5 and |101/2| < 2^6
+        # give 2 * max(2^5, 2^3) = 2^6, below the Cauchy bound 102
+        p = Poly((101, -20, 1))
+        assert twist.fujiwara_bound(p) == 64
+        assert cauchy_bound(p) == 102
+        assert positive_shift([p], 64) == (Poly((2917, 108, 1)),)
+        # at 10 the value is 1 > 0, but the linear coefficient is 0 and at
+        # 9 it is -2: the test fails below the real part of the roots
+        assert positive_shift([p], 9) is None
+
+    def test_only_the_lead(self):
+        assert twist.fujiwara_bound(Poly((0, 0, Fraction(1, 3)))) == 1
+
+    def test_rejects_constants(self):
+        with pytest.raises(ValueError):
+            twist.fujiwara_bound(Poly((3,)))
+        with pytest.raises(ValueError):
+            twist.fujiwara_bound(Poly(()))
+
+    @given(st.lists(
+        st.tuples(st.lists(st.fractions(-10**6, 10**6, max_denominator=10**4), min_size=1,
+                           max_size=6),
+                  st.fractions(min_value=Fraction(1, 10**4), max_value=10**4,
+                               max_denominator=10**4))
+        .map(lambda cl: Poly(cl[0] + [cl[1]])), min_size=1, max_size=3))
+    # a root on the unrounded bound, complex roots, a double root at 2^k
+    @example([Poly((-6, 1))])
+    @example([Poly((101, -20, 1))])
+    @example([Poly((64, -16, 1)), Poly((-6, 1))])
+    @settings(deadline=None)
+    def test_shift_passes_at_either_top(self, polys):
+        # positive leading coefficients: at a power of two above Fujiwara's
+        # bound, and at the ceiling of the Cauchy bound, the test passes
+        tops = [twist.fujiwara_bound(p) for p in polys]
+        for p, top in zip(polys, tops):
+            assert top >= 1 and top & (top - 1) == 0
+            assert below_fujiwara_power(p, top)
+        assert positive_shift(polys, max(tops)) is not None
+        assert positive_shift(polys, math.ceil(max(cauchy_bound(p) for p in polys))) is not None
+
+
+def frozen_validate_hilbert(variety, d0, hp):
+    """validate_hilbert as it compared Fractions before it cross-multiplied
+    the stored numerators: the reference for the differential test."""
+    n = variety.dim
+    if hp.poly.degree != n:
+        raise InconsistentInputError(
+            f"hilbert polynomial must have degree {n}, got degree {hp.poly.degree}"
+        )
+    want_top = Fraction(variety.h_top, math.factorial(n))
+    if hp.poly.coeff(n) != want_top:
+        raise InconsistentInputError(
+            f"hilbert leading coefficient must be h_top/n! = {want_top}, "
+            f"got {hp.poly.coeff(n)}"
+        )
+    want_next = (d0 + Fraction(variety.c1_dot_h, 2)) / math.factorial(n - 1)
+    if hp.poly.coeff(n - 1) != want_next:
+        raise InconsistentInputError(
+            f"hilbert second coefficient must be (d0 + c1_dot_h/2)/(n-1)! = {want_next}, "
+            f"got {hp.poly.coeff(n - 1)}"
+        )
+
+
+@st.composite
+def hilbert_checks(draw):
+    """A variety (c1_dot_h odd whenever (dim-1)*h_top is), a degree, and
+    Hilbert coefficients whose top two are each the pinned value, near it,
+    or anything, at the right degree or one off."""
+    n, h, g = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(st.integers(0, 30))
+    variety = make_variety("custom", n, h, (n - 1) * h - 2 * (g - 1))
+    d0 = draw(st.integers(-50, 50))
+    pinned = [(d0 + Fraction(variety.c1_dot_h, 2)) / math.factorial(n - 1),
+              Fraction(h, math.factorial(n))]
+    top = [draw(st.one_of(st.just(want), st.just(want + Fraction(1, 2)), st.just(2 * want),
+                          rationals))
+           for want in pinned]
+    lower = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+    coeffs = lower + top
+    size = draw(st.sampled_from((len(coeffs), len(coeffs), len(coeffs) - 1, len(coeffs) + 1)))
+    return variety, d0, tuple((coeffs + [Fraction(1)])[:size])
+
+
 class TestHilbertValidation:
     def test_accepts_standard_polys(self):
         validate_hilbert(P2, 0, HP_P2)
@@ -204,6 +305,24 @@ class TestHilbertValidation:
     def test_error_reports_expected_and_got(self):
         with pytest.raises(InconsistentInputError, match="1/2.*got 1"):
             validate_hilbert(P2, 0, HilbertPoly(Poly((1, Fraction(3, 2), 1)), 0))
+
+    @given(hilbert_checks())
+    # odd c1_dot_h (dim 2, h_top 1, genus 0): the second coefficient is
+    # (d0 + 3/2)/1!, a half-integer, right and one half off
+    @example((make_variety("custom", 2, 1, 3), 4, (0, Fraction(11, 2), Fraction(1, 2))))
+    @example((make_variety("custom", 2, 1, 3), 4, (0, 5, Fraction(1, 2))))
+    @example((make_variety("custom", 2, 1, 3), -4, (0, Fraction(-5, 2), Fraction(1, 2))))
+    def test_matches_fraction_checks(self, case):
+        variety, d0, coeffs = case
+        hp = HilbertPoly(Poly(coeffs), 0)
+        outcomes = []
+        for check in (validate_hilbert, frozen_validate_hilbert):
+            try:
+                check(variety, d0, hp)
+                outcomes.append(None)
+            except InconsistentInputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestHighCapExpansion:
@@ -312,6 +431,22 @@ class TestConditionPolys:
         with pytest.raises(InconsistentInputError):
             build_condition_polys(P2, 0, HilbertPoly(Poly((1, 1, 1)), 0))
 
+    @pytest.mark.parametrize("extra,message", [
+        # k more in the cap takes -h_top * k^2 off F's lead 2
+        (Poly((0, 1)), "condition polynomial has degree 2, leading -2; "
+                       "expected degree 2 with leading 2"),
+        # k^2 more in the cap leaves -h_top * k^3 uncancelled
+        (Poly((0, 0, 1)), "condition polynomial has degree 3, leading -4; "
+                          "expected degree 2 with leading 2"),
+    ], ids=["lead", "degree"])
+    def test_lead_check_fires(self, monkeypatch, extra, message):
+        real = twist.bound_high_poly
+        monkeypatch.setattr(twist, "bound_high_poly", lambda v, d0: twist.TwistExpansion(
+            poly=real(v, d0).poly + extra, k_pos=real(v, d0).k_pos))
+        with pytest.raises(RuntimeError) as info:
+            build_condition_polys(K3, 0, HP_K3)
+        assert str(info.value) == message
+
 
 def fraction_horner(poly, k):
     acc = Fraction(0)
@@ -351,6 +486,34 @@ def frozen_bisection(variety, d0, hilbert):
         else:
             lo = mid + 1
     return hi
+
+
+@contextlib.contextmanager
+def counted_shifts():
+    """Count the Taylor-shift tests minimal_stable_twist makes while inside."""
+    calls, real = [], twist.positive_shift
+
+    def counting(polys, c):
+        calls.append(c)
+        return real(polys, c)
+
+    twist.positive_shift = counting
+    try:
+        yield calls
+    finally:
+        twist.positive_shift = real
+
+
+def search_range(variety, d0, hilbert):
+    """The start and the top of the search for c: top is the least of the
+    Cauchy bound's ceiling and the power of two over Fujiwara's bound,
+    taken over F and G, or the start when that is higher."""
+    polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    start = max(hilbert.regularity, polys.k_pos)
+    top = min(math.ceil(max(cauchy_bound(p) for p in conds)),
+              max(twist.fujiwara_bound(p) for p in conds))
+    return start, max(start, top)
 
 
 def assert_sound(cert):
@@ -533,6 +696,30 @@ class TestMinimalStableTwist:
         assert cert.k_min == frozen_radius_scan(variety, d0, hilbert)
         assert cert.shift.c == frozen_bisection(variety, d0, hilbert)
         assert_sound(cert)
+
+    @given(twist_inputs())
+    @example(custom_case(3, 1, 0, 0, (185, -15)))
+    @example(custom_case(3, 1, 3, 0, (192, Fraction(57, 2))))
+    @settings(deadline=None)
+    def test_one_bisection_up_to_the_root_bound(self, case):
+        # the inputs of test_matches_radius_scan: one bisection over
+        # [start, top] plus the test at top when no midpoint passed
+        variety, d0, hilbert = case
+        start, top = search_range(variety, d0, hilbert)
+        with counted_shifts() as calls:
+            cert = minimal_stable_twist(variety, d0, hilbert)
+        assert start <= cert.shift.c <= top
+        assert len(calls) <= (top - start).bit_length() + 1
+        assert all(start <= c <= top for c in calls)
+
+    def test_dim80_makes_few_shift_tests(self):
+        # top = 2^18 = 262,144 (the Cauchy bound is about 9.1e116); the
+        # doubling search up from the start made 32 tests
+        variety, d0, hilbert = custom_case(80, 1, 0, 0, [0] * 79)
+        with counted_shifts() as calls:
+            cert = minimal_stable_twist(variety, d0, hilbert)
+        assert cert.shift.c == 63195
+        assert len(calls) <= 18
 
     def test_dim80_least_shift_far_below_cauchy_bound(self):
         # only the two pinned Hilbert coefficients are nonzero: the Cauchy
