@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -853,18 +854,28 @@ def test_sweep_errors(argv, code, message):
     assert run_cli("bound", *argv) == (code, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("twist", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0"),
-    ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0", "--twist", "5"),
+_HILBERT_CALLS = {
+    "twist": ("twist", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0"),
+    "check": ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0", "--twist", "5"),
     # P(3) is negative or not an integer: exit 3 on both forms
-    ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0", "--twist", "3"),
-], ids=["twist", "check", "check-impossible"])
-@pytest.mark.parametrize("hilbert", ["-30,3/2,3/2", "-61/2,3/2,3/2"])
-def test_negative_first_hilbert_coefficient_as_option_value(argv, hilbert):
-    # a list that starts with a negative coefficient is a value, as with "="
-    spaced = run_cli(*argv, "--hilbert", hilbert)
-    assert spaced[:2] == run_cli(*argv, f"--hilbert={hilbert}")[:2]
-    assert spaced[0] in (0, 3) and "expected one argument" not in spaced[2]
+    "check-impossible": ("check", "--catalog", "delpezzo-3", "--degree", "0", "--regularity", "0",
+                         "--twist", "3"),
+}
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    *(pytest.param(argv, "--hilbert", hilbert, id=f"{hilbert}-{name}")
+      for hilbert in ("-30,3/2,3/2", "-61/2,3/2,3/2", "-1.5,2,3", "-1/2/3,2")
+      for name, argv in _HILBERT_CALLS.items()),
+    pytest.param(("bound", "--catalog", "P2"), "--degree", "-3..x", id="-3..x-bound"),
+    pytest.param(("bound", "--dim", "2", "--h-top", "1", "--degree", "2"), "--c1-h", "-8x", id="-8x-bound"),
+])
+def test_negative_first_hilbert_coefficient_as_option_value(argv, flag, value):
+    # a value that starts with "-" and a digit is a value, as with "=", also
+    # when it is malformed: the check of its own flag reports it
+    spaced = run_cli(*argv, flag, value)
+    assert spaced == run_cli(*argv, f"{flag}={value}")
+    assert "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize("form", ["simplified", "lemma"])
@@ -1158,7 +1169,46 @@ def _dispatch_route(argv):
             return vars(parsed.args[0])
 
 
-_PARITY_ARGVS = [
+# Whole flags with their values apart, read from the command's option
+# table: negative numbers, ranges, ratios and lists, spellings int() takes
+# (" 7 ", 1_000, an Arabic-Indic digit), an empty value, a value past the
+# int-from-string digit limit for a str flag, a repeated flag and a switch
+# given twice.
+_LONG_DIGITS = "1" * 4301
+_REGULAR_ARGVS = [
+    ("bound", "--catalog", "P2", "--degree", "-8"),
+    ("bound", "--catalog", "P2", "--degree", "-3..10", "--form", "lemma", "--format", "csv"),
+    ("bound", "--dim", " 7 ", "--h-top", "1_000", "--c1-h", "\u0663", "--degree", "-.5"),
+    ("bound", "--catalog", "P2", "--degree", _LONG_DIGITS),
+    ("bound", "--catalog", "", "--degree", "2"),
+    ("check", "--catalog", "P2", "--degree", "2", "--h0", "-8", "--approx", "--approx"),
+    ("check", "--catalog", "quartic-K3", "--degree", "0", "--hilbert", "-3/2", "--regularity", "0",
+     "--twist", "5"),
+    ("twist", "--catalog", "delpezzo-3", "--degree", "0", "--hilbert", "-30,3/2,3/2",
+     "--regularity", "0", "--format", "table"),
+    ("twist", "--catalog", "P3", "--catalog", "P2", "--degree", "0", "--hilbert", "1,3/2,1/2",
+     "--regularity", "0"),
+    ("verify", "--seed", "-8", "--grid", "small", "--seed", "3", "--format", "csv"),
+]
+
+# Argvs that the option table declines, so that argparse reads them: help,
+# an "=" value, an abbreviation, "--", a positional, a failed choice, a
+# failed conversion (also of a value past the digit limit), a value that
+# starts with "-" and is not a number, a flag where its value should be.
+_DECLINED_ARGVS = [
+    ("bound", "-h"),
+    ("bound", "--catalog", "-x", "--degree", "2"),
+    ("bound", "--catalog", "--degree", "2"),
+    ("bound", "--catalog", "P2", "--deg=2"),
+    ("bound", "--cat", "P2", "--degree", "2"),
+    ("bound", "--catalog", "P2", "--degree", "2", "--"),
+    ("catalog", "show", "P3"),
+    ("bound", "--catalog", "P2", "--degree", "2", "--format", "xml"),
+    ("bound", "--dim", "x", "--h-top", "1", "--c1-h", "3", "--degree", "2"),
+    ("check", "--catalog", "P2", "--degree", _LONG_DIGITS, "--h0", "6"),
+]
+
+_PARITY_ARGVS = list(dict.fromkeys([
     *REPORTS.values(),
     *(case.values[0] for case in USAGE_ERRORS),
     *(("bound", *case.values[0]) for case in SWEEP_ERRORS),
@@ -1169,17 +1219,63 @@ _PARITY_ARGVS = [
     ("twist", "--catalog", "P2", "--degree", "0", "--hilbert", "-30,3/2,3/2", "--regularity", "0"),
     ("catalog", "show", "P3", "--format=csv", "--approx"), ("catalog", "list", "P2", "stray"),
     ("verify", "--grid", "tiny"), ("verify", "--seed", "-4", "--gr=full"),
-]
+    *_REGULAR_ARGVS, *_DECLINED_ARGVS,
+]))
 
 
-@pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def _parity_id(argv) -> str:
+    return " ".join(token if len(token) < 100 else f"{token[:3]}...({len(token)} chars)"
+                    for token in argv) or "empty"
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=_parity_id)
 def test_dispatch_parses_as_the_top_level_parser(argv):
     assert _dispatch_route(argv) == _top_level_route(argv)
 
 
+class _ReachedArgparse(Exception):
+    pass
+
+
+def _apart(argv) -> tuple:
+    """argv with each --flag=value written as --flag value."""
+    return tuple(part for token in argv
+                 for part in (token.split("=", 1) if token.startswith("--") else (token,)))
+
+
+def test_option_table_reads_regular_argvs_and_argparse_the_rest(monkeypatch):
+    for name in ("bound", "check", "twist", "verify"):  # a flag added later is in the table
+        parser, table = cli._PARSER.commands[name], cli._PARSER.tables[name]
+        strings = {string for action in parser._actions for string in action.option_strings}
+        assert strings - {"-h", "--help"} == table.stores.keys() | table.switches.keys(), name
+    assert cli._PARSER.tables["catalog"] is None  # positionals: argparse reads every catalog argv
+
+    regular = [_apart(argv) for argv in REPORTS.values() if argv[0] != "catalog"] + _REGULAR_ARGVS
+    by_argparse = {}
+    with monkeypatch.context() as m:
+        m.setattr(cli._PARSER, "tables", dict.fromkeys(cli._PARSER.tables))
+        for argv in regular + _DECLINED_ARGVS:
+            by_argparse[argv] = run_cli(*argv)
+
+    def reached(*args, **kwargs):
+        raise _ReachedArgparse
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_known_args", reached)
+        for argv in regular:
+            assert run_cli(*argv) == by_argparse[argv], argv
+        for argv in _DECLINED_ARGVS:
+            with pytest.raises(_ReachedArgparse):
+                run_cli(*argv)
+    for argv in _DECLINED_ARGVS:  # argparse's own text, with the table in place
+        assert run_cli(*argv) == by_argparse[argv], argv
+
+
 # every flag of every command, whole or abbreviated, its value joined by
 # "=" or apart (a choice flag's choices and one bad value, else _VALUES),
-# in any order and with a stray token
+# in any order and with a stray token; or, as regular argvs, whole flags
+# with their values apart and no stray token, which the option table reads
+# unless a value fails its type or choices
 _FLAGS = {
     "bound": ("--catalog", "--dim", "--h-top", "--c1-h", "--input", "--rank", "--degree",
               "--form", "--format", "--approx"),
@@ -1193,28 +1289,35 @@ _FLAGS = {
 _CHOICES = {"--format": ("json", "csv", "table", "xml"), "--form": ("lemma", "simplified", "x"),
             "--grid": ("small", "full", "tiny")}
 _VALUES = st.integers(-50, 50).map(str) | st.sampled_from(
-    ["P2", "quartic-K3", "x", "", "-3..10", "1..4", "-3/2", "-30,3/2", "2,0,2", "-h"])
+    ["P2", "quartic-K3", "x", "", "-3..10", "1..4", "-3/2", "-30,3/2", "2,0,2", "-h",
+     "-x", "-8", "-.5", "-1.5,2", " 7 ", "1_000", "\u0663", _LONG_DIGITS])
 _STRAY = st.sampled_from(["list", "show", "P3", "stray", "-x", "--bogus", "--", "-", "-5",
                           "--help", "-h", "bound"])
 
 
 @st.composite
-def _command_argvs(draw):
+def _command_argvs(draw, regular=False):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     groups = []
     for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=6)):
-        spelled = flag[:draw(st.integers(3, len(flag)))] if draw(st.booleans()) else flag
+        abbreviated = not regular and draw(st.booleans())
+        spelled = flag[:draw(st.integers(3, len(flag)))] if abbreviated else flag
         if flag == "--approx":
             groups.append([spelled])
             continue
         value = draw(st.sampled_from(_CHOICES[flag]) if flag in _CHOICES else _VALUES)
-        groups.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
-    groups += [[token] for token in draw(st.lists(_STRAY, max_size=1))]
+        joined = not regular and draw(st.booleans())
+        groups.append([f"{spelled}={value}"] if joined else [spelled, value])
+    if not regular:
+        groups += [[token] for token in draw(st.lists(_STRAY, max_size=1))]
     return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
 
 
+# About a third of the examples are regular argvs: in five runs, 38 to 62
+# of the 300 reached the option table (other regular argvs fail a type or a
+# choice, or are catalog's, which argparse reads).
 @settings(max_examples=300, deadline=None)
-@given(_command_argvs() | st.lists(_STRAY | _VALUES, max_size=3))
+@given(_command_argvs(regular=True) | _command_argvs() | st.lists(_STRAY | _VALUES, max_size=3))
 def test_dispatch_parses_drawn_argvs_as_the_top_level_parser(argv):
     assert _dispatch_route(argv) == _top_level_route(argv)
 
