@@ -863,19 +863,31 @@ _HILBERT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("argv,flag,value", [
-    *(pytest.param(argv, "--hilbert", hilbert, id=f"{hilbert}-{name}")
-      for hilbert in ("-30,3/2,3/2", "-61/2,3/2,3/2", "-1.5,2,3", "-1/2/3,2")
+# exit code of each --hilbert value on each call
+_HILBERT_EXITS = {
+    # well formed: read, then answered (3: P(3) < 0, or P not an integer at the twist)
+    "-30,3/2,3/2": {"twist": 0, "check": 0, "check-impossible": 3},
+    "-61/2,3/2,3/2": {"twist": 0, "check": 3, "check-impossible": 3},
+    # malformed: the check of --hilbert itself rejects it
+    "-1.5,2,3": dict.fromkeys(_HILBERT_CALLS, 1),
+    "-1/2/3,2": dict.fromkeys(_HILBERT_CALLS, 1),
+}
+
+
+@pytest.mark.parametrize("argv,flag,value,code", [
+    *(pytest.param(argv, "--hilbert", hilbert, codes[name], id=f"{hilbert}-{name}")
+      for hilbert, codes in _HILBERT_EXITS.items()
       for name, argv in _HILBERT_CALLS.items()),
-    pytest.param(("bound", "--catalog", "P2"), "--degree", "-3..x", id="-3..x-bound"),
-    pytest.param(("bound", "--dim", "2", "--h-top", "1", "--degree", "2"), "--c1-h", "-8x", id="-8x-bound"),
+    pytest.param(("bound", "--catalog", "P2"), "--degree", "-3..x", 1, id="-3..x-bound"),
+    pytest.param(("bound", "--dim", "2", "--h-top", "1", "--degree", "2"), "--c1-h", "-8x", 1,
+                 id="-8x-bound"),
 ])
-def test_negative_first_hilbert_coefficient_as_option_value(argv, flag, value):
+def test_negative_first_hilbert_coefficient_as_option_value(argv, flag, value, code):
     # a value that starts with "-" and a digit is a value, as with "=", also
     # when it is malformed: the check of its own flag reports it
     spaced = run_cli(*argv, flag, value)
     assert spaced == run_cli(*argv, f"{flag}={value}")
-    assert "expected one argument" not in spaced[2]
+    assert spaced[0] == code and "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize("form", ["simplified", "lemma"])
