@@ -287,32 +287,46 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     )
 
 
+def sweep_tail(variety: Variety, degrees: range,
+               form: BoundForm = BoundForm.SIMPLIFIED) -> tuple[int, Poly | None]:
+    """Where a sweep of a unit-step range leaves sections_bound: the first
+    degree from which sweep_ratios extends the difference table of
+    closed_form_poly, and that polynomial; (degrees.stop, None) when no
+    degree does (the range ends below d_pos, or the part from d_pos on
+    has fewer than n+3 degrees)."""
+    n, h, g = variety.dim, variety.h_top, variety.genus
+    first = min(max(degrees.start, d_pos(g, h)), degrees.stop)
+    if degrees.stop - first < n + 3:
+        return degrees.stop, None
+    return first, closed_form_poly(n, h, g, form)
+
+
 def sweep_ratios(variety: Variety, rank: int, degrees: range,
-                 form: BoundForm = BoundForm.SIMPLIFIED):
+                 form: BoundForm = BoundForm.SIMPLIFIED,
+                 tail: tuple[int, Poly | None] | None = None):
     """Yield the rows of sections_bound for every degree of a unit-step
     range, in order, as integers: (degree, branch, core numerator, value
     numerator, denominator), the ratios not reduced.
 
-    Degrees below d_pos, and a tail from d_pos on of fewer than n+3
-    degrees, go through sections_bound, and a row splits its Fractions
-    over the core's denominator.  The rest extend the forward-difference
-    table of closed_form_poly (see the module docstring) and share its
-    denominator: core is the form's value and value is core + rank
-    (simplified) or core + rank - 1 (lemma), floored at rank.
+    Degrees below the tail's first degree (sweep_tail; tail is its value,
+    computed here when not given) go through sections_bound, and a row
+    splits its Fractions over the core's denominator.  The rest extend the
+    forward-difference table of the tail's polynomial (see the module
+    docstring) and share its denominator D: core is D times the form's
+    value and value is core + rank*D (simplified) or core + (rank-1)*D
+    (lemma), floored at rank*D.
     """
     _check_rank(rank)
-    n, h, g = variety.dim, variety.h_top, variety.genus
-    first = min(max(degrees.start, d_pos(g, h)), degrees.stop)
-    if degrees.stop - first < n + 3:
-        first = degrees.stop
+    n = variety.dim
+    first, poly = sweep_tail(variety, degrees, form) if tail is None else tail
     for d in range(degrees.start, first):
         rep = sections_bound(variety, rank, d, form)
         den = rep.core.denominator
         yield (d, rep.branch, rep.core.numerator,
                rep.value.numerator * (den // rep.value.denominator), den)
-    if first == degrees.stop:
+    if poly is None:
         return
-    den, shifted = closed_form_poly(n, h, g, form).scaled_shift(first)
+    den, shifted = poly.scaled_shift(first)
     table = [sum(c * k ** i for i, c in enumerate(shifted)) for k in range(n + 1)]
     for j in range(1, n + 1):  # table[j] becomes the order-j difference at first
         for i in range(n, j - 1, -1):

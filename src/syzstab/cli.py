@@ -35,6 +35,11 @@ columns with one gcd and no Fraction or dict.  The JSON writer fills one
 row template with a sweep's tuples, unchecked, and the CSV writer joins
 each into one line.  A single degree, the table form and --approx turn
 the tuples into row dicts, and a single degree's result is its one row.
+A JSON or CSV sweep of more than one chunk (_CHUNK rows) is streamed
+when every row after its first chunk is sure to print (_streams): the
+handler prints the first chunk, so every error comes before any output,
+and the writers print and write each later chunk in turn; any other
+report is rendered whole and written once.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -47,12 +52,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
-from .bounds import BoundForm, sections_bound, sweep_ratios
+from .bounds import BoundForm, sections_bound, sweep_ratios, sweep_tail
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
@@ -310,12 +317,19 @@ def _require_rank_one(rank: int) -> None:
 # The columns of a sweep row, sorted as JSON and CSV write them.
 _SWEEP_COLUMNS = ("branch", "core", "degree", "value")
 
+# The rows a streamed sweep prints and writes at a time (see _cmd_bound).
+_CHUNK = 1024
+
 
 class _SweepRows(list):
     """The rows of a bound result, each a tuple of its printed columns
     (_SWEEP_COLUMNS).  render_json and render_csv write them whole,
     with no per-row dict or check: every column is digits, "/", "-" or a
-    Branch value, so none needs escaping or quoting."""
+    Branch value, so none needs escaping or quoting.  The first chunk of a
+    streamed sweep yields the chunks after it from rest, each a
+    _SweepRows printed when it is read."""
+
+    rest = ()
 
 
 def _sweep_rows(ratios, rank: int) -> _SweepRows:
@@ -344,17 +358,48 @@ def _sweep_rows(ratios, rank: int) -> _SweepRows:
     return rows
 
 
+def _streams(degrees: range, tail: tuple, rank: int) -> bool:
+    """True when a sweep has more than one chunk and every row after the
+    first chunk is sure to print, so that the first chunk, printed before
+    any byte is written, holds every error.  The rows below the tail's
+    first degree (bounds.sweep_tail) are known to print only once printed,
+    so they must lie in the first chunk.  From there on a row's integers
+    are at most sum |c_i|*b^i + |rank|*D, for the tail polynomial's
+    integer coefficients c_i over D and the range's last degree b; they
+    print when that bound has no more digits than the int-to-string limit."""
+    first, poly = tail
+    if degrees.stop - degrees.start <= _CHUNK or first - degrees.start > _CHUNK:
+        return False
+    # 0 means no limit; CPython before 3.10.7 has none
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return True
+    den, nums = poly.scaled_shift(0)
+    top, bound = degrees.stop - 1, 0
+    for c in reversed(nums):
+        bound = bound * top + abs(c)
+    # bound < 2**bits <= 10**limit, as 3.321 < log2(10)
+    return (bound + abs(rank) * den).bit_length() * 1000 <= limit * 3321
+
+
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    rows = _sweep_rows(sweep_ratios(variety, spec.rank, degrees, form), spec.rank)
-    single = len(degrees) == 1
-    if single or args.approx or args.format == "table":  # these read row dicts
+    rank, tail = spec.rank, sweep_tail(variety, degrees, form)
+    ratios = sweep_ratios(variety, rank, degrees, form, tail)
+    single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
+    dicts = single or args.approx or args.format == "table"  # these read row dicts
+    if dicts or not _streams(degrees, tail, rank):
+        rows = _sweep_rows(ratios, rank)
+    else:
+        rows = _sweep_rows(islice(ratios, _CHUNK), rank)
+        rows.rest = iter(lambda: _sweep_rows(islice(ratios, _CHUNK), rank), [])
+    if dicts:
         rows = [{"degree": d, "branch": branch, "value": value, "core": core}
                 for d, (branch, core, _, value) in zip(degrees, rows)]
     result = rows[0] if single else {"results": rows}
-    sheaf_echo = {"rank": spec.rank,
-                  "degree": spec.degree if single else f"{degrees[0]}..{degrees[-1]}"}
+    sheaf_echo = {"rank": rank,
+                  "degree": spec.degree if single else f"{degrees.start}..{degrees.stop - 1}"}
     return {"variety": _plain(variety), "sheaf": sheaf_echo, "form": form.value}, result, 0
 
 
@@ -504,11 +549,21 @@ _json_str = json.encoder.encode_basestring_ascii
 def _write_rows(rows: _SweepRows, pad: str, out: list) -> None:
     """Append rows, a non-empty _SweepRows, as _emit_json writes a list of
     dicts: every row from one %-template built from pad, with degree
-    written as a number and the other columns between double quotes."""
+    written as a number and the other columns between double quotes.  A
+    streamed sweep writes the text in out, its first chunk included, to
+    stdout and empties out, then writes each later chunk as it is printed."""
     inner, key_pad = pad + "  ", pad + "    "
     template = (f'{inner}{{{key_pad}"branch": "%s",{key_pad}"core": "%s",'
                 f'{key_pad}"degree": %s,{key_pad}"value": "%s"{inner}}}')
-    out.extend(("[", ",".join(map(template.__mod__, rows)), pad + "]"))
+    out.extend(("[", ",".join(map(template.__mod__, rows))))
+    if rows.rest:
+        write = sys.stdout.write
+        write("".join(out))
+        out.clear()
+        fill = ("," + template).__mod__  # each later row follows one before it
+        for chunk in rows.rest:
+            write("".join(map(fill, chunk)))
+    out.append(pad + "]")
 
 
 def _emit_json(obj, pad: str, out: list) -> None:
@@ -561,6 +616,8 @@ def _emit_json(obj, pad: str, out: list) -> None:
 
 
 def render_json(report: dict) -> str:
+    """The report as JSON; a streamed sweep writes all of it up to its last
+    row to stdout (_write_rows) and returns the text after that row."""
     out: list = []
     _emit_json(report, "\n", out)
     out.append("\n")
@@ -576,12 +633,20 @@ def render_table(report: dict) -> str:
 def render_csv(report: dict) -> str:
     """The result's list of rows (a sweep's, the catalog's, verify's checks
     or a twist's scan) as CSV, one column per key; any other result is one
-    row of its flattened fields."""
+    row of its flattened fields.  A streamed sweep writes each chunk to
+    stdout as soon as it is printed, and returns an empty string."""
     result = report["result"]
     for key in ("results", "entries", "checks", "scan"):
         items = result.get(key)
         if type(items) is _SweepRows:
-            return "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, items), ""))
+            text = "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, items), ""))
+            if not items.rest:
+                return text
+            write = sys.stdout.write
+            write(text)
+            for chunk in items.rest:
+                write("\n".join((*map(",".join, chunk), "")))
+            return ""
         if isinstance(items, list):
             break
     else:
@@ -642,4 +707,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = 0
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout left (`| head`) while a streamed sweep was
+        # being written, which would have exited 0: no error follows its
+        # first write.  As the signal module's documentation advises, stdout
+        # goes to os.devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -4,7 +4,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -848,10 +853,114 @@ SWEEP_ERRORS = [
                  "rank must be >= 1, got 0", id="rank-zero-past-d-pos"),
 ]
 
+# Rows past the int-to-string digit limit (none before CPython 3.10.7): the
+# first of ten rows past d_pos; on P1, where the value is d + 1, the last of
+# 2,000 rows, which a sweep that wrote its first chunk at once would have
+# followed with 1,024 rows on stdout; and rows below d_pos, known to print
+# only once printed, that pass the limit some 1,500 rows into the range.
+# There (dim 2, h_top 1, genus 10^2152) every degree is in the Clifford
+# branch, whose core d(d+5)/4 has the numerator d(d+5)/2 at d = 1 or 2 mod 4.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+_CLIFFORD_START = math.isqrt(2 * 10 ** _DIGIT_LIMIT) - 1500
+_DIGIT_LIMIT_SWEEPS = {
+    "first-row": ("--catalog", "P5", "--degree", f"{10 ** 900}..{10 ** 900 + 9}"),
+    "last-row": ("--catalog", "P1", "--degree", f"{10 ** _DIGIT_LIMIT - 2000}..{10 ** _DIGIT_LIMIT - 1}"),
+    "below-d-pos": ("--dim", "2", "--h-top", "1", "--c1-h", str(3 - 2 * 10 ** 2152),
+                    "--degree", f"{_CLIFFORD_START}..{_CLIFFORD_START + 1999}"),
+}
+SWEEP_ERRORS += [
+    pytest.param((*argv, "--format", fmt), 1,
+                 f"a result has more than {_DIGIT_LIMIT} digits, too many to print",
+                 id=f"digit-limit-{case}-{fmt}", marks=needs_digit_limit)
+    for case, argv in _DIGIT_LIMIT_SWEEPS.items() for fmt in ("json", "csv")
+]
+
 
 @pytest.mark.parametrize("argv,code,message", SWEEP_ERRORS)
 def test_sweep_errors(argv, code, message):
     assert run_cli("bound", *argv) == (code, "", f"error: {message}\n")
+
+
+def _cap_address_space():
+    # in the child, before it runs: a sweep that holds its rows fails fast
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+
+def _read_and_leave(argv, read):
+    """Run `python -m syzstab` on argv, take read(its stdout), close that
+    pipe and wait: (what was read, exit code, stderr).  The process gets
+    512 MB of address space and is killed after 20 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syzstab.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "syzstab", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                            preexec_fn=_cap_address_space)
+    timer = threading.Timer(20, proc.kill)
+    timer.start()
+    try:
+        got = read(proc.stdout)
+        proc.stdout.close()
+        return got, proc.wait(), proc.stderr.read()
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_sweep_longer_than_sys_maxsize_streams():
+    # rows are written as they are printed, and the range's length is never
+    # taken: len() of the range raises OverflowError
+    argv = ["bound", "--catalog", "P1", "--degree", f"0..{10 ** 30}", "--format", "csv"]
+    assert _read_and_leave(argv, lambda out: [out.readline() for _ in range(3)]) == (
+        [b"branch,core,degree,value\n", b"RiemannRoch,0,0,1\n", b"RiemannRoch,1,1,2\n"], 0, b"")
+
+
+def test_sweep_into_a_closed_pipe_exits_quietly():
+    # `| head -c 100`: the reader leaves after the first of many writes
+    argv = ["bound", "--catalog", "P5", "--degree", "0..300000"]
+    head, code, err = _read_and_leave(argv, lambda out: out.read(100))
+    assert (head[:22], code, err) == (b'{\n  "command": "bound"', 0, b"")
+
+
+class _HashSink:
+    """A stdout that keeps only the SHA-256, the length and the last 100
+    characters of what is written to it."""
+
+    def __init__(self):
+        self.sha, self.size, self.tail = hashlib.sha256(), 0, ""
+
+    def write(self, text):
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+        self.tail = (self.tail + text)[-100:]
+
+
+# The digests are those of the output written when a sweep held all of its
+# rows at once.
+@pytest.mark.parametrize("fmt,size,digest", [
+    ("json", 15734830, "85be23f62f393351b1e9802c29508d2414e325bfdbeb77ad7258aa65055c5192"),
+    ("csv", 6234464, "7dc1bc0f76937ce58857ab00f52ba176ce9c5e0f3931d7987a0f86df1e7073a8"),
+])
+def test_sweep_memory_does_not_grow_with_the_range(fmt, size, digest):
+    # h0(O_P5(d)) = C(d+5, 5) is sharp, so the last value is known
+    sink, err = _HashSink(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink), redirect_stderr(err):
+            code = main(["bound", "--catalog", "P5", "--degree", "0..100000", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err.getvalue()) == (0, "")
+    assert peak < 8 * 2 ** 20, peak
+    last = str(math.comb(100005, 5))
+    assert last == "83345834041685416895001"
+    ending = (f",100000,{last}\n" if fmt == "csv"
+              else f'"value": "{last}"\n      }}\n    ]\n  }}\n}}\n')
+    assert sink.tail.endswith(ending)
+    assert (sink.size, sink.sha.hexdigest()) == (size, digest)
 
 
 _HILBERT_CALLS = {
@@ -960,6 +1069,26 @@ def test_sweep_output_matches_row_dict_reference(n, h_top, g, rank, start, lengt
                              "--format", fmt, *(["--approx"] if approx else []))
     assert (code, err) == (0, "")
     assert out == _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx)
+
+
+# With chunks of 1 to 40 rows, ranges of up to 150 degrees are written in
+# chunks whenever their rows below d_pos fit in the first one.
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), h_top=st.integers(1, 5), g=st.integers(0, 8), rank=st.integers(1, 4),
+       start=st.integers(0, 60), length=st.integers(2, 150), chunk=st.integers(1, 40),
+       form=st.sampled_from(["LemmaSumForm", "SimplifiedForm"]), fmt=st.sampled_from(["json", "csv"]))
+@example(n=4, h_top=3, g=5, rank=3, start=0, length=150, chunk=12, form="SimplifiedForm", fmt="json")
+@example(n=1, h_top=1, g=0, rank=2, start=0, length=9, chunk=1, form="LemmaSumForm", fmt="csv")
+def test_streamed_sweep_matches_row_dict_reference(n, h_top, g, rank, start, length, chunk, form, fmt):
+    degrees = range(start, start + length)
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        code, out, err = run_cli("bound", "--dim", str(n), "--h-top", str(h_top),
+                                 "--c1-h", str((n - 1) * h_top - 2 * (g - 1)), "--rank", str(rank),
+                                 "--degree", f"{start}..{degrees[-1]}",
+                                 "--form", "lemma" if form == "LemmaSumForm" else "simplified",
+                                 "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _reference_sweep(n, h_top, g, rank, degrees, form, fmt, False)
 
 
 def test_sweep_rows_print_a_floored_value_as_the_rank():
