@@ -14,7 +14,6 @@ from .bounds import (
     riemann_roch_bound,
     sections_bound,
     select_branch,
-    sweep_bounds,
 )
 from .errors import InconsistentInputError, InvalidVarietyError, UnknownVarietyError, UsageError
 from .exactnum import Rational, falling_sum_check, format_rational, genbinom, parse_rational
@@ -70,5 +69,5 @@ __all__ = [
     "format_rational", "fujiwara_bound", "genbinom", "make_variety", "minimal_stable_twist",
     "parse_problem", "parse_rational", "rank_one_bound", "restriction_sum",
     "riemann_roch_bound", "run_suite", "sections_bound", "select_branch",
-    "slope", "sweep_bounds", "syzygy_invariants", "validate_hilbert",
+    "slope", "syzygy_invariants", "validate_hilbert",
 ]

@@ -20,12 +20,11 @@ riemann_roch_bound.
 From d_pos on (see d_pos) the high-branch forms are exact polynomials of
 degree n in d, built by closed_form_poly: the package's one
 interpolation, and its one check that a form is the polynomial it is
-taken for.  A degree sweep (sweep_ratios, and its Fraction view
-sweep_bounds) extends that polynomial's integer forward-difference table
-past d_pos, each degree for n integer additions; degrees below d_pos go
-through sections_bound one by one.  A sweep row is integers, the core
-and the value numerators over one denominator (the polynomial's from
-d_pos on).  value - core is a multiple of that denominator unless the
+taken for.  A degree sweep (sweep_ratios) extends that polynomial's
+integer forward-difference table past d_pos, each degree for n integer
+additions; degrees below d_pos go through sections_bound one by one.  A
+sweep row is integers, the core and the value numerators over one
+denominator (the polynomial's from d_pos on).  value - core is a multiple of that denominator unless the
 value is floored at rank, so a caller that prints rows reduces both with
 one gcd per row and builds no Fraction.
 """
@@ -341,14 +340,6 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
         yield d, branch, num, value if value > floor else floor, den
         for j in steps:
             table[j] += table[j + 1]
-
-
-def sweep_bounds(variety: Variety, rank: int, degrees: range,
-                 form: BoundForm = BoundForm.SIMPLIFIED):
-    """Yield (degree, branch, core, value) of sections_bound for every degree
-    of a unit-step range, in order: the rows of sweep_ratios as Fractions."""
-    for d, branch, core, value, den in sweep_ratios(variety, rank, degrees, form):
-        yield d, branch, Fraction(core, den), Fraction(value, den)
 
 
 @lru_cache(maxsize=8192)

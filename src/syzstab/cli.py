@@ -10,19 +10,18 @@ echo, its result and its exit code; main wraps them in one report.
 main(argv) returns the exit code of one call, 0 after --help too, and
 may be called repeatedly in one process: every call parses with the
 parsers built at import and keeps no state between calls.  An argv that
-starts with a command is read from that command's option table, which
-build_parser derives from the command parser's own actions, when it is
-regular: every token a whole option string, each value apart from its
-flag and passing the flag's type and choices.  Every other argv goes to
-argparse: one that starts with a command to that command's parser (help,
-an abbreviation, --flag=value, "--", catalog's positionals, a missing or
-failed value), any other (empty, --help, an unknown name) to the
-top-level parser.  argparse writes all help and error text, and both
-routes give the same Namespace.  A token of "-" and a digit, or "-." and
-a digit, is always a value, never an option: -8, -.5, a degree range
-with a negative start (-3..10), a negative p/q and a coefficient list
-that starts with one (-30,3/2), also when malformed, so that the flag's
-own check reports it.
+starts with a command is read straight from that command parser's own
+option strings (_read) when it is regular: every token a whole option
+string, each value apart from its flag and passing the flag's type and
+choices.  Every other argv goes to argparse: one that starts with a
+command to that command's parser (help, an abbreviation, --flag=value,
+"--", a positional, a missing or failed value), any other (empty,
+--help, an unknown name) to the top-level parser.  argparse writes all
+help and error text, and both routes give the same Namespace.  A token
+of "-" and a digit, or "-." and a digit, is always a value, never an
+option: -8, -.5, a degree range with a negative start (-3..10), a
+negative p/q and a coefficient list that starts with one (-30,3/2), also
+when malformed, so that the flag's own check reports it.
 
 Every JSON report is written by one emitter, byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it.  The
@@ -81,79 +80,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _OptionTable:
-    """The options of one command parser, read from its own actions: each
-    option string of a plain store action maps to (dest, type, choices),
-    each store_true option string to its dest, and defaults holds what
-    argparse sets before it reads a token."""
-
-    __slots__ = ("stores", "switches", "defaults", "is_value")
-
-    def __init__(self, stores: dict, switches: dict, defaults: dict, is_value):
-        self.stores, self.switches, self.defaults, self.is_value = stores, switches, defaults, is_value
-
-    def parse(self, argv) -> argparse.Namespace | None:
-        """The Namespace of argv when every token is a whole option string
-        of the table, each store option followed by its value, a value that
-        starts with "-" reads as a number (_Parser), and each value passes
-        its type and choices; None for anything else, which argparse then
-        reads: help, abbreviations, --flag=value, "--", a positional, a
-        missing value, a failed conversion or choice."""
-        values = self.defaults.copy()
-        stores, switches, is_value = self.stores, self.switches, self.is_value
-        tokens = iter(argv)
-        for token in tokens:
-            entry = stores.get(token)
-            if entry is None:
-                dest = switches.get(token)
-                if dest is None:
-                    return None
-                values[dest] = True
-                continue
-            dest, convert, choices = entry
-            value = next(tokens, None)
-            if value is None or value.startswith("-") and not is_value(value):
-                return None
-            if convert is not None:
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError, argparse.ArgumentTypeError):
-                    return None
-            if choices is not None and value not in choices:
-                return None
-            values[dest] = value
-        return argparse.Namespace(**values)
-
-
-def _option_table(parser: _Parser) -> _OptionTable | None:
-    """The table of a command parser, or None when argparse must read all of
-    its argvs: the parser has an action of a kind the table does not know
-    (one other than help, a plain store of one value or a store_true, or
-    one that is required, deprecated or in a mutually exclusive group), or
-    an option string that reads as a value (_Parser)."""
-    if parser._has_negative_number_optionals or parser._mutually_exclusive_groups:
-        return None
-    stores, switches, defaults = {}, {}, {}
-    for action in parser._actions:
+def _read(parser: _Parser, argv) -> argparse.Namespace | None:
+    """The Namespace of a regular argv of a command parser, read straight
+    from the parser's own option strings: every token is a whole option
+    string, of a store_true action or of a store action of one value
+    followed by that value, a value that starts with "-" reads as a number
+    (_Parser), and each value passes its action's type and choices.  None
+    for any other argv, which the parser then reads: help, abbreviations,
+    --flag=value, "--", a positional, a missing or failing value."""
+    values = parser.defaults.copy()
+    actions, is_value = parser._option_string_actions, parser._negative_number_matcher.match
+    tokens = iter(argv)
+    for token in tokens:
+        action = actions.get(token)
         kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if action.required or getattr(action, "deprecated", False):
-            return None
         if kind is argparse._StoreTrueAction:
-            switches.update(dict.fromkeys(action.option_strings, action.dest))
-        elif (kind is argparse._StoreAction and action.option_strings and action.nargs is None
-              and (action.type is None or not isinstance(action.default, str))):
-            # (argparse converts a str default by its type after parsing)
-            stores.update(dict.fromkeys(action.option_strings,
-                                        (action.dest, action.type, action.choices)))
-        else:
+            values[action.dest] = True
+            continue
+        if kind is not argparse._StoreAction or action.nargs is not None:
             return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return _OptionTable(stores, switches, defaults, parser._negative_number_matcher.match)
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and not is_value(value):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
 
 
 def build_parser() -> _Parser:
@@ -208,8 +165,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--grid", choices=("small", "full"), default="small")
     p_verify.add_argument("--seed", type=int, default=0)
 
-    # name -> the option table main tries before the command's parser
-    parser.tables = {name: _option_table(command) for name, command in parser.commands.items()}
+    for command in parser.commands.values():  # what argparse sets first, for _read
+        command.defaults = {action.dest: action.default for action in command._actions
+                            if action.default is not argparse.SUPPRESS}
     return parser
 
 
@@ -681,10 +639,7 @@ def main(argv=None) -> int:
     try:
         parser = _PARSER.commands.get(argv[0]) if argv else None
         if parser is not None:  # parsed once, as the top-level parser would hand it on
-            table = _PARSER.tables[argv[0]]
-            args = None if table is None else table.parse(argv[1:])
-            if args is None:
-                args = parser.parse_args(argv[1:])
+            args = _read(parser, argv[1:]) or parser.parse_args(argv[1:])
             args.command = argv[0]
         else:
             args = _PARSER.parse_args(argv)

@@ -22,7 +22,6 @@ from syzstab import (
     riemann_roch_bound,
     sections_bound,
     select_branch,
-    sweep_bounds,
 )
 from syzstab.varieties import Variety
 
@@ -169,6 +168,13 @@ def _variety(n, h, g):
     return Variety("x", n, h, (n - 1) * h - 2 * (g - 1), g)
 
 
+def _fraction_rows(v, rank, degrees, form=BoundForm.SIMPLIFIED):
+    """The rows of bounds.sweep_ratios as (degree, branch, core, value)
+    with Fraction core and value."""
+    return ((d, branch, Fraction(core, den), Fraction(value, den))
+            for d, branch, core, value, den in bounds.sweep_ratios(v, rank, degrees, form))
+
+
 def _direct_rows(v, rank, degrees, form, direct=sections_bound):
     return [(d, (rep := direct(v, rank, d, form)).branch, rep.core, rep.value)
             for d in degrees]
@@ -193,12 +199,12 @@ class TestSweepBounds:
                         want = _direct_rows(v, rank, range(top + n + 2), form, direct)
                         for start in range(top):
                             for length in (1, n + 2, n + 3):
-                                got = sweep_bounds(v, rank, range(start, start + length), form)
+                                got = _fraction_rows(v, rank, range(start, start + length), form)
                                 assert list(got) == want[start:start + length]
                     rank = 1 + (h + g + (form is BoundForm.LEMMA)) % 4
                     want = _direct_rows(v, rank, range(top + 199), form, direct)
                     for start in {0, *range(max(top - 5, 0), top)}:
-                        got = sweep_bounds(v, rank, range(start, start + 200), form)
+                        got = _fraction_rows(v, rank, range(start, start + 200), form)
                         assert list(got) == want[start:start + 200]
 
     @settings(max_examples=150, deadline=None)
@@ -206,7 +212,7 @@ class TestSweepBounds:
            st.integers(1, 6), st.integers(0, 90), st.integers(1, 250))
     def test_matches_sections_bound(self, n, h, g, form, rank, start, length):
         v, degrees = _variety(n, h, g), range(start, start + length)
-        assert list(sweep_bounds(v, rank, degrees, form)) == _direct_rows(v, rank, degrees, form)
+        assert list(_fraction_rows(v, rank, degrees, form)) == _direct_rows(v, rank, degrees, form)
 
     def test_table_rows_are_integers_over_one_denominator(self):
         # a genus-2 threefold: values with proper fractions; d_pos = 4
@@ -226,7 +232,7 @@ class TestSweepBounds:
             return bound_high(*args)
 
         monkeypatch.setattr(bounds, "bound_high", counted)
-        rows = list(sweep_bounds(catalog_lookup("P5"), 1, range(4, 3005)))
+        rows = list(_fraction_rows(catalog_lookup("P5"), 1, range(4, 3005)))
         assert len(calls) == 7 and rows[-1][3] == math.comb(3009, 5)
 
     def test_self_check_rejects_a_non_polynomial(self, monkeypatch):
@@ -234,16 +240,16 @@ class TestSweepBounds:
         monkeypatch.setattr(bounds, "bound_high",
                             lambda n, h, g, d: bound_high(n, h, g, d) + d ** (n + 1))
         with pytest.raises(RuntimeError, match="not a polynomial of degree 2"):
-            list(sweep_bounds(catalog_lookup("P2"), 1, range(0, 10)))
+            list(_fraction_rows(catalog_lookup("P2"), 1, range(0, 10)))
         # the lemma form's polynomial is read from riemann_roch_bound
         monkeypatch.setattr(bounds, "riemann_roch_bound",
                             lambda n, h, g, d: riemann_roch_bound(n, h, g, d) + d ** (n + 1))
         with pytest.raises(RuntimeError, match="not a polynomial of degree 2"):
-            list(sweep_bounds(catalog_lookup("P2"), 1, range(0, 10), BoundForm.LEMMA))
+            list(_fraction_rows(catalog_lookup("P2"), 1, range(0, 10), BoundForm.LEMMA))
 
     def test_rejects_bad_rank_past_d_pos(self):
         with pytest.raises(InconsistentInputError, match="rank must be >= 1, got 0"):
-            list(sweep_bounds(catalog_lookup("P2"), 0, range(50, 100)))
+            list(_fraction_rows(catalog_lookup("P2"), 0, range(50, 100)))
 
 
 class TestClosedFormPoly:

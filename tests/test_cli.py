@@ -1310,11 +1310,11 @@ def _dispatch_route(argv):
             return vars(parsed.args[0])
 
 
-# Whole flags with their values apart, read from the command's option
-# table: negative numbers, ranges, ratios and lists, spellings int() takes
-# (" 7 ", 1_000, an Arabic-Indic digit), an empty value, a value past the
-# int-from-string digit limit for a str flag, a repeated flag and a switch
-# given twice.
+# Whole flags with their values apart, read straight from the command
+# parser's option strings: negative numbers, ranges, ratios and lists,
+# spellings int() takes (" 7 ", 1_000, an Arabic-Indic digit), an empty
+# value, a value past the int-from-string digit limit for a str flag, a
+# repeated flag, a switch given twice, and catalog with no positional.
 _LONG_DIGITS = "1" * 4301
 _REGULAR_ARGVS = [
     ("bound", "--catalog", "P2", "--degree", "-8"),
@@ -1330,10 +1330,12 @@ _REGULAR_ARGVS = [
     ("twist", "--catalog", "P3", "--catalog", "P2", "--degree", "0", "--hilbert", "1,3/2,1/2",
      "--regularity", "0"),
     ("verify", "--seed", "-8", "--grid", "small", "--seed", "3", "--format", "csv"),
+    ("catalog", "--format", "csv"),
+    ("catalog", "--approx", "--format", "table"),
 ]
 
-# Argvs that the option table declines, so that argparse reads them: help,
-# an "=" value, an abbreviation, "--", a positional, a failed choice, a
+# Argvs that the reader declines, so that argparse reads them: help, an
+# "=" value, an abbreviation, "--", a positional, a failed choice, a
 # failed conversion (also of a value past the digit limit), a value that
 # starts with "-" and is not a number, a flag where its value should be.
 _DECLINED_ARGVS = [
@@ -1344,6 +1346,7 @@ _DECLINED_ARGVS = [
     ("bound", "--cat", "P2", "--degree", "2"),
     ("bound", "--catalog", "P2", "--degree", "2", "--"),
     ("catalog", "show", "P3"),
+    ("catalog", "list", "--format", "csv"),
     ("bound", "--catalog", "P2", "--degree", "2", "--format", "xml"),
     ("bound", "--dim", "x", "--h-top", "1", "--c1-h", "3", "--degree", "2"),
     ("check", "--catalog", "P2", "--degree", _LONG_DIGITS, "--h0", "6"),
@@ -1385,16 +1388,16 @@ def _apart(argv) -> tuple:
 
 
 def test_option_table_reads_regular_argvs_and_argparse_the_rest(monkeypatch):
-    for name in ("bound", "check", "twist", "verify"):  # a flag added later is in the table
-        parser, table = cli._PARSER.commands[name], cli._PARSER.tables[name]
-        strings = {string for action in parser._actions for string in action.option_strings}
-        assert strings - {"-h", "--help"} == table.stores.keys() | table.switches.keys(), name
-    assert cli._PARSER.tables["catalog"] is None  # positionals: argparse reads every catalog argv
+    for name, parser in cli._PARSER.commands.items():  # a flag added later is one _read reads
+        for string, action in parser._option_string_actions.items():
+            if string not in ("-h", "--help"):
+                value = [] if action.nargs == 0 else [next(iter(action.choices or ["1"]))]
+                assert cli._read(parser, [string, *value]) is not None, (name, string)
 
-    regular = [_apart(argv) for argv in REPORTS.values() if argv[0] != "catalog"] + _REGULAR_ARGVS
+    regular = [_apart(argv) for argv in REPORTS.values() if argv[1:2] != ("show",)] + _REGULAR_ARGVS
     by_argparse = {}
     with monkeypatch.context() as m:
-        m.setattr(cli._PARSER, "tables", dict.fromkeys(cli._PARSER.tables))
+        m.setattr(cli, "_read", lambda parser, argv: None)
         for argv in regular + _DECLINED_ARGVS:
             by_argparse[argv] = run_cli(*argv)
 
@@ -1408,14 +1411,45 @@ def test_option_table_reads_regular_argvs_and_argparse_the_rest(monkeypatch):
         for argv in _DECLINED_ARGVS:
             with pytest.raises(_ReachedArgparse):
                 run_cli(*argv)
-    for argv in _DECLINED_ARGVS:  # argparse's own text, with the table in place
+    for argv in _DECLINED_ARGVS:  # argparse's own text, with the reader in place
         assert run_cli(*argv) == by_argparse[argv], argv
+
+
+def _misread(parser) -> list:
+    """What in a command parser cli._read would read otherwise than argparse:
+    it starts from the action defaults and reads only whole option strings
+    of store (one value) and store_true actions, so only argparse checks
+    required actions and exclusive groups, applies set_defaults, converts a
+    str default by its type, fills a positional that takes no token other
+    than with its default, warns of a deprecated action, and takes "-1" for
+    an option when one of the option strings looks like a number."""
+    found = [kind for kind, present in (("exclusive group", parser._mutually_exclusive_groups),
+                                        ("set_defaults", parser._defaults)) if present]
+    for action in parser._actions:
+        kind, strings = type(action), action.option_strings
+        if action.required or getattr(action, "deprecated", False):
+            found.append(f"required or deprecated {action.dest}")
+        if any(map(parser._negative_number_matcher.match, strings)):
+            found.append(f"negative-number option string {strings}")
+        if kind is argparse._StoreAction:
+            if action.nargs != (None if strings else "?"):
+                found.append(f"{action.dest} takes nargs={action.nargs!r}")
+            if action.type is not None and isinstance(action.default, str):
+                found.append(f"typed {action.dest} has a str default")
+        elif kind not in (argparse._HelpAction, argparse._StoreTrueAction):
+            found.append(f"{action.dest} is a {kind.__name__}")
+    return found
+
+
+def test_command_parsers_hold_only_what_the_reader_reads():
+    for name, parser in cli._PARSER.commands.items():
+        assert _misread(parser) == [], name
 
 
 # every flag of every command, whole or abbreviated, its value joined by
 # "=" or apart (a choice flag's choices and one bad value, else _VALUES),
 # in any order and with a stray token; or, as regular argvs, whole flags
-# with their values apart and no stray token, which the option table reads
+# with their values apart and no stray token, which cli._read reads
 # unless a value fails its type or choices
 _FLAGS = {
     "bound": ("--catalog", "--dim", "--h-top", "--c1-h", "--input", "--rank", "--degree",
@@ -1454,9 +1488,8 @@ def _command_argvs(draw, regular=False):
     return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
 
 
-# About a third of the examples are regular argvs: in five runs, 38 to 62
-# of the 300 reached the option table (other regular argvs fail a type or a
-# choice, or are catalog's, which argparse reads).
+# About a third of the examples are regular argvs: in five runs, cli._read
+# read 62 to 98 of the 300 (other regular argvs fail a type or a choice).
 @settings(max_examples=300, deadline=None)
 @given(_command_argvs(regular=True) | _command_argvs() | st.lists(_STRAY | _VALUES, max_size=3))
 def test_dispatch_parses_drawn_argvs_as_the_top_level_parser(argv):
