@@ -32,7 +32,6 @@ one gcd per row and builds no Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +39,7 @@ from functools import lru_cache
 from .errors import InconsistentInputError
 from .exactnum import _rising
 from .poly import Poly
+from .record import Record
 from .varieties import Variety
 
 
@@ -243,8 +243,7 @@ def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
     return Poly._from_ints(den * scale, acc)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     branch: Branch
     form: BoundForm
     value: Fraction

@@ -246,7 +246,8 @@ def _resolve(args) -> tuple[Variety, SheafSpec, range]:
 def _plain(obj):
     """A result as JSON values: an int, bool or str stays, a Fraction becomes
     its exact string, an enum its value, math.inf "+inf", a list or tuple a
-    list, and a dataclass a dict of its fields that are not None."""
+    list, and a result type (a record.Record, or verify.CheckResult) a dict of
+    the fields in its `_fields` tuple that are not None."""
     if isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -255,7 +256,7 @@ def _plain(obj):
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [_plain(item) for item in obj]
-    fields = getattr(type(obj), "__dataclass_fields__", None)
+    fields = getattr(type(obj), "_fields", None)
     if fields is not None:
         return {name: _plain(value) for name in fields
                 if (value := getattr(obj, name)) is not None}

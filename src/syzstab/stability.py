@@ -10,12 +10,12 @@ test is one-sided: a failed inequality never certifies instability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .bounds import bound_high, bound_low
 from .errors import InconsistentInputError
+from .record import Record
 from .varieties import Variety
 
 
@@ -34,23 +34,20 @@ class ConditionState(Enum):
     VACUOUS = "Vacuous"
 
 
-@dataclass(frozen=True)
-class ConditionStatus:
+class ConditionStatus(Record):
     status: ConditionState
     lhs: Fraction | None
     rhs: Fraction | None
     threshold_degree: int | None
 
 
-@dataclass(frozen=True)
-class SyzygyInvariants:
+class SyzygyInvariants(Record):
     rank: int
     degree: int
     slope: object  # Fraction, or math.inf when rank is 0
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     verdict: Verdict
     condition1: ConditionStatus
     condition2: ConditionStatus

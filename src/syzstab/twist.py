@@ -25,18 +25,17 @@ and the polynomials (poly.Poly, re-exported here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from .bounds import BoundForm, bound_low, closed_form_poly, d_pos
 from .errors import InconsistentInputError, UsageError
 from .poly import Poly, positive_shift
+from .record import Record
 from .varieties import Variety
 
 
-@dataclass(frozen=True)
-class HilbertPoly:
+class HilbertPoly(Record):
     """Section-count polynomial plus the twist from which it is exact."""
 
     poly: Poly
@@ -72,8 +71,7 @@ def validate_hilbert(variety: Variety, d0: int, hp: HilbertPoly) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TwistExpansion:
+class TwistExpansion(Record):
     """bound_high at degree d0 + k*h_top - 1 as a polynomial in k, exact from k_pos on."""
 
     poly: Poly
@@ -92,8 +90,7 @@ def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
     return TwistExpansion(poly=poly, k_pos=k_pos)
 
 
-@dataclass(frozen=True)
-class ConditionPolys:
+class ConditionPolys(Record):
     cond2: Poly
     cond1: Poly | None
     k_pos: int
@@ -175,16 +172,14 @@ def fujiwara_bound(p: Poly) -> int:
     return 1 << max(0, 1 + max(exps, default=-1))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Record):
     k: int
     cond2_value: Fraction
     cond1_value: Fraction | None
     passed: bool
 
 
-@dataclass(frozen=True)
-class TaylorShift:
+class TaylorShift(Record):
     """cond2 and cond1 rewritten as polynomials in k - c: every coefficient
     is >= 0 and the constant is > 0, so both are positive for all k >= c."""
 
@@ -193,8 +188,7 @@ class TaylorShift:
     cond1: Poly | None
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(Record):
     k_min: int
     cauchy: Fraction
     scanned_range: tuple[int, int]

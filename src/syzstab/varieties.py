@@ -14,15 +14,14 @@ genus is derived and checked like any user's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentInputError, InvalidVarietyError, UnknownVarietyError, UsageError
 from .exactnum import parse_rational
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Variety:
+class Variety(Record):
     name: str
     dim: int
     h_top: int
@@ -98,8 +97,7 @@ def catalog_lookup(name: str) -> Variety:
         ) from None
 
 
-@dataclass(frozen=True)
-class SheafSpec:
+class SheafSpec(Record):
     """Rank and degree of the sheaf, with optional section data.
 
     Section data comes in two flavors: a directly known h0, or a Hilbert

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import _rank_one_step, bound_high, bound_low, d_pos, restriction_sums, sections_bound
 from .exactnum import falling_sum_check
+from .record import Record
 from .stability import Verdict, check_stability
 from .twist import HilbertPoly, Poly, bound_high_poly, minimal_stable_twist
 from .varieties import catalog_lookup
@@ -27,13 +27,26 @@ from .varieties import catalog_lookup
 _MAX_ITEMIZED = 10
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
-    note: str | None = None
+    """One check's tally: its pass and fail counts, its first failures
+    spelled out, and an optional note on where it samples.  A check counts
+    into it as it runs, so unlike the frozen result types it is mutable and
+    unhashable; it shares their field tuple and repr, and equals another
+    CheckResult with equal fields.  failures=None starts a fresh list."""
+
+    _fields = ("name", "passed", "failed", "failures", "note")
+    __repr__ = Record.__repr__
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0,
+                 failures: list[str] | None = None, note: str | None = None):
+        self.name, self.passed, self.failed = name, passed, failed
+        self.failures = [] if failures is None else failures
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
 
     def record(self, ok: bool, describe):
         if ok:

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -1107,12 +1106,6 @@ _JSON_TREES = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_JSON_TREES)
-def test_render_json_writes_what_json_dumps_writes(tree):
-    assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
-
-
 # Keys of flat rows, such as the catalog listing's: text that %-formatting,
 # str.format or JSON escaping could trip on, and any text.
 _ROW_KEYS = st.text(st.sampled_from('%{}"\\s\u00e9\u2603\n'), max_size=4) | st.text(max_size=6)
@@ -1147,12 +1140,11 @@ def _row_lists(draw):
     return tuple(items) if draw(st.booleans()) else items
 
 
-_ROW_TREES = _row_lists() | _row_lists().map(lambda rows: {"result": {"results": rows}})
-
-
+# Any JSON tree, and flat row lists with broken items, bare or as a report's
+# results: render_json walks a row list item by item like any other list.
 @settings(max_examples=300, deadline=None)
-@given(_ROW_TREES)
-def test_render_json_writes_row_lists_as_json_dumps_writes(tree):
+@given(_JSON_TREES | _row_lists() | _row_lists().map(lambda rows: {"result": {"results": rows}}))
+def test_render_json_writes_what_json_dumps_writes(tree):
     assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
@@ -1163,23 +1155,23 @@ def _poly_free(obj):
         return obj.coeffs
     if isinstance(obj, tuple):
         return tuple(_poly_free(item) for item in obj)
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.replace(obj, **{f.name: _poly_free(getattr(obj, f.name))
-                                           for f in dataclasses.fields(obj)})
+    if hasattr(type(obj), "_fields"):
+        return type(obj)(*(_poly_free(getattr(obj, name)) for name in type(obj)._fields))
     return obj
 
 
-def _plain_by_fields(obj):
-    """The walk over dataclasses.fields that _plain must agree with."""
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _plain_by_fields(value) for f in dataclasses.fields(obj)
-                if (value := getattr(obj, f.name)) is not None}
+def _plain_by_attributes(obj):
+    """The walk over a result's instance attributes that _plain, which reads
+    the class's field tuple, must agree with."""
+    if hasattr(type(obj), "_fields"):
+        return {name: _plain_by_attributes(value) for name, value in vars(obj).items()
+                if value is not None}
     if isinstance(obj, (list, tuple)):
-        return [_plain_by_fields(item) for item in obj]
+        return [_plain_by_attributes(item) for item in obj]
     return cli._plain(obj)
 
 
-def test_plain_walks_the_fields_of_every_exported_dataclass():
+def test_plain_walks_the_fields_of_every_exported_result_type():
     p2, k3 = syzstab.catalog_lookup("P2"), syzstab.catalog_lookup("quartic-K3")
     hp = syzstab.HilbertPoly(syzstab.Poly((2, 0, 2)), 0)
     cert = syzstab.minimal_stable_twist(k3, 0, hp)
@@ -1194,12 +1186,35 @@ def test_plain_walks_the_fields_of_every_exported_dataclass():
         cert, cert.shift, cert.scan[0],
     ]
     exported = {obj for name in syzstab.__all__
-                if dataclasses.is_dataclass(obj := getattr(syzstab, name))}
+                if hasattr(obj := getattr(syzstab, name), "_fields") and isinstance(obj, type)}
+    assert len(exported) == 13
     assert {type(value) for value in samples} == exported
-    for cls in exported:  # a ClassVar or InitVar pseudo-field would differ here
-        assert list(cls.__dataclass_fields__) == [f.name for f in dataclasses.fields(cls)]
+    for value in samples:  # the field tuple names every attribute an instance has, in order
+        assert list(vars(value)) == list(type(value)._fields), type(value).__name__
     for value in map(_poly_free, samples):
-        assert cli._plain(value) == _plain_by_fields(value), type(value).__name__
+        assert cli._plain(value) == _plain_by_attributes(value), type(value).__name__
+
+
+_COLD_ARGVS = [
+    ["catalog", "show", "P3"],
+    ["bound", "--catalog", "P3", "--degree", "5"],
+    ["check", "--catalog", "P2", "--degree", "2", "--h0", "6"],
+    ["twist", "--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2", "--regularity", "0"],
+]
+
+
+def test_front_door_loads_no_dataclasses_in_a_cold_process():
+    # -S: a site hook may import any module.  The result types are records,
+    # so neither dataclasses nor the modules it imports are ever loaded.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syzstab.__file__)))
+    probe = ("import sys; from syzstab import cli; "
+             f"codes = [cli.main(argv) for argv in {_COLD_ARGVS!r}]; "
+             "loaded = sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)); "
+             "sys.stderr.write(f'{codes} {loaded}')")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stderr == "[0, 0, 0, 0] []"
+    assert proc.stdout.count('"command": ') == len(_COLD_ARGVS)
 
 
 def _mixed_invocations(problem: str) -> list[tuple[str, ...]]:

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -132,7 +131,8 @@ def _fresh_objects():
     """A Poly, a ConditionPolys and a TwistCertificate whose polynomials
     have not been evaluated yet."""
     cert = minimal_stable_twist(K3, 0, HP_K3)
-    cert = dataclasses.replace(cert, cond2=Poly(cert.cond2.coeffs), cond1=Poly(cert.cond1.coeffs))
+    fields = {name: getattr(cert, name) for name in cert._fields}
+    cert = type(cert)(**dict(fields, cond2=Poly(cert.cond2.coeffs), cond1=Poly(cert.cond1.coeffs)))
     return [Poly(HP_P3.poly.coeffs), build_condition_polys(K3, 0, HP_K3), cert]
 
 
