@@ -20,13 +20,16 @@ riemann_roch_bound.
 From d_pos on (see d_pos) the high-branch forms are exact polynomials of
 degree n in d, built by closed_form_poly: the package's one
 interpolation, and its one check that a form is the polynomial it is
-taken for.  A degree sweep (sweep_ratios) extends that polynomial's
-integer forward-difference table past d_pos, each degree for n integer
-additions; degrees below d_pos go through sections_bound one by one.  A
-sweep row is integers, the core and the value numerators over one
-denominator (the polynomial's from d_pos on).  value - core is a multiple of that denominator unless the
-value is floored at rank, so a caller that prints rows reduces both with
-one gcd per row and builds no Fraction.
+taken for.  A degree sweep extends that polynomial's integer
+forward-difference table past d_pos as n nested itertools.accumulate
+chains (tail_columns), with no Python bytecode per row; degrees below
+d_pos go through sections_bound one by one (sweep_ratios).  A sweep row
+is integers, the core and the value numerators over one denominator D;
+from d_pos on, D is the polynomial's reduced by the gcd of the table, so
+D == 1 exactly when every row of the tail is an integer.  value - core
+is a multiple of D unless the value is floored at rank, so a caller that
+prints rows reduces both with one gcd per row, or none when D == 1, and
+builds no Fraction.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress, repeat, tee
 
 from .errors import InconsistentInputError
 from .exactnum import _rising
@@ -299,6 +303,45 @@ def sweep_tail(variety: Variety, degrees: range,
     return first, closed_form_poly(n, h, g, form)
 
 
+def tail_columns(variety: Variety, rank: int, degrees: range, poly: Poly,
+                 form: BoundForm = BoundForm.SIMPLIFIED):
+    """The tail of a sweep as columns: (D, cores, values), where cores and
+    values iterate the core and value numerators over D for every degree
+    of degrees, a unit-step range from the tail's first degree on
+    (sweep_tail) whose polynomial is poly.
+
+    The forward-difference table of D times poly at the first degree runs
+    as n nested itertools.accumulate chains: the inner n-1 are shared, the
+    outermost starts once from table[0] for the cores and once from
+    table[0] plus rank*D, or (rank-1)*D in lemma form, for the values.
+    The values are floored at rank*D unless the table shows that no row
+    falls below it.  D and the table are reduced by their gcd, so D == 1
+    exactly when every row is an integer: the values at the first n+1
+    degrees are integers exactly when every table entry is.
+    """
+    _check_rank(rank)
+    n, first = variety.dim, degrees.start
+    den, shifted = poly.scaled_shift(first)
+    table = [sum(c * k ** i for i, c in enumerate(shifted)) for k in range(n + 1)]
+    for j in range(1, n + 1):  # table[j] becomes the order-j difference at first
+        for i in range(n, j - 1, -1):
+            table[i] -= table[i - 1]
+    g = math.gcd(den, *table)
+    den, table = den // g, [t // g for t in table]
+    floor = rank * den
+    start = table[0] + (floor if form is BoundForm.SIMPLIFIED else floor - den)
+    # table[n] once per degree from first + n on (all > 0, so compress keeps
+    # each): the columns stop with the range, which may pass sys.maxsize
+    steps = compress(repeat(table[n]), range(first + n, degrees.stop))
+    for entry in reversed(table[1:n]):
+        steps = accumulate(steps, initial=entry)
+    core_steps, value_steps = tee(steps)
+    values = accumulate(value_steps, initial=start)
+    if start < floor or min(table[1:]) < 0:  # else no value falls below the first
+        values = map(max, values, repeat(floor))
+    return den, accumulate(core_steps, initial=table[0]), values
+
+
 def sweep_ratios(variety: Variety, rank: int, degrees: range,
                  form: BoundForm = BoundForm.SIMPLIFIED,
                  tail: tuple[int, Poly | None] | None = None):
@@ -308,14 +351,12 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
 
     Degrees below the tail's first degree (sweep_tail; tail is its value,
     computed here when not given) go through sections_bound, and a row
-    splits its Fractions over the core's denominator.  The rest extend the
-    forward-difference table of the tail's polynomial (see the module
-    docstring) and share its denominator D: core is D times the form's
-    value and value is core + rank*D (simplified) or core + (rank-1)*D
-    (lemma), floored at rank*D.
+    splits its Fractions over the core's denominator.  The rest are the
+    columns of tail_columns over their denominator D: core is D times the
+    form's value and value is core + rank*D (simplified) or core +
+    (rank-1)*D (lemma), floored at rank*D.
     """
     _check_rank(rank)
-    n = variety.dim
     first, poly = sweep_tail(variety, degrees, form) if tail is None else tail
     for d in range(degrees.start, first):
         rep = sections_bound(variety, rank, d, form)
@@ -324,21 +365,9 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
                rep.value.numerator * (den // rep.value.denominator), den)
     if poly is None:
         return
-    den, shifted = poly.scaled_shift(first)
-    table = [sum(c * k ** i for i, c in enumerate(shifted)) for k in range(n + 1)]
-    for j in range(1, n + 1):  # table[j] becomes the order-j difference at first
-        for i in range(n, j - 1, -1):
-            table[i] -= table[i - 1]
-    shift = (rank if form is BoundForm.SIMPLIFIED else rank - 1) * den
-    floor = rank * den
-    steps = range(n)
-    branch = Branch.RIEMANN_ROCH
-    for d in range(first, degrees.stop):
-        num = table[0]
-        value = num + shift
-        yield d, branch, num, value if value > floor else floor, den
-        for j in steps:
-            table[j] += table[j + 1]
+    tail_degrees = range(first, degrees.stop)
+    den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
+    yield from zip(tail_degrees, repeat(Branch.RIEMANN_ROCH), cores, values, repeat(den))
 
 
 @lru_cache(maxsize=8192)

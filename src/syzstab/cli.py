@@ -11,11 +11,12 @@ main(argv) returns the exit code of one call, 0 after --help too, and
 may be called repeatedly in one process: every call parses with the
 parsers built at import and keeps no state between calls.  An argv that
 starts with a command is read straight from that command parser's own
-option strings (_read) when it is regular: every token a whole option
-string, each value apart from its flag and passing the flag's type and
-choices.  Every other argv goes to argparse: one that starts with a
-command to that command's parser (help, an abbreviation, --flag=value,
-"--", a positional, a missing or failed value), any other (empty,
+option strings (_read) when it is regular: catalog's optional
+positionals first, then every token a whole option string, each value
+apart from its flag and passing the flag's type and choices.  Every
+other argv goes to argparse: one that starts with a command to that
+command's parser (help, an abbreviation, --flag=value, "--", a
+positional elsewhere, a missing or failed value), any other (empty,
 --help, an unknown name) to the top-level parser.  argparse writes all
 help and error text, and both routes give the same Namespace.  A token
 of "-" and a digit, or "-." and a digit, is always a value, never an
@@ -28,12 +29,16 @@ json.dumps(report, sort_keys=True, indent=2) would write it.  The
 emitter dispatches on exact types and walks every list item by item,
 except the rows of a bound sweep.
 
-Every bound result is printed by one row printer: one pass over
-bounds.sweep_ratios turns each row's integers into a tuple of printed
-columns with one gcd and no Fraction or dict.  The JSON writer fills one
-row template with a sweep's tuples, unchecked, and the CSV writer joins
-each into one line.  A single degree, the table form and --approx turn
-the tuples into row dicts, and a single degree's result is its one row.
+A bound result is a list of tuples of printed columns, one per degree,
+built with no Fraction or dict.  The row printer (_sweep_rows) makes
+them from bounds.sweep_ratios with one gcd per row.  In a JSON or CSV
+sweep whose tail is all integers (denominator 1, as on every P_n), the
+tail's rows are instead bounds.tail_columns zipped with str, column by
+column, with no Python frame per row (_column_rows).  The JSON writer
+turns each chunk of tuples into text with one f-string list
+comprehension, unchecked, and the CSV writer joins each tuple into one
+line.  A single degree, the table form and --approx turn the tuples
+into row dicts, and a single degree's result is its one row.
 A JSON or CSV sweep of more than one chunk (_CHUNK rows) is streamed
 when every row after its first chunk is sure to print (_streams): the
 handler prints the first chunk, so every error comes before any output,
@@ -56,9 +61,9 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 
-from .bounds import BoundForm, sections_bound, sweep_ratios, sweep_tail
+from .bounds import BoundForm, Branch, sections_bound, sweep_ratios, sweep_tail, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
@@ -82,15 +87,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(parser: _Parser, argv) -> argparse.Namespace | None:
     """The Namespace of a regular argv of a command parser, read straight
-    from the parser's own option strings: every token is a whole option
-    string, of a store_true action or of a store action of one value
-    followed by that value, a value that starts with "-" reads as a number
-    (_Parser), and each value passes its action's type and choices.  None
-    for any other argv, which the parser then reads: help, abbreviations,
-    --flag=value, "--", a positional, a missing or failing value."""
+    from the parser's own option strings: the parser's optional
+    positionals (catalog's action and name), each a token that does not
+    start with "-" and passes its action's choices, come first; every
+    later token is a whole option string, of a store_true action or of a
+    store action of one value followed by that value, a value that starts
+    with "-" reads as a number (_Parser), and each value passes its
+    action's type and choices.  None for any other argv, which the parser
+    then reads: help, abbreviations, --flag=value, "--", a positional
+    after an option or past the parser's, a missing or failing value."""
     values = parser.defaults.copy()
     actions, is_value = parser._option_string_actions, parser._negative_number_matcher.match
-    tokens = iter(argv)
+    given = 0
+    for action, token in zip(parser.positionals, argv):
+        if token.startswith("-"):
+            break
+        if action.choices is not None and token not in action.choices:
+            return None
+        values[action.dest] = token
+        given += 1
+    tokens = iter(argv[given:])
     for token in tokens:
         action = actions.get(token)
         kind = type(action)
@@ -168,6 +184,7 @@ def build_parser() -> _Parser:
     for command in parser.commands.values():  # what argparse sets first, for _read
         command.defaults = {action.dest: action.default for action in command._actions
                             if action.default is not argparse.SUPPRESS}
+        command.positionals = [action for action in command._actions if not action.option_strings]
     return parser
 
 
@@ -317,6 +334,32 @@ def _sweep_rows(ratios, rank: int) -> _SweepRows:
     return rows
 
 
+def _column_rows(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
+    """The printed rows of a sweep as one iterator when its tail
+    (bounds.sweep_tail) is all integers, else None: the rows below the
+    tail's first degree from _sweep_rows, then the tail's columns zipped,
+    with no Python frame per row.  A row past the int-to-string digit
+    limit raises ValueError only when it is read (_listed)."""
+    first, poly = tail
+    if poly is None:
+        return None
+    tail_degrees = range(first, degrees.stop)
+    den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
+    if den != 1:
+        return None
+    below = range(degrees.start, first)
+    head = _sweep_rows(sweep_ratios(variety, rank, below, form, (first, None)), rank)
+    return chain(head, zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
+                           map(str, tail_degrees), map(str, values)))
+
+
+def _listed(rows) -> _SweepRows:
+    try:
+        return _SweepRows(rows)
+    except ValueError:  # past the int-to-string digit limit
+        raise too_many_digits() from None
+
+
 def _streams(degrees: range, tail: tuple, rank: int) -> bool:
     """True when a sweep has more than one chunk and every row after the
     first chunk is sure to print, so that the first chunk, printed before
@@ -345,17 +388,23 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
     rank, tail = spec.rank, sweep_tail(variety, degrees, form)
-    ratios = sweep_ratios(variety, rank, degrees, form, tail)
     single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
-    dicts = single or args.approx or args.format == "table"  # these read row dicts
-    if dicts or not _streams(degrees, tail, rank):
-        rows = _sweep_rows(ratios, rank)
-    else:
-        rows = _sweep_rows(islice(ratios, _CHUNK), rank)
-        rows.rest = iter(lambda: _sweep_rows(islice(ratios, _CHUNK), rank), [])
-    if dicts:
+    if single or args.approx or args.format == "table":  # these read row dicts
+        rows = _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
         rows = [{"degree": d, "branch": branch, "value": value, "core": core}
                 for d, (branch, core, _, value) in zip(degrees, rows)]
+    else:
+        columns = _column_rows(variety, rank, degrees, form, tail)
+        if columns is None:
+            ratios = sweep_ratios(variety, rank, degrees, form, tail)
+            printed = lambda count: _sweep_rows(islice(ratios, count), rank)
+        else:
+            printed = lambda count: _listed(islice(columns, count))
+        if _streams(degrees, tail, rank):
+            rows = printed(_CHUNK)
+            rows.rest = iter(lambda: printed(_CHUNK), [])
+        else:
+            rows = printed(None)
     result = rows[0] if single else {"results": rows}
     sheaf_echo = {"rank": rank,
                   "degree": spec.degree if single else f"{degrees.start}..{degrees.stop - 1}"}
@@ -507,21 +556,24 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _write_rows(rows: _SweepRows, pad: str, out: list) -> None:
     """Append rows, a non-empty _SweepRows, as _emit_json writes a list of
-    dicts: every row from one %-template built from pad, with degree
+    dicts: every row from one f-string built from pad, with degree
     written as a number and the other columns between double quotes.  A
     streamed sweep writes the text in out, its first chunk included, to
     stdout and empties out, then writes each later chunk as it is printed."""
     inner, key_pad = pad + "  ", pad + "    "
-    template = (f'{inner}{{{key_pad}"branch": "%s",{key_pad}"core": "%s",'
-                f'{key_pad}"degree": %s,{key_pad}"value": "%s"{inner}}}')
-    out.extend(("[", ",".join(map(template.__mod__, rows))))
+
+    def text(chunk):
+        return ",".join([f'{inner}{{{key_pad}"branch": "{branch}",{key_pad}"core": "{core}",'
+                         f'{key_pad}"degree": {degree},{key_pad}"value": "{value}"{inner}}}'
+                         for branch, core, degree, value in chunk])
+
+    out.extend(("[", text(rows)))
     if rows.rest:
         write = sys.stdout.write
         write("".join(out))
         out.clear()
-        fill = ("," + template).__mod__  # each later row follows one before it
         for chunk in rows.rest:
-            write("".join(map(fill, chunk)))
+            write("," + text(chunk))  # each later row follows one before it
     out.append(pad + "]")
 
 
@@ -531,7 +583,7 @@ def _emit_json(obj, pad: str, out: list) -> None:
     obj is built of the exact types str, int, float (finite), bool, None,
     dict (with str keys), list and tuple; a tuple is written as a list,
     and an int or a float by its repr.  The rows of a bound sweep
-    (_SweepRows) are written from one template; any other list item by
+    (_SweepRows) are written whole (_write_rows); any other list item by
     item."""
     t = type(obj)
     if t is str:

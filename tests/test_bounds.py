@@ -23,6 +23,7 @@ from syzstab import (
     sections_bound,
     select_branch,
 )
+from syzstab.poly import Poly
 from syzstab.varieties import Variety
 
 
@@ -250,6 +251,59 @@ class TestSweepBounds:
     def test_rejects_bad_rank_past_d_pos(self):
         with pytest.raises(InconsistentInputError, match="rank must be >= 1, got 0"):
             list(_fraction_rows(catalog_lookup("P2"), 0, range(50, 100)))
+
+
+def _tail_rows(v, rank, degrees, poly, form):
+    """The rows of bounds.tail_columns as (degree, core, value) Fractions,
+    with the denominator D."""
+    den, cores, values = bounds.tail_columns(v, rank, degrees, poly, form)
+    return den, [(d, Fraction(core, den), Fraction(value, den))
+                 for d, core, value in zip(degrees, cores, values)]
+
+
+class TestTailColumns:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_projective_space_tails_are_integers(self, n):
+        # D == 1, so the CLI prints these tails column by column
+        v = catalog_lookup(f"P{n}")
+        for form in BoundForm:
+            first, poly = bounds.sweep_tail(v, range(0, 80), form)
+            for rank in range(1, 5):
+                den, rows = _tail_rows(v, rank, range(first, 80), poly, form)
+                assert den == 1
+                assert rows == [(d, core, value) for d, _, core, value
+                                in _direct_rows(v, rank, range(first, 80), form)]
+
+    def test_a_fractional_tail_keeps_a_denominator(self):
+        # genus 2, dim 3, h_top 2: the lemma form takes proper fractions past d_pos
+        v = _variety(3, 2, 2)
+        first, poly = bounds.sweep_tail(v, range(0, 80), BoundForm.LEMMA)
+        den, rows = _tail_rows(v, 2, range(first, 80), poly, BoundForm.LEMMA)
+        assert den > 1
+        assert rows == [(d, core, value) for d, _, core, value
+                        in _direct_rows(v, 2, range(first, 80), BoundForm.LEMMA)]
+
+    @pytest.mark.parametrize("form", BoundForm)
+    def test_floors_a_tail_below_the_rank(self, form):
+        # no variety is known to floor a row past d_pos, so the polynomial is
+        # made up: ((d - 20)^2 - 60)/2 falls below 0 for d from 13 to 27,
+        # and its differences at degree 0 are negative
+        poly = Poly([170, -20, Fraction(1, 2)])
+        shift = 3 if form is BoundForm.SIMPLIFIED else 2
+        den, rows = _tail_rows(_variety(2, 1, 0), 3, range(0, 60), poly, form)
+        assert den == 2
+        assert rows == [(d, poly(d), max(poly(d) + shift, Fraction(3))) for d in range(60)]
+        assert sum(value == 3 for _, _, value in rows) > 10
+
+    def test_columns_end_with_the_range(self):
+        # also past sys.maxsize degrees, where itertools.repeat(x, count) fails;
+        # P2's simplified core is C(d+2, 2) - 1
+        v = catalog_lookup("P2")
+        first, poly = bounds.sweep_tail(v, range(0, 100), BoundForm.SIMPLIFIED)
+        den, cores, values = bounds.tail_columns(v, 1, range(first, 10 ** 30), poly)
+        assert (first, next(cores), next(values)) == (0, 0, 1)
+        den, cores, values = bounds.tail_columns(v, 1, range(7, 10), poly)
+        assert (list(cores), list(values)) == ([35, 44, 54], [36, 45, 55])
 
 
 class TestClosedFormPoly:

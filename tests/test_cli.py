@@ -1098,6 +1098,98 @@ def test_sweep_rows_print_a_floored_value_as_the_rank():
     assert rows == [("Clifford", "-1/2", "7", "2"), ("Clifford", "2/3", "8", "4/3")]
 
 
+def _frozen_sweep_rows(ratios, rank):
+    """cli._sweep_rows as it printed every row of a sweep before integer
+    tails were printed column by column: one gcd per row."""
+    rows = cli._SweepRows()
+    for d, branch, core, value, den in ratios:
+        g = math.gcd(core, den)
+        core, value, den = core // g, value // g, den // g
+        if den == 1:
+            rows.append((branch.value, str(core), str(d), str(value)))
+        else:
+            rows.append((branch.value, f"{core}/{den}", str(d),
+                         str(rank) if value == rank * den else f"{value}/{den}"))
+    return rows
+
+
+def _frozen_write_rows(rows, pad, out):
+    """cli._write_rows as it filled one %-template per row."""
+    inner, key_pad = pad + "  ", pad + "    "
+    template = (f'{inner}{{{key_pad}"branch": "%s",{key_pad}"core": "%s",'
+                f'{key_pad}"degree": %s,{key_pad}"value": "%s"{inner}}}')
+    out.extend(("[", ",".join(map(template.__mod__, rows))))
+    if rows.rest:
+        write = sys.stdout.write
+        write("".join(out))
+        out.clear()
+        fill = ("," + template).__mod__
+        for chunk in rows.rest:
+            write("".join(map(fill, chunk)))
+    out.append(pad + "]")
+
+
+def _section_ratios(variety, rank, degrees, form, tail=None):
+    """The rows of bounds.sweep_ratios, each from sections_bound; tail is
+    not used."""
+    for d in degrees:
+        rep = syzstab.sections_bound(variety, rank, d, form)
+        den = rep.core.denominator
+        yield d, rep.branch, rep.core.numerator, rep.value.numerator * (den // rep.value.denominator), den
+
+
+def _sweep_outputs(argv):
+    """A JSON or CSV sweep's stdout from the CLI, and as the frozen row
+    printer and writer above write every row from sections_bound."""
+    got = run_cli(*argv)
+    with mock.patch.multiple(cli, sweep_ratios=_section_ratios, _sweep_rows=_frozen_sweep_rows,
+                             _write_rows=_frozen_write_rows, _column_rows=lambda *args: None):
+        want = run_cli(*argv)
+    return got, want
+
+
+# Integer tails (P1-P5, and P3 in lemma form) and tails with a denominator
+# (genus 5 and genus 2), both forms, ranks 1-4, rows floored at the rank
+# (degrees 0 and 1 of a rational curve with h_top 3), ranges of 1,024
+# degrees and ranges that end just past the first and the second 1,024-row
+# chunk.
+_FROZEN_SWEEPS = [
+    ("--catalog", "P1", "--rank", "4", "--form", "lemma", "--degree", "0..1024"),
+    ("--dim", "1", "--h-top", "3", "--c1-h", "2", "--rank", "2", "--form", "lemma",
+     "--degree", "0..1030"),
+    ("--dim", "1", "--h-top", "3", "--c1-h", "2", "--rank", "3", "--degree", "0..2049"),
+    ("--catalog", "P2", "--rank", "3", "--degree", "0..1023"),
+    ("--catalog", "P3", "--rank", "2", "--form", "lemma", "--degree", "0..2048"),
+    ("--catalog", "P4", "--degree", "5..2053"),
+    ("--catalog", "P5", "--rank", "2", "--degree", "0..2047"),
+    ("--catalog", "quartic-K3", "--rank", "3", "--form", "lemma", "--degree", "0..1500"),
+    ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--rank", "3", "--degree", "0..2048"),
+    ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--rank", "4", "--form", "lemma",
+     "--degree", "0..1024"),
+    ("--dim", "3", "--h-top", "2", "--c1-h", "2", "--rank", "1", "--form", "lemma",
+     "--degree", "11..2059"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _FROZEN_SWEEPS, ids=lambda argv: " ".join(argv))
+def test_sweep_output_matches_the_per_row_printer(argv, fmt):
+    got, want = _sweep_outputs(("bound", *argv, "--format", fmt))
+    assert got[0] == 0 and got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), h_top=st.integers(1, 5), g=st.integers(0, 12), rank=st.integers(1, 4),
+       start=st.integers(0, 60), length=st.integers(2, 2100),
+       form=st.sampled_from(["lemma", "simplified"]), fmt=st.sampled_from(["json", "csv"]))
+def test_drawn_sweep_output_matches_the_per_row_printer(n, h_top, g, rank, start, length, form, fmt):
+    got, want = _sweep_outputs(("bound", "--dim", str(n), "--h-top", str(h_top),
+                                "--c1-h", str((n - 1) * h_top - 2 * (g - 1)), "--rank", str(rank),
+                                "--degree", f"{start}..{start + length - 1}", "--form", form,
+                                "--format", fmt))
+    assert got[0] == 0 and got == want
+
+
 _JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -1338,7 +1430,8 @@ def _dispatch_route(argv):
 # parser's option strings: negative numbers, ranges, ratios and lists,
 # spellings int() takes (" 7 ", 1_000, an Arabic-Indic digit), an empty
 # value, a value past the int-from-string digit limit for a str flag, a
-# repeated flag, a switch given twice, and catalog with no positional.
+# repeated flag, a switch given twice, and catalog with no positional,
+# with its action, and with its action and a name (also an empty one).
 _LONG_DIGITS = "1" * 4301
 _REGULAR_ARGVS = [
     ("bound", "--catalog", "P2", "--degree", "-8"),
@@ -1356,12 +1449,18 @@ _REGULAR_ARGVS = [
     ("verify", "--seed", "-8", "--grid", "small", "--seed", "3", "--format", "csv"),
     ("catalog", "--format", "csv"),
     ("catalog", "--approx", "--format", "table"),
+    ("catalog", "show", "P3"),
+    ("catalog", "list", "--format", "csv"),
+    ("catalog", "show", "", "--approx"),
+    ("catalog", "list", "P2"),
 ]
 
 # Argvs that the reader declines, so that argparse reads them: help, an
-# "=" value, an abbreviation, "--", a positional, a failed choice, a
-# failed conversion (also of a value past the digit limit), a value that
-# starts with "-" and is not a number, a flag where its value should be.
+# "=" value, an abbreviation, "--", a positional where a flag should be,
+# after a flag or past catalog's two, a failed choice (also of catalog's
+# action), a failed conversion (also of a value past the digit limit), a
+# value that starts with "-" and is not a number, a flag where its value
+# should be.
 _DECLINED_ARGVS = [
     ("bound", "-h"),
     ("bound", "--catalog", "-x", "--degree", "2"),
@@ -1369,8 +1468,12 @@ _DECLINED_ARGVS = [
     ("bound", "--catalog", "P2", "--deg=2"),
     ("bound", "--cat", "P2", "--degree", "2"),
     ("bound", "--catalog", "P2", "--degree", "2", "--"),
-    ("catalog", "show", "P3"),
-    ("catalog", "list", "--format", "csv"),
+    ("bound", "--catalog", "P2", "P3", "--degree", "2"),
+    ("catalog", "list", "--form", "csv"),
+    ("catalog", "--format", "csv", "show", "P3"),
+    ("catalog", "show", "P3", "P4"),
+    ("catalog", "P3"),
+    ("catalog", "show", "-x"),
     ("bound", "--catalog", "P2", "--degree", "2", "--format", "xml"),
     ("bound", "--dim", "x", "--h-top", "1", "--c1-h", "3", "--degree", "2"),
     ("check", "--catalog", "P2", "--degree", _LONG_DIGITS, "--h0", "6"),
@@ -1418,7 +1521,7 @@ def test_option_table_reads_regular_argvs_and_argparse_the_rest(monkeypatch):
                 value = [] if action.nargs == 0 else [next(iter(action.choices or ["1"]))]
                 assert cli._read(parser, [string, *value]) is not None, (name, string)
 
-    regular = [_apart(argv) for argv in REPORTS.values() if argv[1:2] != ("show",)] + _REGULAR_ARGVS
+    regular = [_apart(argv) for argv in REPORTS.values()] + _REGULAR_ARGVS
     by_argparse = {}
     with monkeypatch.context() as m:
         m.setattr(cli, "_read", lambda parser, argv: None)
@@ -1445,8 +1548,9 @@ def _misread(parser) -> list:
     of store (one value) and store_true actions, so only argparse checks
     required actions and exclusive groups, applies set_defaults, converts a
     str default by its type, fills a positional that takes no token other
-    than with its default, warns of a deprecated action, and takes "-1" for
-    an option when one of the option strings looks like a number."""
+    than with its default, converts a positional by its type, warns of a
+    deprecated action, and takes "-1" for an option when one of the option
+    strings looks like a number."""
     found = [kind for kind, present in (("exclusive group", parser._mutually_exclusive_groups),
                                         ("set_defaults", parser._defaults)) if present]
     for action in parser._actions:
@@ -1458,8 +1562,8 @@ def _misread(parser) -> list:
         if kind is argparse._StoreAction:
             if action.nargs != (None if strings else "?"):
                 found.append(f"{action.dest} takes nargs={action.nargs!r}")
-            if action.type is not None and isinstance(action.default, str):
-                found.append(f"typed {action.dest} has a str default")
+            if action.type is not None and (isinstance(action.default, str) or not strings):
+                found.append(f"typed {action.dest} has a str default or no option string")
         elif kind not in (argparse._HelpAction, argparse._StoreTrueAction):
             found.append(f"{action.dest} is a {kind.__name__}")
     return found
