@@ -30,20 +30,22 @@ emitter dispatches on exact types and walks every list item by item,
 except the rows of a bound sweep.
 
 A bound result is a list of tuples of printed columns, one per degree,
-built with no Fraction or dict.  The row printer (_sweep_rows) makes
-them from bounds.sweep_ratios with one gcd per row.  In a JSON or CSV
-sweep whose tail is all integers (denominator 1, as on every P_n), the
-tail's rows are instead bounds.tail_columns zipped with str, column by
-column, with no Python frame per row (_column_rows).  The JSON writer
-turns each chunk of tuples into text with one f-string list
-comprehension, unchecked, and the CSV writer joins each tuple into one
-line.  A single degree, the table form and --approx turn the tuples
-into row dicts, and a single degree's result is its one row.
-A JSON or CSV sweep of more than one chunk (_CHUNK rows) is streamed
-when every row after its first chunk is sure to print (_streams): the
-handler prints the first chunk, so every error comes before any output,
-and the writers print and write each later chunk in turn; any other
-report is rendered whole and written once.
+built with no Fraction or dict, and every format reads them from one
+lazy iterator (_printed_rows).  The row printer (_sweep_rows) makes them
+from bounds.sweep_ratios with one gcd per row; a tail that is all
+integers (denominator 1, as on every P_n) is instead bounds.tail_columns
+zipped with str, column by column, with no Python frame per row.  The
+handler lists the iterator through _listed, the one place that turns a
+row past the int-to-string digit limit into an error: into row dicts
+for a single degree, the table form and --approx, where a single
+degree's result is its one row; in chunks of _CHUNK rows for a streamed
+sweep; whole for any other.  The JSON writer turns each chunk of tuples
+into text with one f-string list comprehension, unchecked, and the CSV
+writer joins each tuple into one line.  A JSON or CSV sweep of more than
+one chunk is streamed when every row after its first chunk is sure to
+print (_streams): the handler prints the first chunk, so every error
+comes before any output, and the writers print and write each later
+chunk in turn; any other report is rendered whole and written once.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -308,13 +310,12 @@ class _SweepRows(list):
     rest = ()
 
 
-def _sweep_rows(ratios, rank: int) -> _SweepRows:
-    """The rows of sweep_ratios as text, with one gcd per row: value - core
-    is a multiple of the denominator unless the value is floored at rank,
-    so the value reduces by the core's gcd.  The branch text is looked up
-    once per run of rows in one branch."""
-    rows = _SweepRows()
-    append, gcd = rows.append, math.gcd
+def _sweep_rows(ratios, rank: int):
+    """Yield the rows of sweep_ratios as text, with one gcd per row: value
+    - core is a multiple of the denominator unless the value is floored at
+    rank, so the value reduces by the core's gcd.  The branch text is
+    looked up once per run of rows in one branch."""
+    gcd = math.gcd
     floored = str(rank)
     branch = text = None
     for d, row_branch, core, value, den in ratios:
@@ -323,37 +324,35 @@ def _sweep_rows(ratios, rank: int) -> _SweepRows:
         g = gcd(core, den)
         if g != 1:
             core, value, den = core // g, value // g, den // g
-        try:
-            if den == 1:
-                append((text, str(core), str(d), str(value)))
-            else:
-                append((text, f"{core}/{den}", str(d),
-                        floored if value == rank * den else f"{value}/{den}"))
-        except ValueError:  # past the int-to-string digit limit
-            raise too_many_digits() from None
-    return rows
+        if den == 1:
+            yield text, str(core), str(d), str(value)
+        else:
+            yield (text, f"{core}/{den}", str(d),
+                   floored if value == rank * den else f"{value}/{den}")
 
 
-def _column_rows(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
-    """The printed rows of a sweep as one iterator when its tail
-    (bounds.sweep_tail) is all integers, else None: the rows below the
-    tail's first degree from _sweep_rows, then the tail's columns zipped,
-    with no Python frame per row.  A row past the int-to-string digit
-    limit raises ValueError only when it is read (_listed)."""
+def _printed_rows(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
+    """The printed rows of a bound result, one lazy iterator.  When the
+    tail (bounds.sweep_tail) is all integers, the rows below its first
+    degree come from _sweep_rows, then the tail's columns zipped with str,
+    with no Python frame per row; any other result is _sweep_rows over
+    sweep_ratios.  A row past the int-to-string digit limit raises
+    ValueError only when it is read (_listed)."""
     first, poly = tail
-    if poly is None:
-        return None
-    tail_degrees = range(first, degrees.stop)
-    den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
-    if den != 1:
-        return None
-    below = range(degrees.start, first)
-    head = _sweep_rows(sweep_ratios(variety, rank, below, form, (first, None)), rank)
-    return chain(head, zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
-                           map(str, tail_degrees), map(str, values)))
+    if poly is not None:
+        tail_degrees = range(first, degrees.stop)
+        den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
+        if den == 1:
+            below = sweep_ratios(variety, rank, range(degrees.start, first), form)
+            return chain(_sweep_rows(below, rank),
+                         zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
+                             map(str, tail_degrees), map(str, values)))
+    return _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
 
 
 def _listed(rows) -> _SweepRows:
+    """The printed rows read from rows: the one place where a row past the
+    int-to-string digit limit becomes too_many_digits()."""
     try:
         return _SweepRows(rows)
     except ValueError:  # past the int-to-string digit limit
@@ -389,22 +388,15 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
     rank, tail = spec.rank, sweep_tail(variety, degrees, form)
     single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
+    printed = _printed_rows(variety, rank, degrees, form, tail)
     if single or args.approx or args.format == "table":  # these read row dicts
-        rows = _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
         rows = [{"degree": d, "branch": branch, "value": value, "core": core}
-                for d, (branch, core, _, value) in zip(degrees, rows)]
+                for d, (branch, core, _, value) in zip(degrees, _listed(printed))]
+    elif _streams(degrees, tail, rank):
+        rows = _listed(islice(printed, _CHUNK))
+        rows.rest = iter(lambda: _listed(islice(printed, _CHUNK)), [])
     else:
-        columns = _column_rows(variety, rank, degrees, form, tail)
-        if columns is None:
-            ratios = sweep_ratios(variety, rank, degrees, form, tail)
-            printed = lambda count: _sweep_rows(islice(ratios, count), rank)
-        else:
-            printed = lambda count: _listed(islice(columns, count))
-        if _streams(degrees, tail, rank):
-            rows = printed(_CHUNK)
-            rows.rest = iter(lambda: printed(_CHUNK), [])
-        else:
-            rows = printed(None)
+        rows = _listed(printed)
     result = rows[0] if single else {"results": rows}
     sheaf_echo = {"rank": rank,
                   "degree": spec.degree if single else f"{degrees.start}..{degrees.stop - 1}"}

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .exactnum import parse_rational, too_many_digits
+from .exactnum import too_many_digits
 
 
 class Poly:
@@ -170,10 +170,6 @@ class Poly:
                     else str(n // denom) for n in self._nums]
         except ValueError:
             raise too_many_digits() from None
-
-    @classmethod
-    def from_strings(cls, items) -> "Poly":
-        return cls(tuple(parse_rational(s) for s in items))
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self._denom == other._denom

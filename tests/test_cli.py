@@ -867,11 +867,15 @@ _DIGIT_LIMIT_SWEEPS = {
     "below-d-pos": ("--dim", "2", "--h-top", "1", "--c1-h", str(3 - 2 * 10 ** 2152),
                     "--degree", f"{_CLIFFORD_START}..{_CLIFFORD_START + 1999}"),
 }
+# The flags of each output of a sweep: the table form and --approx list
+# its rows into row dicts.
+_OUTPUT_FLAGS = {"json": ("--format", "json"), "csv": ("--format", "csv"),
+                 "table": ("--format", "table"), "approx": ("--approx",)}
 SWEEP_ERRORS += [
-    pytest.param((*argv, "--format", fmt), 1,
+    pytest.param((*argv, *flags), 1,
                  f"a result has more than {_DIGIT_LIMIT} digits, too many to print",
                  id=f"digit-limit-{case}-{fmt}", marks=needs_digit_limit)
-    for case, argv in _DIGIT_LIMIT_SWEEPS.items() for fmt in ("json", "csv")
+    for case, argv in _DIGIT_LIMIT_SWEEPS.items() for fmt, flags in _OUTPUT_FLAGS.items()
 ]
 
 
@@ -1094,23 +1098,22 @@ def test_sweep_rows_print_a_floored_value_as_the_rank():
     # no variety is known to floor a fractional core, so the row is made up:
     # core -1/2 and value 2 = rank, both over the denominator 2
     branch = syzstab.Branch.CLIFFORD
-    rows = cli._sweep_rows([(7, branch, -1, 4, 2), (8, branch, 4, 8, 6)], 2)
+    rows = list(cli._sweep_rows([(7, branch, -1, 4, 2), (8, branch, 4, 8, 6)], 2))
     assert rows == [("Clifford", "-1/2", "7", "2"), ("Clifford", "2/3", "8", "4/3")]
 
 
-def _frozen_sweep_rows(ratios, rank):
-    """cli._sweep_rows as it printed every row of a sweep before integer
-    tails were printed column by column: one gcd per row."""
-    rows = cli._SweepRows()
-    for d, branch, core, value, den in ratios:
+def _frozen_printed_rows(variety, rank, degrees, form, tail):
+    """cli._printed_rows as it printed every row of a sweep before integer
+    tails were printed column by column: one gcd per row of
+    _section_ratios; tail is not used."""
+    for d, branch, core, value, den in _section_ratios(variety, rank, degrees, form):
         g = math.gcd(core, den)
         core, value, den = core // g, value // g, den // g
         if den == 1:
-            rows.append((branch.value, str(core), str(d), str(value)))
+            yield branch.value, str(core), str(d), str(value)
         else:
-            rows.append((branch.value, f"{core}/{den}", str(d),
-                         str(rank) if value == rank * den else f"{value}/{den}"))
-    return rows
+            yield (branch.value, f"{core}/{den}", str(d),
+                   str(rank) if value == rank * den else f"{value}/{den}")
 
 
 def _frozen_write_rows(rows, pad, out):
@@ -1129,9 +1132,8 @@ def _frozen_write_rows(rows, pad, out):
     out.append(pad + "]")
 
 
-def _section_ratios(variety, rank, degrees, form, tail=None):
-    """The rows of bounds.sweep_ratios, each from sections_bound; tail is
-    not used."""
+def _section_ratios(variety, rank, degrees, form):
+    """The rows of bounds.sweep_ratios, each from sections_bound."""
     for d in degrees:
         rep = syzstab.sections_bound(variety, rank, d, form)
         den = rep.core.denominator
@@ -1139,11 +1141,11 @@ def _section_ratios(variety, rank, degrees, form, tail=None):
 
 
 def _sweep_outputs(argv):
-    """A JSON or CSV sweep's stdout from the CLI, and as the frozen row
-    printer and writer above write every row from sections_bound."""
+    """A sweep's stdout from the CLI, and as the frozen row printer and
+    writer above write every row from sections_bound."""
     got = run_cli(*argv)
-    with mock.patch.multiple(cli, sweep_ratios=_section_ratios, _sweep_rows=_frozen_sweep_rows,
-                             _write_rows=_frozen_write_rows, _column_rows=lambda *args: None):
+    with mock.patch.multiple(cli, _printed_rows=_frozen_printed_rows,
+                             _write_rows=_frozen_write_rows):
         want = run_cli(*argv)
     return got, want
 
@@ -1171,10 +1173,10 @@ _FROZEN_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", _OUTPUT_FLAGS)
 @pytest.mark.parametrize("argv", _FROZEN_SWEEPS, ids=lambda argv: " ".join(argv))
 def test_sweep_output_matches_the_per_row_printer(argv, fmt):
-    got, want = _sweep_outputs(("bound", *argv, "--format", fmt))
+    got, want = _sweep_outputs(("bound", *argv, *_OUTPUT_FLAGS[fmt]))
     assert got[0] == 0 and got == want
 
 

@@ -71,10 +71,6 @@ class TestPoly:
         p = 2 * Poly((1, 1)) - 1
         assert p == Poly((1, 2))
 
-    def test_string_round_trip(self):
-        p = Poly((Fraction(-13, 2), 0, 2))
-        assert Poly.from_strings(p.to_strings()) == p
-
     def test_immutable(self):
         p = Poly((1,))
         with pytest.raises(AttributeError):
