@@ -18,18 +18,21 @@ takes a single restriction step instead of the telescoped sum; see
 riemann_roch_bound.
 
 From d_pos on (see d_pos) the high-branch forms are exact polynomials of
-degree n in d, built by closed_form_poly: the package's one
-interpolation, and its one check that a form is the polynomial it is
-taken for.  A degree sweep extends that polynomial's integer
-forward-difference table past d_pos as n nested itertools.accumulate
-chains (tail_columns), with no Python bytecode per row; degrees below
-d_pos go through sections_bound one by one (sweep_ratios).  A sweep row
-is integers, the core and the value numerators over one denominator D;
-from d_pos on, D is the polynomial's reduced by the gcd of the table, so
-D == 1 exactly when every row of the tail is an integer.  value - core
-is a multiple of D unless the value is floored at rank, so a caller that
-prints rows reduces both with one gcd per row, or none when D == 1, and
-builds no Fraction.
+degree n in d.  _differences is the package's one check that a form is
+the polynomial it is taken for: the form's values at n+2 consecutive
+degrees from d_pos on, over one denominator, whose order-(n+1)
+difference must vanish.  closed_form_poly interpolates the table at
+d_pos into a Poly, for twist.  A degree sweep builds the table once, at
+its own first degree from d_pos on, and runs it as n nested
+itertools.accumulate chains (tail_columns), with no Python bytecode per
+row; degrees below d_pos go through sections_bound one by one
+(sweep_ratios).  A sweep row is integers, the core and the value
+numerators over one denominator D; from d_pos on, D is the table's,
+reduced by the table's gcd, so D == 1 exactly when every row of the tail
+is an integer, and Newton's form bounds every integer of the tail at its
+last degree.  value - core is a multiple of D unless the value is
+floored at rank, so a caller that prints rows reduces both with one gcd
+per row, or none when D == 1, and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -218,17 +221,14 @@ def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
     return Fraction(num - den, den)
 
 
-def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
-    """The closed form in use as an exact polynomial in d, equal to it at
-    every integer d >= d_pos: bound_high (simplified) or riemann_roch_bound,
-    which is rank_one_bound there (lemma).
-
-    Its values at x_j = d_pos + j (j = 0..n+1) over one integer denominator
-    L have forward differences D_j, and D_{n+1} must vanish.  L*n! times the
-    form is sum_j D_j*(n!/j!)*(d-x_0)...(d-x_{j-1}), built by Horner's rule.
-    """
+def _differences(n: int, h_top: int, g: int, form: BoundForm, start: int) -> tuple[int, list[int]]:
+    """The forward-difference table of the closed form in use at start:
+    bound_high (simplified) or riemann_roch_bound, which is rank_one_bound
+    from d_pos on (lemma).  Its values at x_j = start + j (j = 0..n+1) over
+    one integer denominator L have forward differences D_j, and D_{n+1}
+    must vanish; returns L and D_0..D_n.  The package's one check that a
+    form is the polynomial of degree n it is taken for (start >= d_pos)."""
     closed = bound_high if form is BoundForm.SIMPLIFIED else riemann_roch_bound
-    start = d_pos(g, h_top)
     values = [closed(n, h_top, g, d) for d in range(start, start + n + 2)]
     den = math.lcm(*(v.denominator for v in values))
     diffs = [v.numerator * (den // v.denominator) for v in values]
@@ -238,6 +238,16 @@ def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
     if diffs.pop() != 0:
         raise RuntimeError(
             f"the {form.value} bound is not a polynomial of degree {n} from degree {start}")
+    return den, diffs
+
+
+def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
+    """The closed form in use as an exact polynomial in d, equal to it at
+    every integer d >= d_pos.  With L and D_j the difference table at
+    x_0 = d_pos (_differences), L*n! times the form is
+    sum_j D_j*(n!/j!)*(d-x_0)...(d-x_{j-1}), built by Horner's rule."""
+    start = d_pos(g, h_top)
+    den, diffs = _differences(n, h_top, g, form, start)
     acc, scale = [0] * (n + 1), 1  # scale is n!/j!
     for j in range(n, -1, -1):
         for i in range(n, 0, -1):  # acc *= (d - x_j)
@@ -289,45 +299,35 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     )
 
 
-def sweep_tail(variety: Variety, degrees: range,
-               form: BoundForm = BoundForm.SIMPLIFIED) -> tuple[int, Poly | None]:
-    """Where a sweep of a unit-step range leaves sections_bound: the first
-    degree from which sweep_ratios extends the difference table of
-    closed_form_poly, and that polynomial; (degrees.stop, None) when no
-    degree does (the range ends below d_pos, or the part from d_pos on
-    has fewer than n+3 degrees)."""
+def tail_columns(variety: Variety, rank: int, degrees: range,
+                 form: BoundForm = BoundForm.SIMPLIFIED) -> tuple:
+    """The tail of a sweep of a unit-step range, the degrees from
+    max(start, d_pos) on, as (first, D, cores, values, bound): its first
+    degree, the denominator D, iterables of the core and value numerators
+    over D, and a bound on the absolute value of every integer in them.  A
+    range that ends below d_pos, or whose part from d_pos on has fewer than
+    n+3 degrees, has no tail: (degrees.stop, 1, (), (), 0).
+
+    The table is the closed form's own forward differences at first
+    (_differences), reduced with D by their gcd, so D == 1 exactly when
+    every row is an integer: the values at the first n+1 degrees are
+    integers exactly when every table entry is.  It runs as n nested
+    itertools.accumulate chains: the inner n-1 are shared, the outermost
+    starts once from t_0 for the cores and once from t_0 plus rank*D, or
+    (rank-1)*D in lemma form, for the values.  The values are floored at
+    rank*D unless the table shows that no row falls below it.  At degree
+    first + k the core is sum_j t_j*C(k, j) (Newton's form), so no integer
+    of the columns exceeds sum_j |t_j|*C(b - first, j) + rank*D, for the
+    range's last degree b.
+    """
+    _check_rank(rank)
     n, h, g = variety.dim, variety.h_top, variety.genus
     first = min(max(degrees.start, d_pos(g, h)), degrees.stop)
     if degrees.stop - first < n + 3:
-        return degrees.stop, None
-    return first, closed_form_poly(n, h, g, form)
-
-
-def tail_columns(variety: Variety, rank: int, degrees: range, poly: Poly,
-                 form: BoundForm = BoundForm.SIMPLIFIED):
-    """The tail of a sweep as columns: (D, cores, values), where cores and
-    values iterate the core and value numerators over D for every degree
-    of degrees, a unit-step range from the tail's first degree on
-    (sweep_tail) whose polynomial is poly.
-
-    The forward-difference table of D times poly at the first degree runs
-    as n nested itertools.accumulate chains: the inner n-1 are shared, the
-    outermost starts once from table[0] for the cores and once from
-    table[0] plus rank*D, or (rank-1)*D in lemma form, for the values.
-    The values are floored at rank*D unless the table shows that no row
-    falls below it.  D and the table are reduced by their gcd, so D == 1
-    exactly when every row is an integer: the values at the first n+1
-    degrees are integers exactly when every table entry is.
-    """
-    _check_rank(rank)
-    n, first = variety.dim, degrees.start
-    den, shifted = poly.scaled_shift(first)
-    table = [sum(c * k ** i for i, c in enumerate(shifted)) for k in range(n + 1)]
-    for j in range(1, n + 1):  # table[j] becomes the order-j difference at first
-        for i in range(n, j - 1, -1):
-            table[i] -= table[i - 1]
-    g = math.gcd(den, *table)
-    den, table = den // g, [t // g for t in table]
+        return degrees.stop, 1, (), (), 0
+    den, table = _differences(n, h, g, form, first)
+    common = math.gcd(den, *table)
+    den, table = den // common, [t // common for t in table]
     floor = rank * den
     start = table[0] + (floor if form is BoundForm.SIMPLIFIED else floor - den)
     # table[n] once per degree from first + n on (all > 0, so compress keeps
@@ -339,35 +339,35 @@ def tail_columns(variety: Variety, rank: int, degrees: range, poly: Poly,
     values = accumulate(value_steps, initial=start)
     if start < floor or min(table[1:]) < 0:  # else no value falls below the first
         values = map(max, values, repeat(floor))
-    return den, accumulate(core_steps, initial=table[0]), values
+    span = degrees.stop - 1 - first
+    bound = sum(abs(t) * math.comb(span, j) for j, t in enumerate(table)) + floor
+    return first, den, accumulate(core_steps, initial=table[0]), values, bound
 
 
 def sweep_ratios(variety: Variety, rank: int, degrees: range,
-                 form: BoundForm = BoundForm.SIMPLIFIED,
-                 tail: tuple[int, Poly | None] | None = None):
+                 form: BoundForm = BoundForm.SIMPLIFIED, tail: tuple | None = None):
     """Yield the rows of sections_bound for every degree of a unit-step
     range, in order, as integers: (degree, branch, core numerator, value
     numerator, denominator), the ratios not reduced.
 
-    Degrees below the tail's first degree (sweep_tail; tail is its value,
+    Degrees below the tail's first degree (tail_columns; tail is its value,
     computed here when not given) go through sections_bound, and a row
     splits its Fractions over the core's denominator.  The rest are the
-    columns of tail_columns over their denominator D: core is D times the
-    form's value and value is core + rank*D (simplified) or core +
-    (rank-1)*D (lemma), floored at rank*D.
+    tail's columns over their denominator D: core is D times the form's
+    value and value is core + rank*D (simplified) or core + (rank-1)*D
+    (lemma), floored at rank*D.  A range that stops at the tail's first
+    degree yields the rows below the tail and reads none of its columns.
     """
-    _check_rank(rank)
-    first, poly = sweep_tail(variety, degrees, form) if tail is None else tail
+    if tail is None:
+        tail = tail_columns(variety, rank, degrees, form)
+    first, tail_den, cores, values, _ = tail
     for d in range(degrees.start, first):
         rep = sections_bound(variety, rank, d, form)
         den = rep.core.denominator
         yield (d, rep.branch, rep.core.numerator,
                rep.value.numerator * (den // rep.value.denominator), den)
-    if poly is None:
-        return
-    tail_degrees = range(first, degrees.stop)
-    den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
-    yield from zip(tail_degrees, repeat(Branch.RIEMANN_ROCH), cores, values, repeat(den))
+    yield from zip(range(first, degrees.stop), repeat(Branch.RIEMANN_ROCH),
+                   cores, values, repeat(tail_den))
 
 
 @lru_cache(maxsize=8192)

@@ -31,21 +31,23 @@ except the rows of a bound sweep.
 
 A bound result is a list of tuples of printed columns, one per degree,
 built with no Fraction or dict, and every format reads them from one
-lazy iterator (_printed_rows).  The row printer (_sweep_rows) makes them
-from bounds.sweep_ratios with one gcd per row; a tail that is all
-integers (denominator 1, as on every P_n) is instead bounds.tail_columns
-zipped with str, column by column, with no Python frame per row.  The
-handler lists the iterator through _listed, the one place that turns a
-row past the int-to-string digit limit into an error: into row dicts
-for a single degree, the table form and --approx, where a single
-degree's result is its one row; in chunks of _CHUNK rows for a streamed
-sweep; whole for any other.  The JSON writer turns each chunk of tuples
-into text with one f-string list comprehension, unchecked, and the CSV
-writer joins each tuple into one line.  A JSON or CSV sweep of more than
-one chunk is streamed when every row after its first chunk is sure to
-print (_streams): the handler prints the first chunk, so every error
-comes before any output, and the writers print and write each later
-chunk in turn; any other report is rendered whole and written once.
+lazy iterator (_printed_rows).  The handler takes the sweep's tail from
+bounds.tail_columns once: its first degree, denominator, columns and one
+bound on their integers.  The row printer (_sweep_rows) makes rows from
+bounds.sweep_ratios over that tail with one gcd per row; a tail that is
+all integers (denominator 1, as on every P_n) is instead its columns
+zipped with str, with no Python frame per row.  The handler lists the
+iterator through _listed, the one place that turns a row past the
+int-to-string digit limit into an error: into row dicts for a single
+degree, the table form and --approx, where a single degree's result is
+its one row; in chunks of _CHUNK rows for a streamed sweep; whole for
+any other.  The JSON writer turns each chunk of tuples into text with
+one f-string list comprehension, unchecked, and the CSV writer joins
+each tuple into one line.  A JSON or CSV sweep of more than one chunk is
+streamed when the tail's bound shows that every row after its first
+chunk prints (_streams): the handler prints the first chunk, so every
+error comes before any output, and the writers print and write each
+later chunk in turn; any other report is rendered whole and written once.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -65,7 +67,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
-from .bounds import BoundForm, Branch, sections_bound, sweep_ratios, sweep_tail, tail_columns
+from .bounds import BoundForm, Branch, sections_bound, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
@@ -333,20 +335,18 @@ def _sweep_rows(ratios, rank: int):
 
 def _printed_rows(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
     """The printed rows of a bound result, one lazy iterator.  When the
-    tail (bounds.sweep_tail) is all integers, the rows below its first
-    degree come from _sweep_rows, then the tail's columns zipped with str,
-    with no Python frame per row; any other result is _sweep_rows over
-    sweep_ratios.  A row past the int-to-string digit limit raises
-    ValueError only when it is read (_listed)."""
-    first, poly = tail
-    if poly is not None:
-        tail_degrees = range(first, degrees.stop)
-        den, cores, values = tail_columns(variety, rank, tail_degrees, poly, form)
-        if den == 1:
-            below = sweep_ratios(variety, rank, range(degrees.start, first), form)
-            return chain(_sweep_rows(below, rank),
-                         zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
-                             map(str, tail_degrees), map(str, values)))
+    sweep has a tail (bounds.tail_columns) and it is all integers, the rows
+    below its first degree come from _sweep_rows, then the tail's columns
+    zipped with str, with no Python frame per row; any other result is
+    _sweep_rows over sweep_ratios, which reads the same tail.  A row past
+    the int-to-string digit limit raises ValueError only when it is read
+    (_listed)."""
+    first, den, cores, values, _ = tail
+    if den == 1 and first < degrees.stop:
+        below = sweep_ratios(variety, rank, range(degrees.start, first), form, tail)
+        return chain(_sweep_rows(below, rank),
+                     zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
+                         map(str, range(first, degrees.stop)), map(str, values)))
     return _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
 
 
@@ -359,40 +359,33 @@ def _listed(rows) -> _SweepRows:
         raise too_many_digits() from None
 
 
-def _streams(degrees: range, tail: tuple, rank: int) -> bool:
+def _streams(degrees: range, tail: tuple) -> bool:
     """True when a sweep has more than one chunk and every row after the
     first chunk is sure to print, so that the first chunk, printed before
     any byte is written, holds every error.  The rows below the tail's
-    first degree (bounds.sweep_tail) are known to print only once printed,
-    so they must lie in the first chunk.  From there on a row's integers
-    are at most sum |c_i|*b^i + |rank|*D, for the tail polynomial's
-    integer coefficients c_i over D and the range's last degree b; they
-    print when that bound has no more digits than the int-to-string limit."""
-    first, poly = tail
+    first degree (bounds.tail_columns) are known to print only once
+    printed, so they must lie in the first chunk.  From there on a row's
+    integers are at most the tail's bound; they print when that bound has
+    no more digits than the int-to-string limit."""
+    first, _, _, _, bound = tail
     if degrees.stop - degrees.start <= _CHUNK or first - degrees.start > _CHUNK:
         return False
     # 0 means no limit; CPython before 3.10.7 has none
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not limit:
-        return True
-    den, nums = poly.scaled_shift(0)
-    top, bound = degrees.stop - 1, 0
-    for c in reversed(nums):
-        bound = bound * top + abs(c)
     # bound < 2**bits <= 10**limit, as 3.321 < log2(10)
-    return (bound + abs(rank) * den).bit_length() * 1000 <= limit * 3321
+    return not limit or bound.bit_length() * 1000 <= limit * 3321
 
 
 def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
-    rank, tail = spec.rank, sweep_tail(variety, degrees, form)
+    rank, tail = spec.rank, tail_columns(variety, spec.rank, degrees, form)
     single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
     printed = _printed_rows(variety, rank, degrees, form, tail)
     if single or args.approx or args.format == "table":  # these read row dicts
         rows = [{"degree": d, "branch": branch, "value": value, "core": core}
                 for d, (branch, core, _, value) in zip(degrees, _listed(printed))]
-    elif _streams(degrees, tail, rank):
+    elif _streams(degrees, tail):
         rows = _listed(islice(printed, _CHUNK))
         rows.rest = iter(lambda: _listed(islice(printed, _CHUNK)), [])
     else:

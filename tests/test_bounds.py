@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from syzstab import (
     sections_bound,
     select_branch,
 )
-from syzstab.poly import Poly
 from syzstab.varieties import Variety
 
 
@@ -253,12 +253,12 @@ class TestSweepBounds:
             list(_fraction_rows(catalog_lookup("P2"), 0, range(50, 100)))
 
 
-def _tail_rows(v, rank, degrees, poly, form):
-    """The rows of bounds.tail_columns as (degree, core, value) Fractions,
-    with the denominator D."""
-    den, cores, values = bounds.tail_columns(v, rank, degrees, poly, form)
-    return den, [(d, Fraction(core, den), Fraction(value, den))
-                 for d, core, value in zip(degrees, cores, values)]
+def _tail_rows(v, rank, degrees, form):
+    """The tail of a sweep (bounds.tail_columns) as its first degree, its
+    denominator D and its rows as (degree, core, value) Fractions."""
+    first, den, cores, values, _ = bounds.tail_columns(v, rank, degrees, form)
+    return first, den, [(d, Fraction(core, den), Fraction(value, den))
+                        for d, core, value in zip(range(first, degrees.stop), cores, values)]
 
 
 class TestTailColumns:
@@ -267,43 +267,59 @@ class TestTailColumns:
         # D == 1, so the CLI prints these tails column by column
         v = catalog_lookup(f"P{n}")
         for form in BoundForm:
-            first, poly = bounds.sweep_tail(v, range(0, 80), form)
             for rank in range(1, 5):
-                den, rows = _tail_rows(v, rank, range(first, 80), poly, form)
-                assert den == 1
+                first, den, rows = _tail_rows(v, rank, range(0, 80), form)
+                assert (first, den) == (bounds.d_pos(0, 1), 1)
                 assert rows == [(d, core, value) for d, _, core, value
                                 in _direct_rows(v, rank, range(first, 80), form)]
 
     def test_a_fractional_tail_keeps_a_denominator(self):
         # genus 2, dim 3, h_top 2: the lemma form takes proper fractions past d_pos
         v = _variety(3, 2, 2)
-        first, poly = bounds.sweep_tail(v, range(0, 80), BoundForm.LEMMA)
-        den, rows = _tail_rows(v, 2, range(first, 80), poly, BoundForm.LEMMA)
-        assert den > 1
+        first, den, rows = _tail_rows(v, 2, range(0, 80), BoundForm.LEMMA)
+        assert first == bounds.d_pos(2, 2) and den > 1
         assert rows == [(d, core, value) for d, _, core, value
                         in _direct_rows(v, 2, range(first, 80), BoundForm.LEMMA)]
 
     @pytest.mark.parametrize("form", BoundForm)
-    def test_floors_a_tail_below_the_rank(self, form):
-        # no variety is known to floor a row past d_pos, so the polynomial is
-        # made up: ((d - 20)^2 - 60)/2 falls below 0 for d from 13 to 27,
-        # and its differences at degree 0 are negative
-        poly = Poly([170, -20, Fraction(1, 2)])
+    def test_floors_a_tail_below_the_rank(self, form, monkeypatch):
+        # no variety is known to floor a row past d_pos, so the closed form
+        # is made up: ((d - 20)^2 - 60)/2 falls below 0 for d from 13 to 27,
+        # and its differences at degree 0 (d_pos of a rational surface with
+        # h_top 1) are negative
+        def made_up(n, h, g, d):
+            return Fraction((d - 20) ** 2 - 60, 2)
+
+        monkeypatch.setattr(bounds, "bound_high", made_up)
+        monkeypatch.setattr(bounds, "riemann_roch_bound", made_up)
         shift = 3 if form is BoundForm.SIMPLIFIED else 2
-        den, rows = _tail_rows(_variety(2, 1, 0), 3, range(0, 60), poly, form)
-        assert den == 2
-        assert rows == [(d, poly(d), max(poly(d) + shift, Fraction(3))) for d in range(60)]
+        first, den, rows = _tail_rows(_variety(2, 1, 0), 3, range(0, 60), form)
+        assert (first, den) == (0, 2)
+        assert rows == [(d, made_up(2, 1, 0, d), max(made_up(2, 1, 0, d) + shift, Fraction(3)))
+                        for d in range(60)]
         assert sum(value == 3 for _, _, value in rows) > 10
 
     def test_columns_end_with_the_range(self):
         # also past sys.maxsize degrees, where itertools.repeat(x, count) fails;
         # P2's simplified core is C(d+2, 2) - 1
         v = catalog_lookup("P2")
-        first, poly = bounds.sweep_tail(v, range(0, 100), BoundForm.SIMPLIFIED)
-        den, cores, values = bounds.tail_columns(v, 1, range(first, 10 ** 30), poly)
+        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(0, 10 ** 30))
         assert (first, next(cores), next(values)) == (0, 0, 1)
-        den, cores, values = bounds.tail_columns(v, 1, range(7, 10), poly)
-        assert (list(cores), list(values)) == ([35, 44, 54], [36, 45, 55])
+        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(7, 12))
+        assert (first, list(cores), list(values)) == (7, [35, 44, 54, 65, 77], [36, 45, 55, 66, 78])
+        # three degrees are fewer than n+3: sections_bound prints them
+        first, den, cores, values, bound = bounds.tail_columns(v, 1, range(7, 10))
+        assert (first, list(cores), list(values), bound) == (10, [], [], 0)
+        assert [(core, value) for _, _, core, value in _fraction_rows(v, 1, range(7, 10))] \
+            == [(35, 36), (44, 45), (54, 55)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 20), st.sampled_from(BoundForm),
+           st.integers(1, 6), st.integers(0, 90), st.integers(1, 250))
+    def test_bound_covers_every_integer_of_the_tail(self, n, h, g, form, rank, start, length):
+        _, _, cores, values, bound = bounds.tail_columns(_variety(n, h, g), rank,
+                                                         range(start, start + length), form)
+        assert max(map(abs, chain(cores, values)), default=0) <= bound
 
 
 class TestClosedFormPoly:

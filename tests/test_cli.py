@@ -1014,6 +1014,23 @@ def test_sweep_rows_are_single_degree_results(form):
     assert rows == singles
 
 
+def test_a_sweep_with_a_denominator_builds_its_tail_table_once(monkeypatch):
+    # genus 3, dim 3, h_top 2: d_pos = 6, and the lemma tail has a
+    # denominator, so its rows take the one-gcd-per-row printer
+    closed, table = syzstab.bounds.riemann_roch_bound, syzstab.bounds._differences
+    degrees, tables = [], []
+    monkeypatch.setattr(syzstab.bounds, "riemann_roch_bound",
+                        lambda n, h, g, d: degrees.append(d) or closed(n, h, g, d))
+    monkeypatch.setattr(syzstab.bounds, "_differences",
+                        lambda *args: tables.append(args) or table(*args))
+    code, out, err = run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "0", "--rank", "2",
+                             "--form", "lemma", "--degree", "0..4000")
+    assert (code, err) == (0, "")
+    assert any("/" in row["core"] for row in json.loads(out)["result"]["results"][6:])
+    assert [d for d in degrees if d >= syzstab.bounds.d_pos(3, 2)] == list(range(6, 11))
+    assert len(tables) == 1
+
+
 def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
     """A bound sweep's stdout as the CLI wrote it while sweep rows were
     dicts: one row dict per degree from sections_bound, --approx companions
