@@ -10,8 +10,21 @@ force; it exists so the closed forms can be checked against it.
 Each closed form is evaluated as one integer ratio.  With d = p/e and
 q = h_top*e, every binomial argument is an integer over q, so a form is
 a sum of integer rising products (exactnum._rising) over one known
-denominator, and a single Fraction is built at the end: no float, no
-tolerance and no sampling.
+denominator: no float, no tolerance and no sampling.  Each form has one
+integer kernel, _clifford_ratio, _riemann_roch_ratio (strip case
+included), _rank_one_ratio, _low_ratio and _high_ratio, and the formula
+lives there only.  A kernel takes the degree as integers p and e > 0,
+in any ratio p/e of it, reduced or not, and returns (numerator,
+denominator) with the denominator > 0 and the ratio not reduced; it
+checks nothing.  So a comparison of two values is one
+cross-multiplication of integers, whose sign is right because both
+denominators are positive.  Fractions are built only at the API edge:
+the public function of a form checks its arguments and builds one
+Fraction from its kernel, and sections_bound and restriction_sum build
+theirs from _sections_ratio and _restriction_ratio.  Inside the
+package, sweeps (sweep_ratios, _differences), restriction_sums,
+stability.check_stability, twist's condition G and verify's checks read
+the kernels directly.
 
 On the strip (dim >= 3 and 0 < (d - (2g-2))/h_top < 1) the high branch
 takes a single restriction step instead of the telescoped sum; see
@@ -25,7 +38,7 @@ difference must vanish.  closed_form_poly interpolates the table at
 d_pos into a Poly, for twist.  A degree sweep builds the table once, at
 its own first degree from d_pos on, and runs it as n nested
 itertools.accumulate chains (tail_columns), with no Python bytecode per
-row; degrees below d_pos go through sections_bound one by one
+row; degrees below d_pos are sections_bound's kernel one by one
 (sweep_ratios).  A sweep row is integers, the core and the value
 numerators over one denominator D; from d_pos on, D is the table's,
 reduced by the table's gcd, so D == 1 exactly when every row of the tail
@@ -84,6 +97,71 @@ def select_branch(g: int, d) -> Branch:
     return Branch.CLIFFORD if d <= 2 * g - 2 else Branch.RIEMANN_ROCH
 
 
+def _in_strip(n: int, h_top: int, g: int, p: int, e: int) -> bool:
+    """True on the strip: dim >= 3 and 0 < (d - (2g-2))/h_top < 1, for d = p/e.
+
+    There the high branch holds less than one full hyperplane step, so
+    the telescoped summed form does not apply (see riemann_roch_bound).
+    """
+    return n >= 3 and 0 < p - (2 * g - 2) * e < h_top * e
+
+
+def _clifford_ratio(n: int, h_top: int, p: int, e: int) -> tuple[int, int]:
+    """clifford_bound at d = p/e as (numerator, denominator > 0)."""
+    q = h_top * e
+    num = h_top * _rising(p - q, q, n) + 2 * n * q * _rising(p, q, n - 1)
+    return num, 2 * q**n * math.factorial(n)
+
+
+def _riemann_roch_ratio(n: int, h_top: int, g: int, p: int, e: int) -> tuple[int, int]:
+    """riemann_roch_bound at d = p/e as (numerator, denominator > 0)."""
+    q = h_top * e
+    if _in_strip(n, h_top, g, p, e):
+        num, den = _rank_one_ratio(n - 1, h_top, g, p, e)
+        if p >= q:
+            low, low_den = _clifford_ratio(n, h_top, p - q, e)
+            num, den = num * low_den + low * den, den * low_den
+        return num, den
+    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
+    cross = sum(
+        math.comb(n, i) * (n - i + g - 1) * _rising(a_s, q, i) * _rising(a_t, q, n - 1 - i)
+        for i in range(n - 1)
+    )
+    num = _rising(p - (g - 1) * e - q, q, n) + e * cross
+    return num, e * q ** (n - 1) * math.factorial(n)
+
+
+def _rank_one_ratio(n: int, h_top: int, g: int, p: int, e: int) -> tuple[int, int]:
+    """rank_one_bound at d = p/e as (numerator, denominator > 0)."""
+    if p <= (2 * g - 2) * e:
+        return _clifford_ratio(n, h_top, p, e)
+    return _riemann_roch_ratio(n, h_top, g, p, e)
+
+
+def _low_ratio(n: int, h_top: int, p: int, e: int) -> tuple[int, int]:
+    """bound_low at d = p/e as (numerator, denominator > 0)."""
+    q = h_top * e
+    den = 2 * e * q ** (n - 1) * math.factorial(n)
+    return (p + 2 * n * e) * _rising(p, q, n - 1) - den, den
+
+
+def _high_ratio(n: int, h_top: int, g: int, p: int, e: int) -> tuple[int, int]:
+    """bound_high at d = p/e as (numerator, denominator > 0)."""
+    if _in_strip(n, h_top, g, p, e):
+        num, den = _riemann_roch_ratio(n, h_top, g, p, e)
+        return num - den, den
+    q = h_top * e
+    main = _rising(p - (g - 1) * e - q, q, n)
+    if n == 1:
+        return main - e, e
+    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
+    fact = math.factorial(n - 1)
+    den = e * q ** (2 * n - 3) * n * fact * fact
+    num = (main * q ** (n - 2) * fact
+           + (n - 1) ** 2 * (n + g - 1) * e * _rising(a_s, q, n - 2) * _rising(a_t, q, n - 1))
+    return num - den, den
+
+
 def clifford_bound(n: int, h_top: int, g: int, d) -> Fraction:
     """Low-degree rank-1 bound: (h/2)*genbinom(d/h - 1, n) + genbinom(d/h, n-1).
 
@@ -94,10 +172,7 @@ def clifford_bound(n: int, h_top: int, g: int, d) -> Fraction:
     d = _check_common(n, h_top, d)
     if d > 2 * g - 2:
         raise BranchError(f"degree {d} exceeds 2g-2 = {2 * g - 2}; use the high branch")
-    p, e = d.numerator, d.denominator
-    q = h_top * e
-    num = h_top * _rising(p - q, q, n) + 2 * n * q * _rising(p, q, n - 1)
-    return Fraction(num, 2 * q**n * math.factorial(n))
+    return Fraction(*_clifford_ratio(n, h_top, d.numerator, d.denominator))
 
 
 def d_pos(g: int, h_top: int) -> int:
@@ -105,15 +180,6 @@ def d_pos(g: int, h_top: int) -> int:
     every d >= max(2g-2, g-1) + h_top is in the high branch, off the strip,
     and gives every d-dependent binomial argument a value >= 0."""
     return max(2 * g - 2, g - 1) + h_top
-
-
-def _in_strip(n: int, h_top: int, g: int, d) -> bool:
-    """True on the strip: dim >= 3 and 0 < (d - (2g-2))/h_top < 1.
-
-    There the high branch holds less than one full hyperplane step, so
-    the telescoped summed form does not apply (see riemann_roch_bound).
-    """
-    return n >= 3 and 0 < d - (2 * g - 2) < h_top
 
 
 def riemann_roch_bound(n: int, h_top: int, g: int, d) -> Fraction:
@@ -150,26 +216,12 @@ def riemann_roch_bound(n: int, h_top: int, g: int, d) -> Fraction:
     d = _check_common(n, h_top, d)
     if d <= 2 * g - 2:
         raise BranchError(f"degree {d} is at most 2g-2 = {2 * g - 2}; use the low branch")
-    if _in_strip(n, h_top, g, d):
-        total = rank_one_bound(n - 1, h_top, g, d)
-        if d >= h_top:
-            total += clifford_bound(n, h_top, g, d - h_top)
-        return total
-    p, e = d.numerator, d.denominator
-    q = h_top * e
-    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
-    cross = sum(
-        math.comb(n, i) * (n - i + g - 1) * _rising(a_s, q, i) * _rising(a_t, q, n - 1 - i)
-        for i in range(n - 1)
-    )
-    num = _rising(p - (g - 1) * e - q, q, n) + e * cross
-    return Fraction(num, e * q ** (n - 1) * math.factorial(n))
+    return Fraction(*_riemann_roch_ratio(n, h_top, g, d.numerator, d.denominator))
 
 
 def rank_one_bound(n: int, h_top: int, g: int, d) -> Fraction:
-    if select_branch(g, d) is Branch.CLIFFORD:
-        return clifford_bound(n, h_top, g, d)
-    return riemann_roch_bound(n, h_top, g, d)
+    d = _check_common(n, h_top, d)
+    return Fraction(*_rank_one_ratio(n, h_top, g, d.numerator, d.denominator))
 
 
 def bound_low(n: int, h_top: int, d) -> Fraction:
@@ -179,10 +231,7 @@ def bound_low(n: int, h_top: int, d) -> Fraction:
     ((p + 2ne)*R(p, n-1) - D) / D.
     """
     d = _check_common(n, h_top, d)
-    p, e = d.numerator, d.denominator
-    q = h_top * e
-    den = 2 * e * q ** (n - 1) * math.factorial(n)
-    return Fraction((p + 2 * n * e) * _rising(p, q, n - 1) - den, den)
+    return Fraction(*_low_ratio(n, h_top, d.numerator, d.denominator))
 
 
 def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
@@ -206,32 +255,22 @@ def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
     with a_s, a_t as in riemann_roch_bound; for n = 1, (R1 - e)/e.
     """
     d = _check_common(n, h_top, d)
-    if _in_strip(n, h_top, g, d):
-        return riemann_roch_bound(n, h_top, g, d) - 1
-    p, e = d.numerator, d.denominator
-    q = h_top * e
-    main = _rising(p - (g - 1) * e - q, q, n)
-    if n == 1:
-        return Fraction(main - e, e)
-    a_s, a_t = p - (2 * g - 2) * e - q, (2 * g - 2) * e
-    fact = math.factorial(n - 1)
-    den = e * q ** (2 * n - 3) * n * fact * fact
-    num = (main * q ** (n - 2) * fact
-           + (n - 1) ** 2 * (n + g - 1) * e * _rising(a_s, q, n - 2) * _rising(a_t, q, n - 1))
-    return Fraction(num - den, den)
+    return Fraction(*_high_ratio(n, h_top, g, d.numerator, d.denominator))
 
 
 def _differences(n: int, h_top: int, g: int, form: BoundForm, start: int) -> tuple[int, list[int]]:
-    """The forward-difference table of the closed form in use at start:
-    bound_high (simplified) or riemann_roch_bound, which is rank_one_bound
-    from d_pos on (lemma).  Its values at x_j = start + j (j = 0..n+1) over
-    one integer denominator L have forward differences D_j, and D_{n+1}
-    must vanish; returns L and D_0..D_n.  The package's one check that a
+    """The forward-difference table of the closed form in use at start,
+    read from its kernel: bound_high (simplified) or riemann_roch_bound,
+    which is rank_one_bound from d_pos on (lemma).  Its values at
+    x_j = start + j (j = 0..n+1) over one integer denominator L have
+    forward differences D_j, and D_{n+1} must vanish; returns L and
+    D_0..D_n.  The package's one check that a
     form is the polynomial of degree n it is taken for (start >= d_pos)."""
-    closed = bound_high if form is BoundForm.SIMPLIFIED else riemann_roch_bound
-    values = [closed(n, h_top, g, d) for d in range(start, start + n + 2)]
-    den = math.lcm(*(v.denominator for v in values))
-    diffs = [v.numerator * (den // v.denominator) for v in values]
+    _check_common(n, h_top, start)
+    closed = _high_ratio if form is BoundForm.SIMPLIFIED else _riemann_roch_ratio
+    values = [closed(n, h_top, g, d, 1) for d in range(start, start + n + 2)]
+    den = math.lcm(*(v_den for _, v_den in values))
+    diffs = [v * (den // v_den) for v, v_den in values]
     for j in range(1, n + 2):  # diffs[j] becomes D_j
         for i in range(n + 1, j - 1, -1):
             diffs[i] -= diffs[i - 1]
@@ -274,6 +313,21 @@ def _check_rank(rank: int) -> None:
         raise InconsistentInputError(f"rank must be >= 1, got {rank}")
 
 
+def _sections_ratio(n: int, h_top: int, g: int, rank: int, p: int, e: int,
+                    form: BoundForm) -> tuple:
+    """sections_bound at d = p/e as (branch, core, value, den): the core
+    and the value numerators over one denominator den > 0."""
+    simplified = form is BoundForm.SIMPLIFIED
+    if p <= (2 * g - 2) * e:
+        branch = Branch.CLIFFORD
+        core, den = (_low_ratio if simplified else _clifford_ratio)(n, h_top, p, e)
+    else:
+        branch = Branch.RIEMANN_ROCH
+        core, den = (_high_ratio if simplified else _riemann_roch_ratio)(n, h_top, g, p, e)
+    shift = rank if simplified else rank - 1
+    return branch, core, max(core + shift * den, rank * den), den
+
+
 def sections_bound(variety: Variety, rank: int, degree: int,
                    form: BoundForm = BoundForm.SIMPLIFIED) -> BoundReport:
     """Upper bound on h0 of a globally-generated torsion-free sheaf.
@@ -286,15 +340,9 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     _check_rank(rank)
     d = _check_common(variety.dim, variety.h_top, degree)
     n, h, g = variety.dim, variety.h_top, variety.genus
-    branch = select_branch(g, d)
-    if form is BoundForm.SIMPLIFIED:
-        core = bound_low(n, h, d) if branch is Branch.CLIFFORD else bound_high(n, h, g, d)
-        value = core + rank
-    else:
-        core = rank_one_bound(n, h, g, d)
-        value = core + rank - 1
+    branch, core, value, den = _sections_ratio(n, h, g, rank, d.numerator, d.denominator, form)
     return BoundReport(
-        branch=branch, form=form, value=max(value, Fraction(rank)), core=core,
+        branch=branch, form=form, value=Fraction(value, den), core=Fraction(core, den),
         n=n, h_top=h, genus=g, rank=rank, degree=int(d),
     )
 
@@ -351,32 +399,53 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
     numerator, denominator), the ratios not reduced.
 
     Degrees below the tail's first degree (tail_columns; tail is its value,
-    computed here when not given) go through sections_bound, and a row
-    splits its Fractions over the core's denominator.  The rest are the
-    tail's columns over their denominator D: core is D times the form's
-    value and value is core + rank*D (simplified) or core + (rank-1)*D
-    (lemma), floored at rank*D.  A range that stops at the tail's first
-    degree yields the rows below the tail and reads none of its columns.
+    computed here when not given) are sections_bound's own integer ratios
+    (_sections_ratio), over the closed form's denominator.  The rest are
+    the tail's columns over their denominator D: core is D times the
+    form's value and value is core + rank*D (simplified) or core +
+    (rank-1)*D (lemma), floored at rank*D.  A range that stops at the
+    tail's first degree yields the rows below the tail and reads none of
+    its columns.
     """
     if tail is None:
         tail = tail_columns(variety, rank, degrees, form)
     first, tail_den, cores, values, _ = tail
+    n, h, g = variety.dim, variety.h_top, variety.genus
+    if degrees.start < first:  # sections_bound's checks, once for the rising degrees
+        _check_rank(rank)
+        _check_common(n, h, degrees.start)
     for d in range(degrees.start, first):
-        rep = sections_bound(variety, rank, d, form)
-        den = rep.core.denominator
-        yield (d, rep.branch, rep.core.numerator,
-               rep.value.numerator * (den // rep.value.denominator), den)
+        yield (d, *_sections_ratio(n, h, g, rank, d, 1, form))
     yield from zip(range(first, degrees.stop), repeat(Branch.RIEMANN_ROCH),
                    cores, values, repeat(tail_den))
 
 
 @lru_cache(maxsize=8192)
-def _rank_one_step(n: int, h_top: int, g: int, d) -> Fraction:
-    """rank_one_bound, memoised.  verify's dominance sweep compares the
-    closed form at (n, h_top, g, d) with restriction sums, and the sums in
-    dimension n + 1 add up those same values as their terms, so each is
-    computed once (`verify --grid small`: 600 evaluations instead of 800)."""
-    return rank_one_bound(n, h_top, g, d)
+def _rank_one_step(n: int, h_top: int, g: int, d) -> tuple[int, int]:
+    """rank_one_bound as (numerator, denominator > 0), memoised.  verify's
+    dominance sweep compares the closed form at (n, h_top, g, d) with
+    restriction sums, and the sums in dimension n + 1 add up those same
+    values as their terms, so each is computed once (`verify --grid
+    small`: 600 evaluations instead of 800)."""
+    return _rank_one_ratio(n, h_top, g, d.numerator, d.denominator)
+
+
+def _check_restriction(n: int, h_top: int, d):
+    """restriction_sum's checks: _check_common's, for dimension >= 2."""
+    if n < 2:
+        raise ValueError("restriction needs dimension >= 2")
+    return _check_common(n, h_top, d)
+
+
+def _restriction_ratio(n: int, h_top: int, g: int, d: int) -> tuple[int, int]:
+    """restriction_sum as (numerator, denominator > 0): the terms'
+    numerators over the lcm of their denominators."""
+    d = _check_restriction(n, h_top, d)
+    terms = [_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
+    # a set, not a generator: unpacking an iterator of unknown length regrows
+    # the argument tuple, and those reallocations raised peak RSS run by run
+    den = math.lcm(*{t_den for _, t_den in terms})
+    return sum(t * (den // t_den) for t, t_den in terms), den
 
 
 def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
@@ -385,29 +454,32 @@ def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
 
     The closed forms are supposed to dominate this sum wherever the
     induction's own hypotheses hold.  Like a closed form it is one integer
-    ratio: the terms' numerators over the lcm of their denominators, one
-    Fraction built at the end.
+    ratio (_restriction_ratio), and one Fraction is built at the end.
     """
-    if n < 2:
-        raise ValueError("restriction needs dimension >= 2")
-    d = _check_common(n, h_top, d)
-    terms = [_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
-    # a set, not a generator: unpacking an iterator of unknown length regrows
-    # the argument tuple, and those reallocations raised peak RSS run by run
-    den = math.lcm(*{t.denominator for t in terms})
-    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+    return Fraction(*_restriction_ratio(n, h_top, g, d))
 
 
 def restriction_sums(n: int, h_top: int, g: int, degrees: range):
     """Yield restriction_sum(n, h_top, g, d) for every degree d of a
-    unit-step range, in order.  The sum at d + h_top is the sum at d plus
-    the rank-1 bound at d + h_top, so one running Fraction per residue
-    class mod h_top carries it; a class's first degree seeds it from
-    restriction_sum."""
-    sums: dict[int, Fraction] = {}
+    unit-step range, in order, as (numerator, denominator > 0), the ratio
+    not reduced.  The sum at d + h_top is the sum at d plus the rank-1
+    bound at d + h_top, so one running ratio per residue class mod h_top
+    carries it, over the lcm of its terms' denominators; a class's first
+    degree seeds it from restriction_sum's own ratio.  The arguments are
+    checked at the range's first degree, as restriction_sum checks them."""
+    if degrees:
+        _check_restriction(n, h_top, degrees.start)
+    sums: dict[int, tuple[int, int]] = {}
     for d in degrees:
         r = d % h_top
         total = sums.get(r)
-        sums[r] = (restriction_sum(n, h_top, g, d) if total is None
-                   else total + _rank_one_step(n - 1, h_top, g, d))
-        yield sums[r]
+        if total is None:
+            total = _restriction_ratio(n, h_top, g, d)
+        else:
+            (num, den), (step, step_den) = total, _rank_one_step(n - 1, h_top, g, d)
+            if step_den != den:
+                lcm = math.lcm(den, step_den)
+                num, step, den = num * (lcm // den), step * (lcm // step_den), lcm
+            total = num + step, den
+        sums[r] = total
+        yield total

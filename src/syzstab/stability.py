@@ -13,7 +13,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import bound_high, bound_low
+from .bounds import _check_common, _high_ratio, _low_ratio
 from .errors import InconsistentInputError
 from .record import Record
 from .varieties import Variety
@@ -74,14 +74,17 @@ def syzygy_invariants(degree: int, h0: int) -> SyzygyInvariants:
 _VACUOUS = ConditionStatus(ConditionState.VACUOUS, None, None, None)
 
 
-def _compare(lhs: Fraction, rhs: Fraction, threshold_degree: int) -> ConditionStatus:
-    if lhs > rhs:
+def _compare(lhs: Fraction, num: int, den: int, threshold_degree: int) -> ConditionStatus:
+    """The status of the integer lhs against num/den (den > 0), compared by
+    cross-multiplication; the Fraction of the rhs is built for the report."""
+    left = lhs.numerator * den
+    if left > num:
         state = ConditionState.STRICT_PASS
-    elif lhs == rhs:
+    elif left == num:
         state = ConditionState.EQUALITY
     else:
         state = ConditionState.FAIL
-    return ConditionStatus(state, lhs, rhs, threshold_degree)
+    return ConditionStatus(state, lhs, Fraction(num, den), threshold_degree)
 
 
 def check_stability(variety: Variety, degree: int, h0: int) -> StabilityReport:
@@ -90,10 +93,13 @@ def check_stability(variety: Variety, degree: int, h0: int) -> StabilityReport:
 
     Condition 1 (present when g >= 2) compares h0 - 1 against
     (d/(2g-2)) * bound_low(n, h, 2g-2); condition 2 compares it against
-    (d/(d-1)) * bound_high(n, h, g, d-1).  Strict passes everywhere give
-    Stable; an equality downgrades to Semistable; any failure leaves the
-    question open.  Degrees 0 and 1 short-circuit: no subsheaf can
-    destabilize, so no inequality is consulted.
+    (d/(d-1)) * bound_high(n, h, g, d-1).  Each right side is its cap's
+    integer kernel scaled by d over the threshold degree, compared with
+    h0 - 1 by cross-multiplication; the report's lhs and rhs Fractions are
+    built once.  Strict passes everywhere give Stable; an equality
+    downgrades to Semistable; any failure leaves the question open.
+    Degrees 0 and 1 short-circuit: no subsheaf can destabilize, so no
+    inequality is consulted.
     """
     if degree < 0:
         raise InconsistentInputError(
@@ -119,13 +125,16 @@ def check_stability(variety: Variety, degree: int, h0: int) -> StabilityReport:
         )
 
     n, h, g = variety.dim, variety.h_top, variety.genus
+    _check_common(n, h, degree - 1)
     lhs = Fraction(h0 - 1)
 
     if g >= 2:
-        cond1 = _compare(lhs, Fraction(degree, 2 * g - 2) * bound_low(n, h, 2 * g - 2), 2 * g - 2)
+        low, den = _low_ratio(n, h, 2 * g - 2, 1)
+        cond1 = _compare(lhs, degree * low, (2 * g - 2) * den, 2 * g - 2)
     else:
         cond1 = _VACUOUS
-    cond2 = _compare(lhs, Fraction(degree, degree - 1) * bound_high(n, h, g, degree - 1), degree - 1)
+    high, den = _high_ratio(n, h, g, degree - 1, 1)
+    cond2 = _compare(lhs, degree * high, (degree - 1) * den, degree - 1)
 
     states = [c.status for c in (cond1, cond2) if c.status is not ConditionState.VACUOUS]
     if ConditionState.FAIL in states:

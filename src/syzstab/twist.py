@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .bounds import BoundForm, bound_low, closed_form_poly, d_pos
+from .bounds import BoundForm, _low_ratio, closed_form_poly, d_pos
 from .errors import InconsistentInputError, UsageError
 from .poly import Poly, positive_shift
 from .record import Record
@@ -134,8 +134,8 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
         )
     cond1 = None
     if g >= 2:
-        low = bound_low(n, h, 2 * g - 2)
-        u, v = low.numerator * dp, low.denominator
+        u, v = _low_ratio(n, h, 2 * g - 2, 1)
+        u *= dp
         nums = [(2 * g - 2) * v * x for x in p_minus_1]
         nums[0] -= d0 * u
         nums[1] -= h * u

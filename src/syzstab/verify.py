@@ -17,7 +17,8 @@ import math
 import random
 from fractions import Fraction
 
-from .bounds import _rank_one_step, bound_high, bound_low, d_pos, restriction_sums, sections_bound
+from .bounds import (BoundForm, _high_ratio, _low_ratio, _rank_one_step, _sections_ratio, d_pos,
+                     restriction_sums)
 from .exactnum import falling_sum_check
 from .record import Record
 from .stability import Verdict, check_stability
@@ -78,16 +79,33 @@ def _check_telescoping(rng: random.Random, samples: int) -> CheckResult:
     return res
 
 
+def _ratio_rises(kernel, head: tuple, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
+    """cap(d1) > 0, cap(d2) > 0 and d1*cap(d2) > d2*cap(d1), i.e.
+    -d1/cap(d1) < -d2/cap(d2), for degrees p/e and the cap's integer
+    kernel called as kernel(*head, p, e), compared by cross-multiplication
+    (every denominator > 0)."""
+    (p1, e1), (p2, e2) = d1, d2
+    (a1, b1), (a2, b2) = kernel(*head, p1, e1), kernel(*head, p2, e2)
+    return a1 > 0 and a2 > 0 and p1 * a2 * e2 * b1 > p2 * a1 * e1 * b2
+
+
+def _draw_degrees(rng: random.Random, base: int, top: int) -> tuple[tuple[int, int], ...]:
+    """d1 = base + a/b and d2 = d1 + c/f, drawn as a, b, c, f in that
+    order, as unreduced ratios (numerator, denominator > 0)."""
+    a, b = rng.randint(1, top), rng.randint(1, 6)
+    c, f = rng.randint(1, 240), rng.randint(1, 6)
+    p1 = base * b + a
+    return (p1, b), (p1 * f + c * b, b * f)
+
+
 def _check_monotone_low(rng: random.Random, samples: int) -> CheckResult:
     res = CheckResult("ratio-monotonicity-low")
     for _ in range(samples):
         n = rng.randint(2, 4)
         h = rng.randint(1, 4)
-        d1 = Fraction(rng.randint(1, 360), rng.randint(1, 6))
-        d2 = d1 + Fraction(rng.randint(1, 240), rng.randint(1, 6))
-        a1, a2 = bound_low(n, h, d1), bound_low(n, h, d2)
-        ok = a1 > 0 and a2 > 0 and d1 * a2 > d2 * a1  # -d1/a1 < -d2/a2
-        res.record(ok, lambda: f"n={n}, h={h}, d1={d1}, d2={d2}")
+        d1, d2 = _draw_degrees(rng, 0, 360)
+        ok = _ratio_rises(_low_ratio, (n, h), d1, d2)
+        res.record(ok, lambda: f"n={n}, h={h}, d1={Fraction(*d1)}, d2={Fraction(*d2)}")
     return res
 
 
@@ -101,11 +119,9 @@ def _check_monotone_high(rng: random.Random, samples: int) -> CheckResult:
         n = rng.randint(2, 4)
         h = rng.randint(1, 4)
         g = rng.randint(0, 6)
-        d1 = d_pos(g, h) + Fraction(rng.randint(1, 300), rng.randint(1, 6))
-        d2 = d1 + Fraction(rng.randint(1, 240), rng.randint(1, 6))
-        b1, b2 = bound_high(n, h, g, d1), bound_high(n, h, g, d2)
-        ok = b1 > 0 and b2 > 0 and d1 * b2 > d2 * b1  # -d1/b1 < -d2/b2
-        res.record(ok, lambda: f"n={n}, h={h}, g={g}, d1={d1}, d2={d2}")
+        d1, d2 = _draw_degrees(rng, d_pos(g, h), 300)
+        ok = _ratio_rises(_high_ratio, (n, h, g), d1, d2)
+        res.record(ok, lambda: f"n={n}, h={h}, g={g}, d1={Fraction(*d1)}, d2={Fraction(*d2)}")
     return res
 
 
@@ -121,8 +137,9 @@ def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
                 for d, oracle in zip(degrees, restriction_sums(n, h, g, degrees)):
                     closed = _rank_one_step(n, h, g, d)
                     res.record(
-                        closed >= oracle,
-                        lambda: f"n={n}, h={h}, g={g}, d={d}: {closed} < {oracle}",
+                        closed[0] * oracle[1] >= oracle[0] * closed[1],
+                        lambda: f"n={n}, h={h}, g={g}, d={d}: "
+                        f"{Fraction(*closed)} < {Fraction(*oracle)}",
                     )
     return res
 
@@ -130,14 +147,14 @@ def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
 def _check_sharp_projective(dims, degrees, ranks) -> CheckResult:
     res = CheckResult("sharpness-projective-space")
     for n in dims:
-        variety = catalog_lookup(f"P{n}")
+        v = catalog_lookup(f"P{n}")
         for d in degrees:
             expected = math.comb(d + n, n)
             for r in ranks:
-                got = sections_bound(variety, r, d).value
+                _, _, got, den = _sections_ratio(n, v.h_top, v.genus, r, d, 1, BoundForm.SIMPLIFIED)
                 res.record(
-                    got == expected + r - 1,
-                    lambda: f"P{n}, rank={r}, d={d}: {got} != {expected + r - 1}",
+                    got == (expected + r - 1) * den,
+                    lambda: f"P{n}, rank={r}, d={d}: {Fraction(got, den)} != {expected + r - 1}",
                 )
     return res
 
@@ -145,15 +162,17 @@ def _check_sharp_projective(dims, degrees, ranks) -> CheckResult:
 def _check_sharp_delpezzo(surfaces, multiples, ranks) -> CheckResult:
     res = CheckResult("sharpness-del-pezzo")
     for e in surfaces:
-        variety = catalog_lookup(f"delpezzo-{e}")
+        v = catalog_lookup(f"delpezzo-{e}")
         for m in multiples:
             # anticanonical Riemann-Roch on the surface: h0(mH) - 1 = e*m(m+1)/2
-            expected = Fraction(e * m * (m + 1), 2)
+            twice = e * m * (m + 1)
             for r in ranks:
-                got = sections_bound(variety, r, m * e).value
+                _, _, got, den = _sections_ratio(v.dim, v.h_top, v.genus, r, m * e, 1,
+                                                 BoundForm.SIMPLIFIED)
                 res.record(
-                    got == expected + r,
-                    lambda: f"delpezzo-{e}, rank={r}, m={m}: {got} != {expected + r}",
+                    2 * got == (twice + 2 * r) * den,
+                    lambda: f"delpezzo-{e}, rank={r}, m={m}: "
+                    f"{Fraction(got, den)} != {Fraction(twice, 2) + r}",
                 )
     return res
 
@@ -169,13 +188,13 @@ def _check_expansion(d0_values, span: int) -> CheckResult:
             exp = bound_high_poly(variety, d0)
             for k in range(exp.k_pos, exp.k_pos + span + 1):
                 poly_val = exp.poly(k)
-                direct = bound_high(
+                direct, den = _high_ratio(
                     variety.dim, variety.h_top, variety.genus,
-                    d0 + k * variety.h_top - 1,
+                    d0 + k * variety.h_top - 1, 1,
                 )
                 res.record(
-                    poly_val == direct,
-                    lambda: f"{name}, d0={d0}, k={k}: {poly_val} != {direct}",
+                    poly_val.numerator * den == direct * poly_val.denominator,
+                    lambda: f"{name}, d0={d0}, k={k}: {poly_val} != {Fraction(direct, den)}",
                 )
     return res
 

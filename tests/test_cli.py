@@ -1017,10 +1017,11 @@ def test_sweep_rows_are_single_degree_results(form):
 def test_a_sweep_with_a_denominator_builds_its_tail_table_once(monkeypatch):
     # genus 3, dim 3, h_top 2: d_pos = 6, and the lemma tail has a
     # denominator, so its rows take the one-gcd-per-row printer
-    closed, table = syzstab.bounds.riemann_roch_bound, syzstab.bounds._differences
+    # (the closed form is read through its integer kernel, at d = p/e)
+    closed, table = syzstab.bounds._riemann_roch_ratio, syzstab.bounds._differences
     degrees, tables = [], []
-    monkeypatch.setattr(syzstab.bounds, "riemann_roch_bound",
-                        lambda n, h, g, d: degrees.append(d) or closed(n, h, g, d))
+    monkeypatch.setattr(syzstab.bounds, "_riemann_roch_ratio",
+                        lambda n, h, g, p, e: degrees.append(Fraction(p, e)) or closed(n, h, g, p, e))
     monkeypatch.setattr(syzstab.bounds, "_differences",
                         lambda *args: tables.append(args) or table(*args))
     code, out, err = run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "0", "--rank", "2",

@@ -386,10 +386,16 @@ class TestInterpolatedCap:
         lambda n, d: d ** (n + 1),          # a polynomial of degree n+1
     ])
     def test_cap_of_wrong_shape_is_caught(self, monkeypatch, extra):
-        # the order-(n+1) difference through the extra node is then non-zero
-        real = bounds.bound_high
-        monkeypatch.setattr(bounds, "bound_high",
-                            lambda n, h, g, d: real(n, h, g, d) + extra(n, d))
+        # the order-(n+1) difference through the extra node is then non-zero;
+        # the cap is read through its integer kernel, at d = p/e
+        real = bounds._high_ratio
+
+        def patched(n, h, g, p, e):
+            num, den = real(n, h, g, p, e)
+            x = Fraction(extra(n, Fraction(p, e)))
+            return num * x.denominator + x.numerator * den, den * x.denominator
+
+        monkeypatch.setattr(bounds, "_high_ratio", patched)
         with pytest.raises(RuntimeError, match="not a polynomial"):
             bound_high_poly(P3, 2)
 
