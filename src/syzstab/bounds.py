@@ -32,11 +32,12 @@ riemann_roch_bound.
 
 From d_pos on (see d_pos) the high-branch forms are exact polynomials of
 degree n in d.  _differences is the package's one check that a form is
-the polynomial it is taken for: the form's values at n+2 consecutive
-degrees from d_pos on, over one denominator, whose order-(n+1)
-difference must vanish.  closed_form_poly interpolates the table at
-d_pos into a Poly, for twist.  A degree sweep builds the table once, at
-its own first degree from d_pos on, and runs it as n nested
+the polynomial it is taken for: the form's values at n+2 degrees from
+d_pos on, equally spaced, over one denominator, whose order-(n+1)
+difference must vanish.  twist.bound_high_poly reads the cap's table
+along the twisted degrees, h_top apart, and interpolates it in the
+twist k; no polynomial in d is built.  A degree sweep builds the table
+once, at its own first degree from d_pos on, and runs it as n nested
 itertools.accumulate chains (tail_columns), with no Python bytecode per
 row; degrees below d_pos are sections_bound's kernel one by one
 (sweep_ratios).  A sweep row is integers, the core and the value
@@ -53,12 +54,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, compress, repeat, tee
 
 from .errors import InconsistentInputError
 from .exactnum import _rising
-from .poly import Poly
 from .record import Record
 from .varieties import Variety
 
@@ -258,17 +257,19 @@ def bound_high(n: int, h_top: int, g: int, d) -> Fraction:
     return Fraction(*_high_ratio(n, h_top, g, d.numerator, d.denominator))
 
 
-def _differences(n: int, h_top: int, g: int, form: BoundForm, start: int) -> tuple[int, list[int]]:
+def _differences(n: int, h_top: int, g: int, form: BoundForm, start: int,
+                 step: int = 1) -> tuple[int, list[int]]:
     """The forward-difference table of the closed form in use at start,
     read from its kernel: bound_high (simplified) or riemann_roch_bound,
-    which is rank_one_bound from d_pos on (lemma).  Its values at
-    x_j = start + j (j = 0..n+1) over one integer denominator L have
-    forward differences D_j, and D_{n+1} must vanish; returns L and
-    D_0..D_n.  The package's one check that a
-    form is the polynomial of degree n it is taken for (start >= d_pos)."""
+    which is rank_one_bound from d_pos on (lemma).  Its values at the
+    degrees start + j*step (j = 0..n+1) over one integer denominator L
+    have forward differences D_j, and D_{n+1} must vanish; returns L and
+    D_0..D_n.  The package's one check that a form is the polynomial of
+    degree n it is taken for (start >= d_pos): sweeps read it at unit
+    steps, twist along the twisted degrees (step h_top)."""
     _check_common(n, h_top, start)
     closed = _high_ratio if form is BoundForm.SIMPLIFIED else _riemann_roch_ratio
-    values = [closed(n, h_top, g, d, 1) for d in range(start, start + n + 2)]
+    values = [closed(n, h_top, g, start + j * step, 1) for j in range(n + 2)]
     den = math.lcm(*(v_den for _, v_den in values))
     diffs = [v * (den // v_den) for v, v_den in values]
     for j in range(1, n + 2):  # diffs[j] becomes D_j
@@ -278,22 +279,6 @@ def _differences(n: int, h_top: int, g: int, form: BoundForm, start: int) -> tup
         raise RuntimeError(
             f"the {form.value} bound is not a polynomial of degree {n} from degree {start}")
     return den, diffs
-
-
-def closed_form_poly(n: int, h_top: int, g: int, form: BoundForm) -> Poly:
-    """The closed form in use as an exact polynomial in d, equal to it at
-    every integer d >= d_pos.  With L and D_j the difference table at
-    x_0 = d_pos (_differences), L*n! times the form is
-    sum_j D_j*(n!/j!)*(d-x_0)...(d-x_{j-1}), built by Horner's rule."""
-    start = d_pos(g, h_top)
-    den, diffs = _differences(n, h_top, g, form, start)
-    acc, scale = [0] * (n + 1), 1  # scale is n!/j!
-    for j in range(n, -1, -1):
-        for i in range(n, 0, -1):  # acc *= (d - x_j)
-            acc[i] = acc[i - 1] - (start + j) * acc[i]
-        acc[0] = diffs[j] * scale - (start + j) * acc[0]
-        scale *= j or 1
-    return Poly._from_ints(den * scale, acc)
 
 
 class BoundReport(Record):
@@ -420,14 +405,19 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
                    cores, values, repeat(tail_den))
 
 
-@lru_cache(maxsize=8192)
-def _rank_one_step(n: int, h_top: int, g: int, d) -> tuple[int, int]:
-    """rank_one_bound as (numerator, denominator > 0), memoised.  verify's
+def _rank_one_step(memo: dict, n: int, h_top: int, g: int, d) -> tuple[int, int]:
+    """rank_one_bound as (numerator, denominator > 0), read from memo when
+    it holds (n, h_top, g, d) and added to it otherwise.  verify's
     dominance sweep compares the closed form at (n, h_top, g, d) with
     restriction sums, and the sums in dimension n + 1 add up those same
-    values as their terms, so each is computed once (`verify --grid
-    small`: 600 evaluations instead of 800)."""
-    return _rank_one_ratio(n, h_top, g, d.numerator, d.denominator)
+    values as their terms, so with one memo for the sweep each is computed
+    once (`verify --grid small`: 600 evaluations instead of 800).  The
+    memo belongs to its caller, so nothing outlives the call that owns it."""
+    key = (n, h_top, g, d)
+    ratio = memo.get(key)
+    if ratio is None:
+        ratio = memo[key] = _rank_one_ratio(n, h_top, g, d.numerator, d.denominator)
+    return ratio
 
 
 def _check_restriction(n: int, h_top: int, d):
@@ -437,11 +427,12 @@ def _check_restriction(n: int, h_top: int, d):
     return _check_common(n, h_top, d)
 
 
-def _restriction_ratio(n: int, h_top: int, g: int, d: int) -> tuple[int, int]:
+def _restriction_ratio(n: int, h_top: int, g: int, d: int, memo: dict) -> tuple[int, int]:
     """restriction_sum as (numerator, denominator > 0): the terms'
-    numerators over the lcm of their denominators."""
+    numerators over the lcm of their denominators, each term read through
+    memo (_rank_one_step)."""
     d = _check_restriction(n, h_top, d)
-    terms = [_rank_one_step(n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
+    terms = [_rank_one_step(memo, n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
     # a set, not a generator: unpacking an iterator of unknown length regrows
     # the argument tuple, and those reallocations raised peak RSS run by run
     den = math.lcm(*{t_den for _, t_den in terms})
@@ -456,17 +447,20 @@ def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     induction's own hypotheses hold.  Like a closed form it is one integer
     ratio (_restriction_ratio), and one Fraction is built at the end.
     """
-    return Fraction(*_restriction_ratio(n, h_top, g, d))
+    return Fraction(*_restriction_ratio(n, h_top, g, d, {}))
 
 
-def restriction_sums(n: int, h_top: int, g: int, degrees: range):
+def restriction_sums(n: int, h_top: int, g: int, degrees: range, memo: dict):
     """Yield restriction_sum(n, h_top, g, d) for every degree d of a
     unit-step range, in order, as (numerator, denominator > 0), the ratio
     not reduced.  The sum at d + h_top is the sum at d plus the rank-1
     bound at d + h_top, so one running ratio per residue class mod h_top
     carries it, over the lcm of its terms' denominators; a class's first
-    degree seeds it from restriction_sum's own ratio.  The arguments are
-    checked at the range's first degree, as restriction_sum checks them."""
+    degree seeds it from restriction_sum's own ratio.  Every rank-1 term
+    is read through the caller's memo (_rank_one_step), so a caller that
+    also reads the rank-1 bounds in dimension n - 1 shares their values.
+    The arguments are checked at the range's first degree, as
+    restriction_sum checks them."""
     if degrees:
         _check_restriction(n, h_top, degrees.start)
     sums: dict[int, tuple[int, int]] = {}
@@ -474,9 +468,9 @@ def restriction_sums(n: int, h_top: int, g: int, degrees: range):
         r = d % h_top
         total = sums.get(r)
         if total is None:
-            total = _restriction_ratio(n, h_top, g, d)
+            total = _restriction_ratio(n, h_top, g, d, memo)
         else:
-            (num, den), (step, step_den) = total, _rank_one_step(n - 1, h_top, g, d)
+            (num, den), (step, step_den) = total, _rank_one_step(memo, n - 1, h_top, g, d)
             if step_den != den:
                 lcm = math.lcm(den, step_den)
                 num, step, den = num * (lcm // den), step * (lcm // step_den), lcm

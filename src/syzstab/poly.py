@@ -1,17 +1,17 @@
 """Exact univariate polynomials over the rationals (Poly), and the
-Taylor-shift positivity test (positive_shift).
+Taylor-shift positivity test (shift_passes, positive_shift).
 
 A Poly stores one integer polynomial over one denominator, so callers
 such as the twist conditions build their coefficients on the integers and
-wrap them once (Poly._from_ints).  positive_shift is the sign test behind
-the twist certificates: when it passes, the shifted polynomials it
-returns are the ones the certificate prints."""
+wrap them once (Poly._from_ints); it has no ring arithmetic.
+shift_passes is the sign test behind the twist certificates, answered
+from the integer coefficients as they come; positive_shift is the same
+test returning the shifted polynomials, which the certificate prints."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from .exactnum import too_many_digits
 
@@ -26,10 +26,10 @@ class Poly:
     pair is canonical: no trailing zero numerator and gcd(D, *nums) = 1,
     so D is the lcm of the reduced coefficient denominators (1 for the
     zero polynomial) and equal polynomials store equal pairs.  `coeffs`,
-    `coeff` and `leading` are Fraction views of the pair.  Arithmetic,
-    evaluation and the Taylor shift run on the integers: x = p/q (q = 1
-    for an int) gives sum nums[i] * p^i * q^(n-i) over D * q^n by
-    Horner's rule, and one reduced Fraction is built from that pair."""
+    `coeff` and `leading` are Fraction views of the pair.  Evaluation and
+    the Taylor shift run on the integers: x = p/q (q = 1 for an int)
+    gives sum nums[i] * p^i * q^(n-i) over D * q^n by Horner's rule, and
+    one reduced Fraction is built from that pair."""
 
     __slots__ = ("_denom", "_nums")
 
@@ -102,63 +102,6 @@ class Poly:
                 a[j] += c * a[j + 1]
         return self._denom, a
 
-    def _promote(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly._from_ints(other.denominator, [other.numerator])
-        return None
-
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        denom = math.lcm(self._denom, other._denom)
-        sa, sb = denom // self._denom, denom // other._denom
-        return Poly._from_ints(denom, [a * sa + b * sb for a, b in
-                                       zip_longest(self._nums, other._nums, fillvalue=0)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._from_ints(self._denom, [-a for a in self._nums])
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        denom = math.lcm(self._denom, other._denom)
-        sa, sb = denom // self._denom, denom // other._denom
-        return Poly._from_ints(denom, [a * sa - b * sb for a, b in
-                                       zip_longest(self._nums, other._nums, fillvalue=0)])
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        out = [0] * (len(self._nums) + len(other._nums) - 1)
-        for i, a in enumerate(self._nums):
-            for j, b in enumerate(other._nums):
-                out[i + j] += a * b
-        return Poly._from_ints(self._denom * other._denom, out)
-
-    __rmul__ = __mul__
-
-    def compose_linear(self, a, b) -> "Poly":
-        """Substitute the variable by a*k + b (ints or Fractions): with
-        a*k + b = (u*k + v)/m over ints, p(x/m) is shifted by v (scaled_shift),
-        then coefficient i is scaled by u^i."""
-        m = math.lcm(a.denominator, b.denominator)
-        u, v = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
-        n = max(self.degree, 0)
-        scaled = Poly._from_ints(self._denom * m ** n,
-                                 [c * m ** (n - i) for i, c in enumerate(self._nums)])
-        denom, shifted = scaled.scaled_shift(v)
-        return Poly._from_ints(denom, [c * u ** i for i, c in enumerate(shifted)])
-
     def to_strings(self) -> list[str]:
         """Each coefficient as format_rational prints it, "p/q" or "p",
         reduced from the stored pair with one gcd and no Fraction; an
@@ -180,6 +123,25 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def shift_passes(polys, c: int) -> bool:
+    """Whether positive_shift(polys, c) passes, without building it: one
+    synthetic-division pass per polynomial that stops at the first negative
+    Taylor coefficient.  Pass i of scaled_shift's loop leaves a_i final
+    (a_0 = D*p(c) after the first), and the lead a_n is never touched, so
+    each coefficient is tested as soon as it is known."""
+    for p in polys:
+        a = list(p._nums)
+        if not a or a[-1] < 0:  # the zero polynomial's constant is 0; no lead is 0
+            return False
+        n = len(a) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+            if a[i] < (i == 0):  # a_0 > 0, every other a_i >= 0
+                return False
+    return True
 
 
 def positive_shift(polys, c: int) -> tuple[Poly, ...] | None:

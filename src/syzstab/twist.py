@@ -2,24 +2,27 @@
 
 Twisting the input by k steps of the polarization turns both stability
 inequalities into polynomial sign conditions in k; the high cap enters
-as its exact polynomial in the degree (bounds.closed_form_poly) composed
-with the twisted degree (bound_high_poly).  Clearing denominators gives
+as its exact polynomial in k, interpolated from its kernel's values at
+n+2 consecutive twists (bound_high_poly).  Clearing denominators gives
 polynomials whose top terms cancel exactly, leaving positive leading
 coefficients; each condition is built as integer numerators over one
 denominator, from the numerators of the Hilbert polynomial and the cap.
 Positivity from some point on is then certified by a Taylor shift: if
 every coefficient of F(k + c) is >= 0 and F(c) > 0, then F > 0 on
 [c, oo) (the sign test behind Vincent's theorem and Descartes' rule of
-signs; poly.positive_shift).  The least such integer c is found by one
-bisection from the start up to a root bound where the test is proven to
-hold: the lesser of the Cauchy bound and Fujiwara's bound rounded up to
-a power of two (fujiwara_bound).  Both lie strictly above the modulus of
-every root, so by Gauss-Lucas above every root of every derivative too,
-and each Taylor coefficient F^(i)(c)/i! has the sign of the positive
-leading coefficient there.  The rows below c are evaluated downward to
-the first failure.  The certificate records c, the shifted coefficients
-(the passing test's own result), the evaluated rows, the Cauchy bound,
-and the polynomials (poly.Poly, re-exported here).
+signs).  The least such integer c is found by one bisection from the
+start up to a root bound where the test is proven to hold: the lesser
+of the Cauchy bound and Fujiwara's bound rounded up to a power of two
+(fujiwara_bound).  Both lie strictly above the modulus of every root, so
+by Gauss-Lucas above every root of every derivative too, and each
+Taylor coefficient F^(i)(c)/i! has the sign of the positive leading
+coefficient there.  A bisection step only asks pass or fail
+(poly.shift_passes: integer synthetic division that stops at the first
+negative Taylor coefficient, building no Poly); the shifted polynomials
+are built once, at c (poly.positive_shift).  The rows below c are
+evaluated downward to the first failure.  The certificate records c, the
+shifted coefficients, the evaluated rows, the Cauchy bound, and the
+polynomials (poly.Poly, re-exported here).
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .bounds import BoundForm, _low_ratio, closed_form_poly, d_pos
+from .bounds import BoundForm, _differences, _low_ratio, d_pos
 from .errors import InconsistentInputError, UsageError
-from .poly import Poly, positive_shift
+from .poly import Poly, positive_shift, shift_passes
 from .record import Record
 from .varieties import Variety
 
@@ -79,15 +82,25 @@ class TwistExpansion(Record):
 
 
 def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
-    """bound_high at degree d0 + k*h_top - 1 as a polynomial in k: the cap's
-    polynomial in d (bounds.closed_form_poly) composed with that degree.
-    k_pos is the least k whose degree is at least bounds.d_pos."""
+    """bound_high at degree d0 + k*h_top - 1 as a polynomial in k, exact at
+    every integer k >= k_pos, the least k whose degree is at least
+    bounds.d_pos.  With L and D_j the difference table of the cap at the
+    degrees of x_j = k_pos + j (bounds._differences, in steps of h_top),
+    L*n! times the cap is sum_j D_j*(n!/j!)*(k-x_0)...(k-x_{j-1}), built
+    by Horner's rule."""
     n, h, g = variety.dim, variety.h_top, variety.genus
     if d0 < 0:
         raise InconsistentInputError(f"degree must be >= 0, got {d0}")
     k_pos = -((d0 - 1 - d_pos(g, h)) // h)
-    poly = closed_form_poly(n, h, g, BoundForm.SIMPLIFIED).compose_linear(h, d0 - 1)
-    return TwistExpansion(poly=poly, k_pos=k_pos)
+    den, diffs = _differences(n, h, g, BoundForm.SIMPLIFIED, d0 - 1 + k_pos * h, h)
+    acc, scale = [0] * (n + 1), 1  # scale is n!/j!
+    for j in range(n, -1, -1):
+        x = k_pos + j
+        for i in range(n, 0, -1):  # acc *= (k - x_j)
+            acc[i] = acc[i - 1] - x * acc[i]
+        acc[0] = diffs[j] * scale - x * acc[0]
+        scale *= j or 1
+    return TwistExpansion(poly=Poly._from_ints(den * scale, acc), k_pos=k_pos)
 
 
 class ConditionPolys(Record):
@@ -213,17 +226,19 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     larger over the two polynomials.  The test is monotone in c: a shift
     by d >= 0 keeps nonnegative coefficients nonnegative and does not
     lower the constant.  So one bisection over [start, top] finds c in
-    at most log2(top - start) + 1 tests.
+    at most log2(top - start) + 1 tests, each only pass or fail
+    (shift_passes); positive_shift then runs once, at c, and its shifted
+    polynomials are the certificate's.
 
-    At top the test must pass, and is run there only when no midpoint
-    passed.  Both bounds are strict: every root of each polynomial has
-    modulus below them (Cauchy's radius is 1 + max|c_i/c_n|, and P is
-    a power of two above Fujiwara's bound, which a root can reach:
-    k - 6 has its root on it).  By Gauss-Lucas the roots of every
-    derivative lie in the convex hull of the roots, so below top as
-    well, and every Taylor coefficient F^(i)(c)/i! at c = top has the
-    sign of the positive leading coefficient; a failure there raises
-    RuntimeError naming the bound.
+    When no midpoint passed, c is top, where the test must pass.  Both
+    bounds are strict: every root of each polynomial has modulus below
+    them (Cauchy's radius is 1 + max|c_i/c_n|, and P is a power of two
+    above Fujiwara's bound, which a root can reach: k - 6 has its root
+    on it).  By Gauss-Lucas the roots of every derivative lie in the
+    convex hull of the roots, so below top as well, and every Taylor
+    coefficient F^(i)(c)/i! at c = top has the sign of the positive
+    leading coefficient; a failure there raises RuntimeError naming the
+    bound.
 
     Rows are evaluated from c down to the first failing k, or down to
     start; k_min is that k + 1, or start.  A zero value counts as a
@@ -237,15 +252,14 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     bound = min(radius, max(fujiwara_bound(p) for p in conds))
 
     lo, hi = start, max(start, math.ceil(bound))
-    shift = None
     while lo < hi:
         mid = (lo + hi) // 2
-        if (passed := positive_shift(conds, mid)) is None:
-            lo = mid + 1
+        if shift_passes(conds, mid):
+            hi = mid
         else:
-            hi, shift = mid, passed
+            lo = mid + 1
     c = hi
-    if shift is None and (shift := positive_shift(conds, c)) is None:
+    if (shift := positive_shift(conds, c)) is None:
         raise RuntimeError(
             f"Taylor shift at c = {c}, past the root bound {bound}, is not positive"
         )

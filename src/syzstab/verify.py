@@ -131,11 +131,12 @@ def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
         note="every cell of the grid, no cells excluded; on the strip dim >= 3, "
         "0 < (d - (2g-2))/h_top < 1 the closed form is one restriction step",
     )
+    memo: dict = {}  # the rank-1 values, shared by the closed forms and the sums
     for n in dims:
         for h in h_tops:
             for g in genera:
-                for d, oracle in zip(degrees, restriction_sums(n, h, g, degrees)):
-                    closed = _rank_one_step(n, h, g, d)
+                for d, oracle in zip(degrees, restriction_sums(n, h, g, degrees, memo)):
+                    closed = _rank_one_step(memo, n, h, g, d)
                     res.record(
                         closed[0] * oracle[1] >= oracle[0] * closed[1],
                         lambda: f"n={n}, h={h}, g={g}, d={d}: "
@@ -179,8 +180,9 @@ def _check_sharp_delpezzo(surfaces, multiples, ranks) -> CheckResult:
 
 def _check_expansion(d0_values, span: int) -> CheckResult:
     """bound_high_poly against bound_high at the twists k_pos .. k_pos+span:
-    the cap's polynomial in d, interpolated at d_pos .. d_pos+n+1 and composed
-    with the degree d0 + k*h_top - 1, checked at each twist."""
+    the cap's polynomial in k, interpolated from its kernel at the degrees
+    d0 + k*h_top - 1 of the twists k_pos .. k_pos+n+1, checked against the
+    kernel at every twist of the span, most of them past those nodes."""
     res = CheckResult("twist-expansion-agreement")
     for name in ("P2", "P3", "quartic-K3", "cubic-surface", "quintic-surface"):
         variety = catalog_lookup(name)

@@ -15,6 +15,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from poly_algebra import RingPoly
 from syzstab.bounds import (
     bound_high,
     bound_low,
@@ -26,7 +27,7 @@ from syzstab.bounds import (
 from syzstab.cli import main
 from syzstab.exactnum import falling_sum_check
 from syzstab.stability import Verdict, check_stability
-from syzstab.twist import HilbertPoly, Poly, bound_high_poly, minimal_stable_twist
+from syzstab.twist import HilbertPoly, bound_high_poly, minimal_stable_twist
 from syzstab.varieties import catalog_lookup, make_variety
 
 
@@ -209,7 +210,7 @@ def test_criterion_8_twist_certificates():
     bad = []
     for name, coeffs, expected_k_min in _TWIST_CASES:
         variety = catalog_lookup(name)
-        hp = Poly(coeffs)
+        hp = RingPoly(coeffs)
         cert = minimal_stable_twist(variety, 0, HilbertPoly(hp, 0))
         if cert.k_min != expected_k_min:
             bad.append((name, "k_min", cert.k_min))
@@ -217,7 +218,7 @@ def test_criterion_8_twist_certificates():
 
         # (a) the two degree-(n+1) pieces cancel exactly, leaving degree n
         n, h = variety.dim, variety.h_top
-        dpoly = Poly((0, h))
+        dpoly = RingPoly((0, h))
         bpoly = bound_high_poly(variety, 0).poly
         top_left = ((dpoly - 1) * (hp - 1)).coeff(n + 1)
         top_right = (dpoly * bpoly).coeff(n + 1)

@@ -333,19 +333,20 @@ class TestTailColumns:
         assert max(map(abs, chain(cores, values)), default=0) <= bound
 
 
-class TestClosedFormPoly:
+class TestLemmaTailFromDPos:
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_equals_the_closed_form_from_d_pos(self, n):
-        # every integer degree d_pos .. d_pos+60 of every form, h 1-9, g 0-20
+    def test_equals_the_summed_form_from_d_pos(self, n):
+        # every integer degree d_pos .. d_pos+60, h 1-9, g 0-20: the tail's
+        # cores over D are riemann_roch_bound itself (the simplified half
+        # of this grid is bound_high_poly's, along the twist, in test_twist)
         for h in range(1, 10):
             for g in range(21):
                 start = bounds.d_pos(g, h)
-                for form, closed in ((BoundForm.SIMPLIFIED, bound_high),
-                                     (BoundForm.LEMMA, riemann_roch_bound)):
-                    poly = bounds.closed_form_poly(n, h, g, form)
-                    assert poly.degree == n
-                    for d in range(start, start + 61):
-                        assert poly(d) == closed(n, h, g, d), (n, h, g, form, d)
+                first, den, rows = _tail_rows(_variety(n, h, g), 1, range(start, start + 61),
+                                              BoundForm.LEMMA)
+                assert first == start
+                assert [core for _, core, _ in rows] \
+                    == [riemann_roch_bound(n, h, g, d) for d in range(start, start + 61)], (n, h, g)
 
 
 def _ratio(pair):
@@ -378,18 +379,26 @@ class TestRestrictionSum:
             d = rng.randint(0, 80)
             literal = sum((rank_one_bound(n - 1, h, g, d - i * h) for i in range(d // h + 1)),
                           Fraction(0))
-            bounds._rank_one_step.cache_clear()
             assert restriction_sum(n, h, g, d) == literal
-            # warm: a neighbouring sum fills shared terms, then the same sum again
-            restriction_sum(n, h, g, d + h)
+            # warm: a neighbouring sum fills a memo with the shared terms, and
+            # the same sum read through that memo is unchanged
+            memo = {}
+            list(bounds.restriction_sums(n, h, g, range(d + h, d + h + 1), memo))
+            assert len(memo) == (d + h) // h + 1
+            (warm,) = bounds.restriction_sums(n, h, g, range(d, d + 1), memo)
+            assert Fraction(*_ratio(warm)) == literal
+            # every term of the sum at d was in the memo already
+            assert len(memo) == (d + h) // h + 1
             assert restriction_sum(n, h, g, d) == literal
 
     def test_matches_fraction_sum_on_grid(self):
         # the sum as it was built before it became one integer ratio: a
         # running Fraction sum of the memoised rank-1 terms, each read from
         # its (numerator, denominator) pair
+        memo = {}
+
         def fraction_sum(n, h, g, d):
-            return sum((Fraction(*_ratio(bounds._rank_one_step(n - 1, h, g, d - i * h)))
+            return sum((Fraction(*_ratio(bounds._rank_one_step(memo, n - 1, h, g, d - i * h)))
                         for i in range(d // h + 1)), Fraction(0))
 
         for n in range(2, 6):
@@ -402,30 +411,33 @@ class TestRestrictionSum:
 
     def test_running_sums_match_each_sum(self):
         # starts below, at and above h_top; each range holds every residue
-        # class mod h_top at least three times, so each is seeded and extended
+        # class mod h_top at least three times, so each is seeded and extended;
+        # each range once with an empty memo, once with one shared by the grid
+        shared = {}
         for n in range(2, 5):
             for h in range(1, 6):
                 for g in range(5):
                     for start in sorted({0, h - 1, h, h + 1, 2 * h + 3}):
                         degrees = range(start, start + 3 * h + 4)
-                        bounds._rank_one_step.cache_clear()
-                        sums = bounds.restriction_sums(n, h, g, degrees)
-                        got = [Fraction(*_ratio(v)) for v in sums]
-                        assert got == [restriction_sum(n, h, g, d) for d in degrees], (n, h, g, start)
+                        want = [restriction_sum(n, h, g, d) for d in degrees]
+                        for memo in ({}, shared):
+                            sums = bounds.restriction_sums(n, h, g, degrees, memo)
+                            got = [Fraction(*_ratio(v)) for v in sums]
+                            assert got == want, (n, h, g, start, memo is shared)
 
     def test_running_sums_reject_what_each_sum_rejects(self):
-        assert list(bounds.restriction_sums(3, 2, 1, range(5, 5))) == []
+        assert list(bounds.restriction_sums(3, 2, 1, range(5, 5), {})) == []
         with pytest.raises(ValueError):
-            list(bounds.restriction_sums(1, 1, 0, range(0, 4)))
+            list(bounds.restriction_sums(1, 1, 0, range(0, 4), {}))
         with pytest.raises(InconsistentInputError):
-            list(bounds.restriction_sums(2, 1, 0, range(-1, 4)))
+            list(bounds.restriction_sums(2, 1, 0, range(-1, 4), {}))
         # the same error, message included, for every argument each sum rejects
         for n, h, g, d in ((1, 1, 0, 3), (0, 2, 1, 3), (2, 1, 0, -1), (3, 2, 1, -4),
                            (2, 0, 0, 2), (3, -1, 2, 5)):
             with pytest.raises(Exception) as want:
                 restriction_sum(n, h, g, d)
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                list(bounds.restriction_sums(n, h, g, range(d, d + 4)))
+                list(bounds.restriction_sums(n, h, g, range(d, d + 4), {}))
 
 
 class TestFormRelations:

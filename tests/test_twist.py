@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from poly_algebra import RingPoly, ring
 from syzstab import bounds, twist
 from syzstab.exactnum import genbinom
-from syzstab.poly import positive_shift
+from syzstab.poly import positive_shift, shift_passes
 from syzstab import (
     HilbertPoly,
     InconsistentInputError,
@@ -39,7 +40,8 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 def poly_strategy(max_deg=4):
-    return st.lists(rationals, min_size=0, max_size=max_deg + 1).map(Poly)
+    """Any polynomial, with the frozen ring operations."""
+    return st.lists(rationals, min_size=0, max_size=max_deg + 1).map(RingPoly)
 
 
 class TestPoly:
@@ -47,10 +49,10 @@ class TestPoly:
         assert Poly((1, 0, 1))(Fraction(1, 2)) == Fraction(5, 4)
 
     def test_mul(self):
-        assert Poly((1, 1)) * Poly((-1, 1)) == Poly((-1, 0, 1))
+        assert RingPoly((1, 1)) * Poly((-1, 1)) == Poly((-1, 0, 1))
 
     def test_compose_linear(self):
-        assert Poly((0, 0, 1)).compose_linear(2, 1) == Poly((1, 4, 4))
+        assert RingPoly((0, 0, 1)).compose_linear(2, 1) == Poly((1, 4, 4))
 
     def test_trailing_zeros_stripped(self):
         p = Poly((1, 2, 0, 0))
@@ -68,7 +70,7 @@ class TestPoly:
         assert Poly((1, 2)).coeff(7) == 0
 
     def test_scalar_ops(self):
-        p = 2 * Poly((1, 1)) - 1
+        p = 2 * RingPoly((1, 1)) - 1
         assert p == Poly((1, 2))
 
     def test_immutable(self):
@@ -341,6 +343,20 @@ class TestHighCapExpansion:
                     direct = bound_high(v.dim, v.h_top, v.genus, d0 + k * v.h_top - 1)
                     assert exp.poly(k) == direct, (name, d0, k)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_cap_from_d_pos(self, n):
+        # 61 twists from d_pos, h 1-9, g 0-20, with d0 chosen so that the
+        # first twisted degree d0 - 1 + k_pos*h is d_pos itself (the lemma
+        # half of this grid is tail_columns', in test_bounds)
+        for h in range(1, 10):
+            for g in range(21):
+                start = bounds.d_pos(g, h)
+                d0 = (start + 1) % h
+                exp = bound_high_poly(make_variety("custom", n, h, (n - 1) * h - 2 * (g - 1)), d0)
+                assert exp.poly.degree == n and d0 - 1 + exp.k_pos * h == start
+                for k in range(exp.k_pos, exp.k_pos + 61):
+                    assert exp.poly(k) == bound_high(n, h, g, d0 - 1 + k * h), (n, h, g, k)
+
     def test_second_coefficient_tracks_degree(self):
         # expanding at shifted base degree d+1 realizes the cap at d + k*h;
         # its next-to-top coefficient must be (d + c1_dot_h/2)/(n-1)!
@@ -358,7 +374,7 @@ def frozen_bound_high_poly(variety, d0):
     before bound_high_poly interpolated bound_high: the reference for the
     differential test."""
     def genbinom_poly(shift, count):
-        acc = Poly((1,))
+        acc = RingPoly((1,))
         for i in range(1, count + 1):
             acc = acc * Poly((Fraction(shift) + i, 1))
         return acc * Fraction(1, math.factorial(count))
@@ -435,11 +451,11 @@ class TestConditionPolys:
 
     @pytest.mark.parametrize("extra,message", [
         # k more in the cap takes -h_top * k^2 off F's lead 2
-        (Poly((0, 1)), "condition polynomial has degree 2, leading -2; "
-                       "expected degree 2 with leading 2"),
+        (RingPoly((0, 1)), "condition polynomial has degree 2, leading -2; "
+                           "expected degree 2 with leading 2"),
         # k^2 more in the cap leaves -h_top * k^3 uncancelled
-        (Poly((0, 0, 1)), "condition polynomial has degree 3, leading -4; "
-                          "expected degree 2 with leading 2"),
+        (RingPoly((0, 0, 1)), "condition polynomial has degree 3, leading -4; "
+                              "expected degree 2 with leading 2"),
     ], ids=["lead", "degree"])
     def test_lead_check_fires(self, monkeypatch, extra, message):
         real = twist.bound_high_poly
@@ -482,7 +498,7 @@ def frozen_bisection(variety, d0, hilbert):
     hi = max(lo, math.ceil(max(cauchy_bound(p) for p in conds)))
     while lo < hi:
         mid = (lo + hi) // 2
-        shifted = [p.compose_linear(1, mid).coeffs for p in conds]
+        shifted = [ring(p).compose_linear(1, mid).coeffs for p in conds]
         if all(s[0] > 0 and min(s) >= 0 for s in shifted):
             hi = mid
         else:
@@ -492,18 +508,25 @@ def frozen_bisection(variety, d0, hilbert):
 
 @contextlib.contextmanager
 def counted_shifts():
-    """Count the Taylor-shift tests minimal_stable_twist makes while inside."""
-    calls, real = [], twist.positive_shift
+    """Record the shift points of the Taylor-shift tests minimal_stable_twist
+    makes while inside: the pass-or-fail sign tests of its search
+    (shift_passes) and the shifts it builds (positive_shift), as two lists."""
+    tests, built = [], []
+    real_test, real_build = twist.shift_passes, twist.positive_shift
 
-    def counting(polys, c):
-        calls.append(c)
-        return real(polys, c)
+    def counting_test(polys, c):
+        tests.append(c)
+        return real_test(polys, c)
 
-    twist.positive_shift = counting
+    def counting_build(polys, c):
+        built.append(c)
+        return real_build(polys, c)
+
+    twist.shift_passes, twist.positive_shift = counting_test, counting_build
     try:
-        yield calls
+        yield tests, built
     finally:
-        twist.positive_shift = real
+        twist.shift_passes, twist.positive_shift = real_test, real_build
 
 
 def search_range(variety, d0, hilbert):
@@ -529,7 +552,7 @@ def assert_sound(cert):
         if poly is None:
             assert shifted is None
             continue
-        assert shifted == poly.compose_linear(1, c)
+        assert shifted == ring(poly).compose_linear(1, c)
         assert shifted.coeffs[0] > 0 and min(shifted.coeffs) >= 0
     ks = [row.k for row in cert.scan]
     assert ks == list(range(ks[0], c + 1))
@@ -565,8 +588,8 @@ def frozen_condition_polys(variety, d0, hilbert):
     before it worked on the integer numerators: the reference for the
     differential test."""
     n, h, g = variety.dim, variety.h_top, variety.genus
-    dpoly = Poly((d0, h))
-    p_minus_1 = hilbert.poly - 1
+    dpoly = RingPoly((d0, h))
+    p_minus_1 = ring(hilbert.poly) - 1
     cond2 = (dpoly - 1) * p_minus_1 - dpoly * bound_high_poly(variety, d0).poly
     cond1 = None
     if g >= 2:
@@ -704,24 +727,27 @@ class TestMinimalStableTwist:
     @example(custom_case(3, 1, 3, 0, (192, Fraction(57, 2))))
     @settings(deadline=None)
     def test_one_bisection_up_to_the_root_bound(self, case):
-        # the inputs of test_matches_radius_scan: one bisection over
-        # [start, top] plus the test at top when no midpoint passed
+        # the inputs of test_matches_radius_scan: the pass-or-fail tests of
+        # one bisection over [start, top], then one shift built at c
         variety, d0, hilbert = case
         start, top = search_range(variety, d0, hilbert)
-        with counted_shifts() as calls:
+        with counted_shifts() as (calls, built):
             cert = minimal_stable_twist(variety, d0, hilbert)
         assert start <= cert.shift.c <= top
         assert len(calls) <= (top - start).bit_length() + 1
         assert all(start <= c <= top for c in calls)
+        # the printed shift is built once, at c
+        assert built == [cert.shift.c]
 
     def test_dim80_makes_few_shift_tests(self):
         # top = 2^18 = 262,144 (the Cauchy bound is about 9.1e116); the
         # doubling search up from the start made 32 tests
         variety, d0, hilbert = custom_case(80, 1, 0, 0, [0] * 79)
-        with counted_shifts() as calls:
+        with counted_shifts() as (calls, built):
             cert = minimal_stable_twist(variety, d0, hilbert)
         assert cert.shift.c == 63195
         assert len(calls) <= 18
+        assert built == [63195]
 
     def test_dim80_least_shift_far_below_cauchy_bound(self):
         # only the two pinned Hilbert coefficients are nonzero: the Cauchy
@@ -738,7 +764,7 @@ def shifted_polys(max_deg=4):
     """A polynomial as p(k - c) for a p with nonnegative coefficients and a
     positive constant, so its Taylor shift by c passes, or any polynomial."""
     nonneg = st.lists(st.fractions(0, 50, max_denominator=20), max_size=max_deg).map(
-        lambda cs: Poly([Fraction(1, 7) + cs[0]] + cs[1:] if cs else [3]))
+        lambda cs: RingPoly([Fraction(1, 7) + cs[0]] + cs[1:] if cs else [3]))
     return st.one_of(
         st.tuples(nonneg, st.integers(-50, 50)).map(lambda pc: pc[0].compose_linear(1, -pc[1])),
         poly_strategy(max_deg))
@@ -747,12 +773,18 @@ def shifted_polys(max_deg=4):
 class TestPositiveShift:
     @given(st.lists(shifted_polys(), min_size=1, max_size=3), st.integers(-50, 50))
     # F(k + 1) = k^2 + k: no negative coefficient, but a zero constant
-    @example([Poly((0, -1, 1))], 1)
+    @example([RingPoly((0, -1, 1))], 1)
+    # constants, the zero polynomial, and a negative lead with a positive value
+    @example([RingPoly((3,)), RingPoly((Fraction(-1, 2),))], 4)
+    @example([RingPoly((1, 1)), RingPoly(())], 0)
+    @example([RingPoly((5, -1))], 2)
     def test_is_the_taylor_shift_when_it_passes(self, polys, c):
         want = [p.compose_linear(1, c) for p in polys]
         passes = all(q.coeff(0) > 0 and min(q.coeffs) >= 0 for q in want)
         got = positive_shift(polys, c)
         assert got == (tuple(want) if passes else None)
+        # the sign-only test the search runs gives the same answer
+        assert shift_passes(polys, c) is passes
         for q in got or ():
             assert_canonical(q)
 
@@ -790,8 +822,8 @@ class TestStoredForm:
     @given(poly_strategy(), poly_strategy(), rationals, rationals, st.integers(-6, 6))
     # k/2 + k/2, k/2 - k/2, 2 * k/2 and 4 * 1/4 each cancel a common factor
     # of the integer pair they are computed as
-    @example(Poly((0, Fraction(1, 2))), Poly((0, Fraction(1, 2))), Fraction(4), Fraction(0), 2)
-    @example(Poly((Fraction(1, 4),)), Poly(()), Fraction(4), Fraction(1, 3), 3)
+    @example(RingPoly((0, Fraction(1, 2))), RingPoly((0, Fraction(1, 2))), Fraction(4), Fraction(0), 2)
+    @example(RingPoly((Fraction(1, 4),)), RingPoly(()), Fraction(4), Fraction(1, 3), 3)
     def test_every_operation_stores_the_canonical_pair(self, p, q, a, b, n):
         for r in (p + q, p - q, p * q, -p, p + a, a + p, p - a, a - p, p * a, a * p,
                   p + n, n - p, n * p, p.compose_linear(a, b), p.compose_linear(n, a)):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from syzstab import cli, verify
+from syzstab import bounds, cli, verify
 from syzstab.verify import CheckResult, run_suite
 
 EXPECTED_CHECKS = {
@@ -45,6 +45,28 @@ class TestSmallGrid:
     def test_unknown_grid_rejected(self):
         with pytest.raises(ValueError):
             run_suite(grid="huge", seed=0)
+
+
+class TestDominanceMemo:
+    @pytest.mark.parametrize("grid,evaluations", [("small", 600), ("full", 6832)])
+    def test_one_memo_per_run(self, monkeypatch, grid, evaluations):
+        # the closed forms in dimension n and the sums' terms from dimension
+        # n + 1 share one memo, owned by the dominance check of one run: each
+        # rank-1 value is computed once per run, and a second run computes
+        # them all again
+        memos = []
+        real = bounds._rank_one_step
+
+        def recording(memo, *key):
+            if not any(m is memo for m in memos):
+                memos.append(memo)
+            return real(memo, *key)
+
+        monkeypatch.setattr(bounds, "_rank_one_step", recording)
+        monkeypatch.setattr(verify, "_rank_one_step", recording)
+        for run in range(2):
+            run_suite(grid=grid, seed=0)
+            assert len(memos) == run + 1 and len(memos[-1]) == evaluations
 
 
 class TestFullGrid:
