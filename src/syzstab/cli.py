@@ -31,23 +31,23 @@ except the rows of a bound sweep.
 
 A bound result is a list of tuples of printed columns, one per degree,
 built with no Fraction or dict, and every format reads them from one
-lazy iterator (_printed_rows).  The handler takes the sweep's tail from
+lazy iterator.  The handler takes the sweep's tail from
 bounds.tail_columns once: its first degree, denominator, columns and one
-bound on their integers.  The row printer (_sweep_rows) makes rows from
-bounds.sweep_ratios over that tail with one gcd per row; a tail that is
-all integers (denominator 1, as on every P_n) is instead its columns
-zipped with str, with no Python frame per row.  The handler lists the
-iterator through _listed, the one place that turns a row past the
-int-to-string digit limit into an error: into row dicts for a single
-degree, the table form and --approx, where a single degree's result is
-its one row; in chunks of _CHUNK rows for a streamed sweep; whole for
-any other.  The JSON writer turns each chunk of tuples into text with
-one f-string list comprehension, unchecked, and the CSV writer joins
-each tuple into one line.  A JSON or CSV sweep of more than one chunk is
-streamed when the tail's bound shows that every row after its first
-chunk prints (_streams): the handler prints the first chunk, so every
-error comes before any output, and the writers print and write each
-later chunk in turn; any other report is rendered whole and written once.
+bound on their integers.  The row printer (_sweep_rows) makes every row
+from bounds.sweep_ratios over that tail with one gcd per row, whether
+the tail is all integers (denominator 1, as on every P_n) or not.  The
+handler lists the iterator through _listed, the one place that turns a
+row past the int-to-string digit limit into an error: into row dicts
+for a single degree, the table form and --approx, where a single
+degree's result is its one row; in chunks of _CHUNK rows for a streamed
+sweep; whole for any other.  The JSON writer turns each chunk of tuples
+into text with one f-string list comprehension, unchecked, and the CSV
+writer joins each tuple into one line.  A JSON or CSV sweep of more than
+one chunk is streamed when the tail's bound shows that every row after
+its first chunk prints (_streams): the handler prints the first chunk,
+so every error comes before any output, and the writers print and write
+each later chunk in turn; any other report is rendered whole and
+written once.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -65,9 +65,9 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 
-from .bounds import BoundForm, Branch, sections_bound, sweep_ratios, tail_columns
+from .bounds import BoundForm, sections_bound, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
@@ -333,23 +333,6 @@ def _sweep_rows(ratios, rank: int):
                    floored if value == rank * den else f"{value}/{den}")
 
 
-def _printed_rows(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
-    """The printed rows of a bound result, one lazy iterator.  When the
-    sweep has a tail (bounds.tail_columns) and it is all integers, the rows
-    below its first degree come from _sweep_rows, then the tail's columns
-    zipped with str, with no Python frame per row; any other result is
-    _sweep_rows over sweep_ratios, which reads the same tail.  A row past
-    the int-to-string digit limit raises ValueError only when it is read
-    (_listed)."""
-    first, den, cores, values, _ = tail
-    if den == 1 and first < degrees.stop:
-        below = sweep_ratios(variety, rank, range(degrees.start, first), form, tail)
-        return chain(_sweep_rows(below, rank),
-                     zip(repeat(Branch.RIEMANN_ROCH.value), map(str, cores),
-                         map(str, range(first, degrees.stop)), map(str, values)))
-    return _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
-
-
 def _listed(rows) -> _SweepRows:
     """The printed rows read from rows: the one place where a row past the
     int-to-string digit limit becomes too_many_digits()."""
@@ -381,7 +364,7 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
     rank, tail = spec.rank, tail_columns(variety, spec.rank, degrees, form)
     single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
-    printed = _printed_rows(variety, rank, degrees, form, tail)
+    printed = _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
     if single or args.approx or args.format == "table":  # these read row dicts
         rows = [{"degree": d, "branch": branch, "value": value, "core": core}
                 for d, (branch, core, _, value) in zip(degrees, _listed(printed))]

@@ -1,12 +1,13 @@
 """Exact univariate polynomials over the rationals (Poly), and the
-Taylor-shift positivity test (shift_passes, positive_shift).
+Taylor-shift positivity test (taylor_shift).
 
 A Poly stores one integer polynomial over one denominator, so callers
 such as the twist conditions build their coefficients on the integers and
 wrap them once (Poly._from_ints); it has no ring arithmetic.
-shift_passes is the sign test behind the twist certificates, answered
-from the integer coefficients as they come; positive_shift is the same
-test returning the shifted polynomials, which the certificate prints."""
+taylor_shift is the sign test behind the twist certificates: it shifts
+the integer numerators, stops at the first negative Taylor coefficient,
+and returns the shifted numerators, which the certificate prints, when
+every test passes."""
 
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ class Poly:
     pair is canonical: no trailing zero numerator and gcd(D, *nums) = 1,
     so D is the lcm of the reduced coefficient denominators (1 for the
     zero polynomial) and equal polynomials store equal pairs.  `coeffs`,
-    `coeff` and `leading` are Fraction views of the pair.  Evaluation and
-    the Taylor shift run on the integers: x = p/q (q = 1 for an int)
-    gives sum nums[i] * p^i * q^(n-i) over D * q^n by Horner's rule, and
-    one reduced Fraction is built from that pair."""
+    `coeff` and `leading` are Fraction views of the pair.  Evaluation runs
+    on the integers: x = p/q (q = 1 for an int) gives sum nums[i] * p^i *
+    q^(n-i) over D * q^n by Horner's rule, and one reduced Fraction is
+    built from that pair; the Taylor shift (taylor_shift) reads the
+    numerators alone."""
 
     __slots__ = ("_denom", "_nums")
 
@@ -91,17 +93,6 @@ class Poly:
             acc = acc * p + c * qpow
         return Fraction(acc, self._denom * qpow)
 
-    def scaled_shift(self, c: int) -> tuple[int, list[int]]:
-        """The stored D and the integer coefficients of D * p(k + c),
-        constant first, for an integer c.  D > 0, so the signs are those of
-        p(k + c).  Synthetic division, O(deg^2) integer steps."""
-        a = list(self._nums)
-        n = len(a) - 1
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                a[j] += c * a[j + 1]
-        return self._denom, a
-
     def to_strings(self) -> list[str]:
         """Each coefficient as format_rational prints it, "p/q" or "p",
         reduced from the stored pair with one gcd and no Fraction; an
@@ -125,34 +116,26 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def shift_passes(polys, c: int) -> bool:
-    """Whether positive_shift(polys, c) passes, without building it: one
-    synthetic-division pass per polynomial that stops at the first negative
-    Taylor coefficient.  Pass i of scaled_shift's loop leaves a_i final
-    (a_0 = D*p(c) after the first), and the lead a_n is never touched, so
-    each coefficient is tested as soon as it is known."""
+def taylor_shift(polys, c: int) -> list[list[int]] | None:
+    """The Taylor-shift positivity test at an integer c: for each p with
+    stored pair (D, nums), the integer coefficients of D * p(k + c),
+    constant first, when every coefficient of each is >= 0 and each
+    constant is > 0, so that each p is positive on [c, oo) (the sign test
+    behind Vincent's theorem); None otherwise.  D > 0, so the signs are
+    those of p(k + c).  Synthetic division, O(deg^2) integer steps: pass i
+    leaves a_i final (a_0 = D*p(c) after the first), and the lead a_n is
+    never touched, so each coefficient is tested as soon as it is known
+    and the test stops at the first negative one."""
+    shifted = []
     for p in polys:
         a = list(p._nums)
         if not a or a[-1] < 0:  # the zero polynomial's constant is 0; no lead is 0
-            return False
+            return None
         n = len(a) - 1
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 a[j] += c * a[j + 1]
             if a[i] < (i == 0):  # a_0 > 0, every other a_i >= 0
-                return False
-    return True
-
-
-def positive_shift(polys, c: int) -> tuple[Poly, ...] | None:
-    """The Taylor-shift positivity test at an integer c: each p(k + c), when
-    every coefficient of each is >= 0 and each constant is > 0, so that each
-    p is positive on [c, oo) (the sign test behind Vincent's theorem);
-    None otherwise."""
-    shifted = []
-    for p in polys:
-        denom, nums = p.scaled_shift(c)
-        if not (nums and nums[0] > 0 and min(nums) >= 0):
-            return None
-        shifted.append(Poly._from_ints(denom, nums))
-    return tuple(shifted)
+                return None
+        shifted.append(a)
+    return shifted

@@ -16,13 +16,14 @@ of the Cauchy bound and Fujiwara's bound rounded up to a power of two
 (fujiwara_bound).  Both lie strictly above the modulus of every root, so
 by Gauss-Lucas above every root of every derivative too, and each
 Taylor coefficient F^(i)(c)/i! has the sign of the positive leading
-coefficient there.  A bisection step only asks pass or fail
-(poly.shift_passes: integer synthetic division that stops at the first
-negative Taylor coefficient, building no Poly); the shifted polynomials
-are built once, at c (poly.positive_shift).  The rows below c are
-evaluated downward to the first failure.  The certificate records c, the
-shifted coefficients, the evaluated rows, the Cauchy bound, and the
-polynomials (poly.Poly, re-exported here).
+coefficient there.  Each bisection step runs one Taylor shift
+(poly.taylor_shift: integer synthetic division that stops at the first
+negative Taylor coefficient); the search keeps the shifted numerators of
+its last passing step, and the shifted polynomials are built once from
+them, at c.  The rows below c are evaluated downward to the first
+failure.  The certificate records c, the shifted coefficients, the
+evaluated rows, the Cauchy bound, and the polynomials (poly.Poly,
+re-exported here).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import zip_longest
 
 from .bounds import BoundForm, _differences, _low_ratio, d_pos
 from .errors import InconsistentInputError, UsageError
-from .poly import Poly, positive_shift, shift_passes
+from .poly import Poly, taylor_shift
 from .record import Record
 from .varieties import Variety
 
@@ -226,13 +227,14 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     larger over the two polynomials.  The test is monotone in c: a shift
     by d >= 0 keeps nonnegative coefficients nonnegative and does not
     lower the constant.  So one bisection over [start, top] finds c in
-    at most log2(top - start) + 1 tests, each only pass or fail
-    (shift_passes); positive_shift then runs once, at c, and its shifted
-    polynomials are the certificate's.
+    at most log2(top - start) + 1 tests (taylor_shift).  The numerators
+    of the last passing midpoint are the shift at c, and the certificate's
+    shifted polynomials are built once from them.
 
-    When no midpoint passed, c is top, where the test must pass.  Both
-    bounds are strict: every root of each polynomial has modulus below
-    them (Cauchy's radius is 1 + max|c_i/c_n|, and P is a power of two
+    When no midpoint passed, c is top, which no midpoint tested: the shift
+    is computed there, once, and the test must pass.  Both bounds are
+    strict: every root of each polynomial has modulus below them
+    (Cauchy's radius is 1 + max|c_i/c_n|, and P is a power of two
     above Fujiwara's bound, which a root can reach: k - 6 has its root
     on it).  By Gauss-Lucas the roots of every derivative lie in the
     convex hull of the roots, so below top as well, and every Taylor
@@ -252,14 +254,15 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     bound = min(radius, max(fujiwara_bound(p) for p in conds))
 
     lo, hi = start, max(start, math.ceil(bound))
+    shifted = None  # the shift at hi, once a midpoint has passed there
     while lo < hi:
         mid = (lo + hi) // 2
-        if shift_passes(conds, mid):
-            hi = mid
+        if (nums := taylor_shift(conds, mid)) is not None:
+            hi, shifted = mid, nums
         else:
             lo = mid + 1
     c = hi
-    if (shift := positive_shift(conds, c)) is None:
+    if shifted is None and (shifted := taylor_shift(conds, c)) is None:
         raise RuntimeError(
             f"Taylor shift at c = {c}, past the root bound {bound}, is not positive"
         )
@@ -288,6 +291,7 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
             break
     rows.reverse()
     k_min = rows[0].k if rows[0].passed else rows[0].k + 1
+    shift = [Poly._from_ints(p._denom, nums) for p, nums in zip(conds, shifted)]
 
     return TwistCertificate(
         k_min=k_min,

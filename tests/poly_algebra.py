@@ -67,15 +67,17 @@ class RingPoly(Poly):
 
     def compose_linear(self, a, b) -> "RingPoly":
         """Substitute the variable by a*k + b (ints or Fractions): with
-        a*k + b = (u*k + v)/m over ints, p(x/m) is shifted by v (scaled_shift),
-        then coefficient i is scaled by u^i."""
+        a*k + b = (u*k + v)/m over ints, the numerators of p(x/m) are
+        shifted by v by synthetic division, then coefficient i is scaled by
+        u^i."""
         m = math.lcm(a.denominator, b.denominator)
         u, v = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
         n = max(self.degree, 0)
-        scaled = Poly._from_ints(self._denom * m ** n,
-                                 [c * m ** (n - i) for i, c in enumerate(self._nums)])
-        denom, shifted = scaled.scaled_shift(v)
-        return RingPoly._from_ints(denom, [c * u ** i for i, c in enumerate(shifted)])
+        shifted = [c * m ** (n - i) for i, c in enumerate(self._nums)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                shifted[j] += v * shifted[j + 1]
+        return RingPoly._from_ints(self._denom * m ** n, [c * u ** i for i, c in enumerate(shifted)])
 
 
 def ring(p: Poly) -> RingPoly:

@@ -1014,21 +1014,27 @@ def test_sweep_rows_are_single_degree_results(form):
     assert rows == singles
 
 
-def test_a_sweep_with_a_denominator_builds_its_tail_table_once(monkeypatch):
-    # genus 3, dim 3, h_top 2: d_pos = 6, and the lemma tail has a
-    # denominator, so its rows take the one-gcd-per-row printer
-    # (the closed form is read through its integer kernel, at d = p/e)
+# Genus 3, dim 3, h_top 2: d_pos = 6, and the lemma tail has a
+# denominator.  P3: d_pos = 0, and the lemma tail is all integers.  Both
+# take the one-gcd-per-row printer.
+@pytest.mark.parametrize("argv, first, fractional", [
+    (("--dim", "3", "--h-top", "2", "--c1-h", "0", "--rank", "2"), syzstab.bounds.d_pos(3, 2), True),
+    (("--catalog", "P3"), syzstab.bounds.d_pos(0, 1), False),
+], ids=["denominator", "integer"])
+def test_a_sweep_builds_its_tail_table_once(monkeypatch, argv, first, fractional):
+    # the closed form is read through its integer kernel, at d = p/e, at
+    # the n+2 degrees of the tail's difference table only
     closed, table = syzstab.bounds._riemann_roch_ratio, syzstab.bounds._differences
     degrees, tables = [], []
     monkeypatch.setattr(syzstab.bounds, "_riemann_roch_ratio",
                         lambda n, h, g, p, e: degrees.append(Fraction(p, e)) or closed(n, h, g, p, e))
     monkeypatch.setattr(syzstab.bounds, "_differences",
                         lambda *args: tables.append(args) or table(*args))
-    code, out, err = run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "0", "--rank", "2",
-                             "--form", "lemma", "--degree", "0..4000")
+    code, out, err = run_cli("bound", *argv, "--form", "lemma", "--degree", "0..4000")
     assert (code, err) == (0, "")
-    assert any("/" in row["core"] for row in json.loads(out)["result"]["results"][6:])
-    assert [d for d in degrees if d >= syzstab.bounds.d_pos(3, 2)] == list(range(6, 11))
+    tail = json.loads(out)["result"]["results"][first:]
+    assert any("/" in row["core"] for row in tail) is fractional
+    assert [d for d in degrees if d >= first] == list(range(first, first + 5))
     assert len(tables) == 1
 
 
@@ -1120,11 +1126,10 @@ def test_sweep_rows_print_a_floored_value_as_the_rank():
     assert rows == [("Clifford", "-1/2", "7", "2"), ("Clifford", "2/3", "8", "4/3")]
 
 
-def _frozen_printed_rows(variety, rank, degrees, form, tail):
-    """cli._printed_rows as it printed every row of a sweep before integer
-    tails were printed column by column: one gcd per row of
-    _section_ratios; tail is not used."""
-    for d, branch, core, value, den in _section_ratios(variety, rank, degrees, form):
+def _frozen_sweep_rows(ratios, rank):
+    """cli._sweep_rows as it printed every row alone: one gcd per row, and
+    the branch text looked up for each."""
+    for d, branch, core, value, den in ratios:
         g = math.gcd(core, den)
         core, value, den = core // g, value // g, den // g
         if den == 1:
@@ -1150,8 +1155,9 @@ def _frozen_write_rows(rows, pad, out):
     out.append(pad + "]")
 
 
-def _section_ratios(variety, rank, degrees, form):
-    """The rows of bounds.sweep_ratios, each from sections_bound."""
+def _section_ratios(variety, rank, degrees, form, tail=None):
+    """The rows of bounds.sweep_ratios, each from sections_bound; tail is
+    not used."""
     for d in degrees:
         rep = syzstab.sections_bound(variety, rank, d, form)
         den = rep.core.denominator
@@ -1162,7 +1168,7 @@ def _sweep_outputs(argv):
     """A sweep's stdout from the CLI, and as the frozen row printer and
     writer above write every row from sections_bound."""
     got = run_cli(*argv)
-    with mock.patch.multiple(cli, _printed_rows=_frozen_printed_rows,
+    with mock.patch.multiple(cli, sweep_ratios=_section_ratios, _sweep_rows=_frozen_sweep_rows,
                              _write_rows=_frozen_write_rows):
         want = run_cli(*argv)
     return got, want

@@ -7,6 +7,7 @@ from syzstab import (
     ConditionState,
     InconsistentInputError,
     Verdict,
+    bound_high,
     catalog_lookup,
     check_stability,
     make_variety,
@@ -170,3 +171,45 @@ class TestStripThreshold:
         assert rep.condition2.rhs == Fraction(47, 6)
         # the cap may not sit below one hyperplane-restriction step
         assert rep.condition2.rhs >= Fraction(4, 3) * (restriction_sum(3, 2, 2, 3) - 1)
+
+
+# check_stability compares h0 - 1 with d*B(d - 1)/(d - 1) only, with B the
+# high cap (bound_high); the slope argument needs h0 - 1 > d*B(d')/d' at
+# every d' in [2g - 1, d - 1] (ROADMAP item 3).  On these inputs some d' of
+# the window reaches h0 - 1, yet the verdict is Stable.  Each case fails
+# until the window is checked; strict xfail then reports it as passing.
+_WINDOW_CASES = [
+    # (dim, h_top, c1.H, degree, h0), and the window maximum with its d'
+    ((5, 18, 66, 21, 8), Fraction(7), 7),
+    ((5, 19, 70, 22, 8), Fraction(957, 133), 7),
+    ((5, 20, 76, 22, 7), Fraction(154, 25), 5),
+]
+
+
+def _window_maximum(n, h_top, c1_h, degree):
+    """max d*B(d')/d' over the window [2g - 1, d - 1], brute force, and the
+    least d' that reaches it."""
+    g = make_variety("window", n, h_top, c1_h).genus
+    ratios = {dp: degree * bound_high(n, h_top, g, dp) / dp for dp in range(2 * g - 1, degree)}
+    worst = max(ratios.values())
+    return worst, min(dp for dp, ratio in ratios.items() if ratio == worst)
+
+
+_WINDOW_IDS = ["h_top-18", "h_top-19", "h_top-20"]
+
+
+@pytest.mark.parametrize("case, worst, at", _WINDOW_CASES, ids=_WINDOW_IDS)
+def test_window_maximum_reaches_h0_minus_1(case, worst, at):
+    n, h_top, c1_h, degree, h0 = case
+    assert _window_maximum(n, h_top, c1_h, degree) == (worst, at)
+    assert worst >= h0 - 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="condition 2 is checked at d - 1 only (ROADMAP item 3)")
+@pytest.mark.parametrize("case", [case for case, _, _ in _WINDOW_CASES], ids=_WINDOW_IDS)
+def test_stable_verdict_clears_the_whole_window(case):
+    n, h_top, c1_h, degree, h0 = case
+    rep = check_stability(make_variety("window", n, h_top, c1_h), degree, h0)
+    worst, _ = _window_maximum(n, h_top, c1_h, degree)
+    assert rep.verdict is not Verdict.STABLE or h0 - 1 > worst

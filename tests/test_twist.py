@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from poly_algebra import RingPoly, ring
 from syzstab import bounds, twist
 from syzstab.exactnum import genbinom
-from syzstab.poly import positive_shift, shift_passes
+from syzstab.poly import taylor_shift
 from syzstab import (
     HilbertPoly,
     InconsistentInputError,
@@ -42,6 +42,13 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 def poly_strategy(max_deg=4):
     """Any polynomial, with the frozen ring operations."""
     return st.lists(rationals, min_size=0, max_size=max_deg + 1).map(RingPoly)
+
+
+def taylor_polys(polys, c):
+    """taylor_shift(polys, c) as polynomials over each input's denominator,
+    or None."""
+    nums = taylor_shift(polys, c)
+    return None if nums is None else tuple(Poly._from_ints(p._denom, a) for p, a in zip(polys, nums))
 
 
 class TestPoly:
@@ -114,11 +121,13 @@ class TestPoly:
             assert type(got) is Fraction
             assert got == want
 
-    @given(poly_strategy(5), st.integers(-10**6, 10**6))
-    def test_scaled_shift_matches_compose_linear(self, p, c):
-        denom, ints = p.scaled_shift(c)
-        assert denom > 0 and all(type(a) is int for a in ints)
-        assert Poly(Fraction(a, denom) for a in ints) == p.compose_linear(1, c)
+    @given(poly_strategy(5), rationals, rationals | st.integers(-10**6, 10**6))
+    def test_compose_linear_is_the_substitution(self, p, a, b):
+        # the frozen reference the Taylor-shift tests compare with, checked
+        # against evaluation
+        q = p.compose_linear(a, b)
+        for x in (0, 1, -3, Fraction(5, 2)):
+            assert q(x) == p(a * x + b)
 
 
 def _polys_of(obj):
@@ -196,8 +205,8 @@ class TestFujiwaraBound:
         # shift test fails there (constant 0) and passes at the power of two
         p = Poly((-6, 1))
         assert twist.fujiwara_bound(p) == 8
-        assert positive_shift([p], 6) is None
-        assert positive_shift([p], 8) == (Poly((2, 1)),)
+        assert taylor_polys([p], 6) is None
+        assert taylor_polys([p], 8) == (Poly((2, 1)),)
 
     def test_complex_roots(self):
         # (k - 10)^2 + 1 has roots 10 +- i; |-20| < 2^5 and |101/2| < 2^6
@@ -205,10 +214,10 @@ class TestFujiwaraBound:
         p = Poly((101, -20, 1))
         assert twist.fujiwara_bound(p) == 64
         assert cauchy_bound(p) == 102
-        assert positive_shift([p], 64) == (Poly((2917, 108, 1)),)
+        assert taylor_polys([p], 64) == (Poly((2917, 108, 1)),)
         # at 10 the value is 1 > 0, but the linear coefficient is 0 and at
         # 9 it is -2: the test fails below the real part of the roots
-        assert positive_shift([p], 9) is None
+        assert taylor_polys([p], 9) is None
 
     def test_only_the_lead(self):
         assert twist.fujiwara_bound(Poly((0, 0, Fraction(1, 3)))) == 1
@@ -237,8 +246,8 @@ class TestFujiwaraBound:
         for p, top in zip(polys, tops):
             assert top >= 1 and top & (top - 1) == 0
             assert below_fujiwara_power(p, top)
-        assert positive_shift(polys, max(tops)) is not None
-        assert positive_shift(polys, math.ceil(max(cauchy_bound(p) for p in polys))) is not None
+        assert taylor_polys(polys, max(tops)) is not None
+        assert taylor_polys(polys, math.ceil(max(cauchy_bound(p) for p in polys))) is not None
 
 
 def frozen_validate_hilbert(variety, d0, hp):
@@ -508,25 +517,20 @@ def frozen_bisection(variety, d0, hilbert):
 
 @contextlib.contextmanager
 def counted_shifts():
-    """Record the shift points of the Taylor-shift tests minimal_stable_twist
-    makes while inside: the pass-or-fail sign tests of its search
-    (shift_passes) and the shifts it builds (positive_shift), as two lists."""
-    tests, built = [], []
-    real_test, real_build = twist.shift_passes, twist.positive_shift
+    """Record the shift point of every Taylor shift (taylor_shift) that
+    minimal_stable_twist computes while inside, as one list."""
+    calls = []
+    real = twist.taylor_shift
 
-    def counting_test(polys, c):
-        tests.append(c)
-        return real_test(polys, c)
+    def counting(polys, c):
+        calls.append(c)
+        return real(polys, c)
 
-    def counting_build(polys, c):
-        built.append(c)
-        return real_build(polys, c)
-
-    twist.shift_passes, twist.positive_shift = counting_test, counting_build
+    twist.taylor_shift = counting
     try:
-        yield tests, built
+        yield calls
     finally:
-        twist.shift_passes, twist.positive_shift = real_test, real_build
+        twist.taylor_shift = real
 
 
 def search_range(variety, d0, hilbert):
@@ -727,27 +731,27 @@ class TestMinimalStableTwist:
     @example(custom_case(3, 1, 3, 0, (192, Fraction(57, 2))))
     @settings(deadline=None)
     def test_one_bisection_up_to_the_root_bound(self, case):
-        # the inputs of test_matches_radius_scan: the pass-or-fail tests of
-        # one bisection over [start, top], then one shift built at c
+        # the inputs of test_matches_radius_scan: the shifts of one
+        # bisection over [start, top], and one at top when no midpoint passed
         variety, d0, hilbert = case
         start, top = search_range(variety, d0, hilbert)
-        with counted_shifts() as (calls, built):
+        with counted_shifts() as calls:
             cert = minimal_stable_twist(variety, d0, hilbert)
         assert start <= cert.shift.c <= top
         assert len(calls) <= (top - start).bit_length() + 1
         assert all(start <= c <= top for c in calls)
-        # the printed shift is built once, at c
-        assert built == [cert.shift.c]
+        # no shift is computed twice; the printed one is the one at c
+        assert len(set(calls)) == len(calls) and cert.shift.c in calls
 
     def test_dim80_makes_few_shift_tests(self):
         # top = 2^18 = 262,144 (the Cauchy bound is about 9.1e116); the
         # doubling search up from the start made 32 tests
         variety, d0, hilbert = custom_case(80, 1, 0, 0, [0] * 79)
-        with counted_shifts() as (calls, built):
+        with counted_shifts() as calls:
             cert = minimal_stable_twist(variety, d0, hilbert)
         assert cert.shift.c == 63195
         assert len(calls) <= 18
-        assert built == [63195]
+        assert len(set(calls)) == len(calls) and 63195 in calls
 
     def test_dim80_least_shift_far_below_cauchy_bound(self):
         # only the two pinned Hilbert coefficients are nonzero: the Cauchy
@@ -781,34 +785,37 @@ class TestPositiveShift:
     def test_is_the_taylor_shift_when_it_passes(self, polys, c):
         want = [p.compose_linear(1, c) for p in polys]
         passes = all(q.coeff(0) > 0 and min(q.coeffs) >= 0 for q in want)
-        got = positive_shift(polys, c)
-        assert got == (tuple(want) if passes else None)
-        # the sign-only test the search runs gives the same answer
-        assert shift_passes(polys, c) is passes
-        for q in got or ():
-            assert_canonical(q)
+        got = taylor_shift(polys, c)
+        if not passes:
+            assert got is None
+            return
+        # each p(k + c) as integer numerators over p's own denominator
+        assert len(got) == len(polys)
+        for p, nums, q in zip(polys, got, want):
+            assert all(type(a) is int for a in nums)
+            assert [Fraction(a, p._denom) for a in nums] == list(q.coeffs)
 
     def test_passes_at_the_shift_point(self):
         # F(k) = (k - 1)(k - 2) + k: F(k + 2) = k^2 + 2k + 2
         f = Poly((2, -2, 1))
-        assert positive_shift([f], 2) == (Poly((2, 2, 1)),)
-        assert positive_shift([f, Poly((1, 1))], 2) == (Poly((2, 2, 1)), Poly((3, 1)))
+        assert taylor_polys([f], 2) == (Poly((2, 2, 1)),)
+        assert taylor_polys([f, Poly((1, 1))], 2) == (Poly((2, 2, 1)), Poly((3, 1)))
 
     def test_rejects_a_negative_coefficient(self):
         # F(k) = k^2 - 2k + 2 has no real root, but its -2 fails the test at
         # c = 0; at c = 1, F(k + 1) = k^2 + 1 passes
-        assert positive_shift([Poly((2, -2, 1))], 0) is None
-        assert positive_shift([Poly((2, -2, 1))], 1) == (Poly((1, 0, 1)),)
+        assert taylor_polys([Poly((2, -2, 1))], 0) is None
+        assert taylor_polys([Poly((2, -2, 1))], 1) == (Poly((1, 0, 1)),)
         # one failing polynomial fails the pair
-        assert positive_shift([Poly((1, 1)), Poly((2, -2, 1))], 0) is None
+        assert taylor_polys([Poly((1, 1)), Poly((2, -2, 1))], 0) is None
 
     def test_rejects_a_zero_constant(self):
         # the equality edge: F(k + 1) = k^2 + k is >= 0 on [0, oo) but 0 at k = 0
         f = Poly((0, -1, 1))
-        assert positive_shift([f], 1) is None
-        assert positive_shift([f], 2) == (Poly((2, 3, 1)),)
+        assert taylor_polys([f], 1) is None
+        assert taylor_polys([f], 2) == (Poly((2, 3, 1)),)
         # the zero polynomial's constant is 0
-        assert positive_shift([Poly((Fraction(1, 3),)), Poly(())], 0) is None
+        assert taylor_polys([Poly((Fraction(1, 3),)), Poly(())], 0) is None
 
 
 def assert_canonical(p):
