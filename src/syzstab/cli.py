@@ -24,9 +24,12 @@ option: -8, -.5, a degree range with a negative start (-3..10), a
 negative p/q and a coefficient list that starts with one (-30,3/2), also
 when malformed, so that the flag's own check reports it.
 
-Every JSON report is written by one emitter, byte for byte as
-json.dumps(report, sort_keys=True, indent=2) would write it.  The
-emitter dispatches on exact types and walks every list item by item,
+The walkers from a result to a report (_plain, _with_approx, _flatten)
+and the one JSON emitter dispatch on exact types; _plain sends a type
+it matches neither exactly nor as a direct subclass of Enum or Record
+through isinstance tests, so a subclass prints as it always has.  The
+emitter writes every report byte for byte as json.dumps(report,
+sort_keys=True, indent=2) would, and walks every list item by item,
 except the rows of a bound sweep.
 
 A bound result is a list of tuples of printed columns, one per degree,
@@ -34,16 +37,14 @@ built with no Fraction or dict, and every format reads them from one
 lazy iterator.  The handler takes the sweep's tail from
 bounds.tail_columns once: its first degree, denominator, columns and one
 bound on their integers.  The row printer (_sweep_rows) makes every row
-from bounds.sweep_ratios over that tail with one gcd per row, whether
-the tail is all integers (denominator 1, as on every P_n) or not.  The
+from bounds.sweep_ratios over that tail, with one gcd per row whose
+denominator is not 1, so none on an all-integer tail (every P_n).  The
 handler lists the iterator through _listed, the one place that turns a
 row past the int-to-string digit limit into an error: into row dicts
 for a single degree, the table form and --approx, where a single
 degree's result is its one row; in chunks of _CHUNK rows for a streamed
-sweep; whole for any other.  The JSON writer turns each chunk of tuples
-into text with one f-string list comprehension, unchecked, and the CSV
-writer joins each tuple into one line.  A JSON or CSV sweep of more than
-one chunk is streamed when the tail's bound shows that every row after
+sweep; whole for any other.  A JSON or CSV sweep of more than one
+chunk is streamed when the tail's bound shows that every row after
 its first chunk prints (_streams): the handler prints the first chunk,
 so every error comes before any output, and the writers print and write
 each later chunk in turn; any other report is rendered whole and
@@ -67,9 +68,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 
-from .bounds import BoundForm, sections_bound, sweep_ratios, tail_columns
+from .bounds import BoundForm, _sections_ratio, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
+from .record import Record
 from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
@@ -268,19 +270,32 @@ def _plain(obj):
     """A result as JSON values: an int, bool or str stays, a Fraction becomes
     its exact string, an enum its value, math.inf "+inf", a list or tuple a
     list, and a result type (a record.Record, or verify.CheckResult) a dict of
-    the fields in its `_fields` tuple that are not None."""
-    if isinstance(obj, (int, str)):
+    the fields in its `_fields` tuple that are not None.  Dispatch: module doc."""
+    t = type(obj)
+    if t is int or t is str or t is bool:
         return obj
-    if isinstance(obj, Fraction):
+    if t is Fraction:
         return format_rational(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (list, tuple)):
+    if t is list or t is tuple:
         return [_plain(item) for item in obj]
-    fields = getattr(type(obj), "_fields", None)
+    if (base := t.__base__) is Enum:
+        return obj.value
+    if base is not Record:
+        if isinstance(obj, (int, str)):
+            return obj
+        if isinstance(obj, Fraction):
+            return format_rational(obj)
+        if isinstance(obj, Enum):
+            return obj.value
+        if isinstance(obj, (list, tuple)):
+            return [_plain(item) for item in obj]
+    fields = getattr(t, "_fields", None)
     if fields is not None:
-        return {name: _plain(value) for name in fields
-                if (value := getattr(obj, name)) is not None}
+        out = {}
+        for name in fields:
+            if (value := getattr(obj, name)) is not None:  # an int or str as it is
+                out[name] = value if type(value) is int or type(value) is str else _plain(value)
+        return out
     if isinstance(obj, float) and obj == math.inf:  # the slope of a rank-0 sheaf
         return "+inf"
     raise TypeError(f"no JSON form for {type(obj).__name__} {obj!r}")
@@ -313,17 +328,17 @@ class _SweepRows(list):
 
 
 def _sweep_rows(ratios, rank: int):
-    """Yield the rows of sweep_ratios as text, with one gcd per row: value
-    - core is a multiple of the denominator unless the value is floored at
-    rank, so the value reduces by the core's gcd.  The branch text is
-    looked up once per run of rows in one branch."""
+    """Yield the rows of sweep_ratios as text, with a gcd on each row over a
+    denominator other than 1: value - core is a multiple of the denominator
+    unless the value is floored at rank, so the value reduces by the core's
+    gcd.  The branch text is looked up once per run of rows in one branch."""
     gcd = math.gcd
     floored = str(rank)
     branch = text = None
     for d, row_branch, core, value, den in ratios:
         if row_branch is not branch:
             branch, text = row_branch, row_branch.value
-        g = gcd(core, den)
+        g = 1 if den == 1 else gcd(core, den)
         if g != 1:
             core, value, den = core // g, value // g, den // g
         if den == 1:
@@ -406,22 +421,19 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
             )
         h0 = int(value)
         degree = degree + args.twist * variety.h_top
-        sheaf_echo.update({
-            "hilbert": list(hp.poly.to_strings()),
-            "regularity": regularity,
-            "twist": args.twist,
-        })
+        sheaf_echo.update(hilbert=list(hp.poly.to_strings()), regularity=regularity,
+                          twist=args.twist)
     else:
         if args.twist is not None:
             raise UsageError("--twist only applies to the hilbert route")
         sheaf_echo["h0"] = h0
 
     rep = check_stability(variety, degree, h0)
-    cap = sections_bound(variety, 1, degree).value
-    if h0 > cap:
-        raise InconsistentInputError(
-            f"h0 = {h0} exceeds the section bound {format_rational(cap)} at degree {degree}"
-        )
+    *_, cap, den = _sections_ratio(variety.dim, variety.h_top, variety.genus, 1, degree, 1,
+                                   BoundForm.SIMPLIFIED)  # sections_bound(...).value is cap/den
+    if h0 * den > cap:
+        raise InconsistentInputError(f"h0 = {h0} exceeds the section bound "
+                                     f"{format_rational(Fraction(cap, den))} at degree {degree}")
     result = _plain(rep)
     result["h0"] = result.pop("sections")
     return {"variety": _plain(variety), "sheaf": sheaf_echo}, result, 0
@@ -491,14 +503,15 @@ _RATIONAL_VALUE_RE = re.compile(r"^-?\d+/\d+$")
 
 
 def _with_approx(obj):
-    if isinstance(obj, list):
+    if type(obj) is list:
         return [_with_approx(item) for item in obj]
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         return obj
     out = {}
     for key, value in obj.items():
-        out[key] = _with_approx(value)
-        if isinstance(value, str) and _RATIONAL_VALUE_RE.match(value):
+        t = type(value)  # only an exact dict or list is walked, only a p/q string matched
+        out[key] = _with_approx(value) if t is dict or t is list else value
+        if t is str and "/" in value and _RATIONAL_VALUE_RE.match(value):
             try:
                 out[f"{key}_approx"] = float(Fraction(value))
             except OverflowError:
@@ -506,14 +519,16 @@ def _with_approx(obj):
     return out
 
 
-def _flatten(obj, prefix="") -> list[tuple[str, str]]:
-    rows = []
+def _flatten(obj, prefix: str, rows: list) -> list[tuple[str, str]]:
     if isinstance(obj, dict):
         for key in sorted(obj):
-            rows.extend(_flatten(obj[key], f"{prefix}{key}."))
+            if type(value := obj[key]) is str or type(value) is int:  # a leaf, appended here
+                rows.append((f"{prefix}{key}", str(value)))
+            else:
+                _flatten(value, f"{prefix}{key}.", rows)
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
-            rows.extend(_flatten(item, f"{prefix}{i}."))
+            _flatten(item, f"{prefix}{i}.", rows)
     else:
         rows.append((prefix[:-1], "true" if obj is True else "false" if obj is False else str(obj)))
     return rows
@@ -604,9 +619,9 @@ def render_json(report: dict) -> str:
 
 
 def render_table(report: dict) -> str:
-    rows = _flatten(report)
-    width = max(len(k) for k, _ in rows)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+    rows = _flatten(report, "", [])
+    width = max([len(k) for k, _ in rows])
+    return "".join([f"{k.ljust(width)}  {v}\n" for k, v in rows])
 
 
 def render_csv(report: dict) -> str:
@@ -629,7 +644,7 @@ def render_csv(report: dict) -> str:
         if isinstance(items, list):
             break
     else:
-        items = [dict(_flatten(result))]
+        items = [dict(_flatten(result, "", []))]
     if key == "checks":
         items = [{**row, "failures": "; ".join(row["failures"])} for row in items]
     columns = sorted(set().union(*items))

@@ -9,16 +9,20 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
+from enum import Enum, IntEnum
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import report_walkers as frozen
 import syzstab
 from syzstab import cli
 from syzstab.cli import main
+from syzstab.record import Record
 
 
 def run_cli(*argv):
@@ -266,6 +270,74 @@ class TestCheckCommand:
         assert_one_error(run_cli("check", "--catalog", "P2", "--degree", "0",
                                  "--hilbert", "1/3,3/2,1/2", "--regularity", "0", "--twist", "2"),
                          3, "hilbert polynomial is not an integer at k = 2: 16/3")
+
+
+def _check_reference(variety, degree, h0):
+    """The exit code and stderr of check as it compared h0 with the cap
+    sections_bound(variety, 1, degree).value, a Fraction."""
+    try:
+        syzstab.check_stability(variety, degree, h0)
+    except syzstab.InconsistentInputError as exc:
+        return 3, f"error: {exc}\n"
+    cap = syzstab.sections_bound(variety, 1, degree).value
+    if h0 > cap:
+        return 3, (f"error: h0 = {h0} exceeds the section bound {syzstab.format_rational(cap)} "
+                   f"at degree {degree}\n")
+    return 0, ""
+
+
+def _hilbert_for(variety, degree, h0):
+    """--hilbert and --twist flags that put h0 sections at degree by the
+    Hilbert route: twist 1 from d0 = degree - h_top, or twist 0 below
+    that, with a polynomial that validate_hilbert accepts at d0.  None on a
+    curve, whose polynomial is pinned, unless it gives h0."""
+    n, h, c1 = variety.dim, variety.h_top, variety.c1_dot_h
+    k = 1 if degree >= h else 0
+    lead, second = Fraction(h, math.factorial(n)), Fraction(2 * (degree - k * h) + c1,
+                                                            2 * math.factorial(n - 1))
+    if n == 1:
+        coeffs = [second, lead] if second + lead * k == h0 else None
+    else:
+        coeffs = [h0 - (second + lead) * k] + [0] * (n - 2) + [second, lead]
+    if coeffs is None:
+        return None
+    return ("--degree", str(degree - k * h), "--hilbert", ",".join(map(str, coeffs)),
+            "--regularity", "0", "--twist", str(k))
+
+
+# The integer cap test of check against the Fraction one, at h0 = floor(cap)
+# and floor(cap) + 1, by flags, by --input and by the Hilbert route: dims
+# 1-5, h_top 1-6, genus 0-8, degrees 2-40.  The quadric surface (dim 2,
+# h_top 2, genus 0) has the cap 15/4 at degree 2.
+@pytest.mark.parametrize("n", range(1, 6))
+def test_check_cap_matches_the_fraction_cap(n, tmp_path):
+    path = str(tmp_path / "problem.json")
+    seen, by_hilbert = set(), set()
+    for h in range(1, 7):
+        for g in range(9):
+            c1 = (n - 1) * h - 2 * (g - 1)
+            variety = syzstab.make_variety("custom", n, h, c1)
+            flags = ("--dim", str(n), "--h-top", str(h), "--c1-h", str(c1))
+            for degree in range(2, 41):
+                cap = syzstab.sections_bound(variety, 1, degree).value
+                for h0 in (math.floor(cap), math.floor(cap) + 1):
+                    want = _check_reference(variety, degree, h0)
+                    with open(path, "w") as fh:
+                        json.dump({"variety": {"dim": n, "h_top": h, "c1_dot_h": c1},
+                                   "sheaf": {"rank": 1, "degree": degree, "h0": h0}}, fh)
+                    routes = [("--degree", str(degree), "--h0", str(h0)), ("--input", path),
+                              _hilbert_for(variety, degree, h0)]
+                    seen.add((want[0], cap.denominator != 1))
+                    if routes[2] is not None:
+                        by_hilbert.add(want[0])
+                    for route in filter(None, routes):
+                        argv = ("check",) + (flags if route[0] != "--input" else ()) + route
+                        code, out, err = run_cli(*argv)
+                        assert (code, err) == want, argv
+                        assert code != 0 or json.loads(out)["result"]["h0"] == h0, argv
+    # both outcomes, on integer caps and on fractional ones, and by the Hilbert route
+    assert seen == {(0, False), (0, True), (3, False), (3, True)}
+    assert by_hilbert == {0, 3}
 
 
 class TestTwistCommand:
@@ -1042,7 +1114,7 @@ def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
     """A bound sweep's stdout as the CLI wrote it while sweep rows were
     dicts: one row dict per degree from sections_bound, --approx companions
     for the values that are proper fractions, then json.dumps, csv.writer,
-    or _flatten in table form."""
+    or the frozen table writer (report_walkers)."""
     c1_h = (n - 1) * h_top - 2 * (g - 1)
     variety = syzstab.make_variety("custom", n, h_top, c1_h)
     rows = []
@@ -1069,9 +1141,7 @@ def _reference_sweep(n, h_top, g, rank, degrees, form, fmt, approx):
         writer.writerow(columns)
         writer.writerows([row.get(c) for c in columns] for row in rows)
         return sink.getvalue()
-    flat = cli._flatten(report)
-    width = max(len(k) for k, _ in flat)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in flat)
+    return frozen.render_table(report)
 
 
 # Ranges from 0..60 that cross the Clifford branch, the strip, d_pos and the
@@ -1289,13 +1359,14 @@ def _poly_free(obj):
 
 def _plain_by_attributes(obj):
     """The walk over a result's instance attributes that _plain, which reads
-    the class's field tuple, must agree with."""
+    the class's field tuple, must agree with; its leaves are the frozen
+    walker's (report_walkers.plain)."""
     if hasattr(type(obj), "_fields"):
         return {name: _plain_by_attributes(value) for name, value in vars(obj).items()
                 if value is not None}
     if isinstance(obj, (list, tuple)):
         return [_plain_by_attributes(item) for item in obj]
-    return cli._plain(obj)
+    return frozen.plain(obj)
 
 
 def test_plain_walks_the_fields_of_every_exported_result_type():
@@ -1320,6 +1391,128 @@ def test_plain_walks_the_fields_of_every_exported_result_type():
         assert list(vars(value)) == list(type(value)._fields), type(value).__name__
     for value in map(_poly_free, samples):
         assert cli._plain(value) == _plain_by_attributes(value), type(value).__name__
+        assert cli._plain(value) == frozen.plain(value), type(value).__name__
+
+
+# Trees for the differential tests of the report walkers against the frozen
+# copies in report_walkers.  Leaves are what a result holds (str, int, bool,
+# None, Fractions, enums, math.inf and p/q text, negative, too large for a
+# float, or over 0) and what it never holds (finite floats, -inf, text
+# that is nearly p/q); inner nodes are dicts, lists and tuples, empty ones
+# included.
+class _Shade(Enum):  # a plain enum, as every enum of the package is
+    DARK = "Dark"
+    LIGHT = "Light"
+
+
+class _Level(IntEnum):  # an enum with a mixin type takes the isinstance tests
+    LOW = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Half(Fraction):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Box(Record):  # a direct subclass of Record
+    first: object
+    second: object = None
+
+
+class _InnerBox(_Box):  # its subclass takes the isinstance tests
+    third: object = None
+
+
+_Pair = namedtuple("_Pair", "a b")  # a tuple with a field tuple: listed, not a dict
+
+_RATIONAL_TEXT = (st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(0, 10**6))
+                  | st.builds("{}/{}".format, st.integers(10**309, 10**320), st.integers(1, 9))
+                  | st.builds("-{}/{}".format, st.integers(10**309, 10**320), st.integers(1, 9)))
+_SLASHED_TEXT = st.text(st.sampled_from("0123456789/-+ .e"), max_size=7)  # p/q or nearly
+_WALKER_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=6) | _RATIONAL_TEXT
+                  | _SLASHED_TEXT
+                  | st.floats(allow_nan=False, allow_infinity=False) | st.just(math.inf)
+                  | st.just(-math.inf) | st.fractions() | st.sampled_from(list(_Shade)))
+_WALKER_KEYS = st.text(max_size=4) | _RATIONAL_TEXT
+
+
+def _walker_trees(leaves, records=False):
+    def extend(inner):
+        nodes = (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                 | st.dictionaries(_WALKER_KEYS, inner, max_size=4))
+        if records:
+            nodes |= (st.builds(_Box, inner, inner) | st.builds(_InnerBox, inner)
+                      | st.builds(_Pair, inner, inner) | st.lists(inner, max_size=3).map(_Items)
+                      | st.builds(syzstab.CheckResult, st.text(max_size=3), inner, inner,
+                                  st.lists(inner, max_size=2), inner))
+        return nodes
+    return st.recursive(leaves, extend, max_leaves=25)
+
+
+_SUBCLASS_LEAVES = st.sampled_from([_Level.LOW, _Text("3/4"), _Text("x"), _Count(7), _Half(1, 2),
+                                    _Half(-3)])
+_TYPED_TREES = _walker_trees(_WALKER_LEAVES)
+_ANY_TREES = _walker_trees(_WALKER_LEAVES | _SUBCLASS_LEAVES, records=True)
+
+
+def _outcome(walk, *args):
+    """What walk(*args) gives: its value with every type spelled out, or
+    its error's type and text."""
+    try:
+        return "value", _typed(walk(*args))
+    except Exception as exc:  # the walkers must fail alike
+        return type(exc), str(exc)
+
+
+def _typed(obj):
+    if type(obj) in (list, tuple):
+        return type(obj), [_typed(item) for item in obj]
+    if type(obj) is dict:
+        return dict, [(key, _typed(value)) for key, value in obj.items()]
+    return type(obj), repr(obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ANY_TREES)
+@example([])
+@example(())
+@example(_Box(math.inf, [_Shade.DARK, Fraction(-7, 2), None]))
+@example(_Pair(1, 2))
+@example({"a": 1})
+def test_plain_matches_the_frozen_walker(tree):
+    assert _outcome(cli._plain, tree) == _outcome(frozen.plain, tree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ANY_TREES)
+@example({})
+@example({"a": {}, "b": [], "c": ()})
+@example({"x": [True, False, None, 1.5, _Count(2), _Level.LOW]})
+def test_flatten_matches_the_frozen_walker(tree):
+    assert _outcome(cli._flatten, tree, "", []) == _outcome(frozen.flatten, tree)
+    assert _outcome(cli.render_table, tree) == _outcome(frozen.render_table, tree)
+
+
+# Only the exact types dict, list and str reach _with_approx: every result
+# is built from them, so these trees hold no subclass of theirs.
+@settings(max_examples=400, deadline=None)
+@given(_TYPED_TREES)
+@example({"value": "-7/2", "core": "3", "n": [{"x": "1/3"}, ("2/3",)]})
+@example({"value": f"{10**400}/3"})
+@example({"value": "1/0"})
+def test_with_approx_matches_the_frozen_walker(tree):
+    assert _outcome(cli._with_approx, tree) == _outcome(frozen.with_approx, tree)
 
 
 _COLD_ARGVS = [
