@@ -25,12 +25,12 @@ negative p/q and a coefficient list that starts with one (-30,3/2), also
 when malformed, so that the flag's own check reports it.
 
 The walkers from a result to a report (_plain, _with_approx, _flatten)
-and the one JSON emitter dispatch on exact types; _plain sends a type
-it matches neither exactly nor as a direct subclass of Enum or Record
-through isinstance tests, so a subclass prints as it always has.  The
-emitter writes every report byte for byte as json.dumps(report,
-sort_keys=True, indent=2) would, and walks every list item by item,
-except the rows of a bound sweep.
+and the one JSON emitter dispatch on exact types.  _plain tests the
+exact types int, str, bool, Fraction, list and tuple, then an enum,
+then a result type's field tuple; a subclass of one of those six, which
+no result holds, is not taken for it.  The emitter writes every report
+byte for byte as json.dumps(report, sort_keys=True, indent=2) would,
+and walks every list item by item, except the rows of a bound sweep.
 
 A bound result is a list of tuples of printed columns, one per degree,
 built with no Fraction or dict, and every format reads them from one
@@ -71,7 +71,6 @@ from itertools import islice
 from .bounds import BoundForm, _sections_ratio, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
-from .record import Record
 from .stability import check_stability
 from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
@@ -278,17 +277,8 @@ def _plain(obj):
         return format_rational(obj)
     if t is list or t is tuple:
         return [_plain(item) for item in obj]
-    if (base := t.__base__) is Enum:
+    if isinstance(obj, Enum):
         return obj.value
-    if base is not Record:
-        if isinstance(obj, (int, str)):
-            return obj
-        if isinstance(obj, Fraction):
-            return format_rational(obj)
-        if isinstance(obj, Enum):
-            return obj.value
-        if isinstance(obj, (list, tuple)):
-            return [_plain(item) for item in obj]
     fields = getattr(t, "_fields", None)
     if fields is not None:
         out = {}

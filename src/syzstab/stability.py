@@ -63,7 +63,7 @@ def slope(rank: int, degree) -> object:
         raise ValueError(f"rank must be >= 0, got {rank}")
     if rank == 0:
         return math.inf
-    return Fraction(degree, rank)
+    return Fraction(degree) / rank
 
 
 def syzygy_invariants(degree: int, h0: int) -> SyzygyInvariants:
