@@ -20,9 +20,12 @@ checks nothing.  So a comparison of two values is one
 cross-multiplication of integers, whose sign is right because both
 denominators are positive.  Fractions are built only at the API edge:
 the public function of a form checks its arguments and builds one
-Fraction from its kernel, and sections_bound and restriction_sum build
-theirs from _sections_ratio and _restriction_ratio.  Inside the
-package, sweeps (sweep_ratios, _differences), restriction_sums,
+Fraction from its kernel, and sections_bound builds its own from
+_sections_ratio.  restriction_sum is the literal reference for one
+induction step: it reads each rank-1 term from _rank_one_ratio and
+builds one Fraction of their sum.  The running sums over a whole degree
+range belong to verify's dominance check, which reads the same kernel.
+Inside the package, sweeps (sweep_ratios, _differences),
 stability.check_stability, twist's condition G and verify's checks read
 the kernels directly.
 
@@ -332,8 +335,7 @@ def sections_bound(variety: Variety, rank: int, degree: int,
     )
 
 
-def tail_columns(variety: Variety, rank: int, degrees: range,
-                 form: BoundForm = BoundForm.SIMPLIFIED) -> tuple:
+def tail_columns(variety: Variety, rank: int, degrees: range, form: BoundForm) -> tuple:
     """The tail of a sweep of a unit-step range, the degrees from
     max(start, d_pos) on, as (first, D, cores, values, bound): its first
     degree, the denominator D, iterables of the core and value numerators
@@ -377,14 +379,13 @@ def tail_columns(variety: Variety, rank: int, degrees: range,
     return first, den, accumulate(core_steps, initial=table[0]), values, bound
 
 
-def sweep_ratios(variety: Variety, rank: int, degrees: range,
-                 form: BoundForm = BoundForm.SIMPLIFIED, tail: tuple | None = None):
+def sweep_ratios(variety: Variety, rank: int, degrees: range, form: BoundForm, tail: tuple):
     """Yield the rows of sections_bound for every degree of a unit-step
     range, in order, as integers: (degree, branch, core numerator, value
     numerator, denominator), the ratios not reduced.
 
-    Degrees below the tail's first degree (tail_columns; tail is its value,
-    computed here when not given) are sections_bound's own integer ratios
+    Degrees below the tail's first degree (tail is tail_columns' value for
+    the same arguments) are sections_bound's own integer ratios
     (_sections_ratio), over the closed form's denominator.  The rest are
     the tail's columns over their denominator D: core is D times the
     form's value and value is core + rank*D (simplified) or core +
@@ -392,8 +393,6 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
     tail's first degree yields the rows below the tail and reads none of
     its columns.
     """
-    if tail is None:
-        tail = tail_columns(variety, rank, degrees, form)
     first, tail_den, cores, values, _ = tail
     n, h, g = variety.dim, variety.h_top, variety.genus
     if degrees.start < first:  # sections_bound's checks, once for the rising degrees
@@ -405,75 +404,22 @@ def sweep_ratios(variety: Variety, rank: int, degrees: range,
                    cores, values, repeat(tail_den))
 
 
-def _rank_one_step(memo: dict, n: int, h_top: int, g: int, d) -> tuple[int, int]:
-    """rank_one_bound as (numerator, denominator > 0), read from memo when
-    it holds (n, h_top, g, d) and added to it otherwise.  verify's
-    dominance sweep compares the closed form at (n, h_top, g, d) with
-    restriction sums, and the sums in dimension n + 1 add up those same
-    values as their terms, so with one memo for the sweep each is computed
-    once (`verify --grid small`: 600 evaluations instead of 800).  The
-    memo belongs to its caller, so nothing outlives the call that owns it."""
-    key = (n, h_top, g, d)
-    ratio = memo.get(key)
-    if ratio is None:
-        ratio = memo[key] = _rank_one_ratio(n, h_top, g, d.numerator, d.denominator)
-    return ratio
-
-
-def _check_restriction(n: int, h_top: int, d):
-    """restriction_sum's checks: _check_common's, for dimension >= 2."""
-    if n < 2:
-        raise ValueError("restriction needs dimension >= 2")
-    return _check_common(n, h_top, d)
-
-
-def _restriction_ratio(n: int, h_top: int, g: int, d: int, memo: dict) -> tuple[int, int]:
-    """restriction_sum as (numerator, denominator > 0): the terms'
-    numerators over the lcm of their denominators, each term read through
-    memo (_rank_one_step)."""
-    d = _check_restriction(n, h_top, d)
-    terms = [_rank_one_step(memo, n - 1, h_top, g, d - i * h_top) for i in range(d // h_top + 1)]
-    # a set, not a generator: unpacking an iterator of unknown length regrows
-    # the argument tuple, and those reallocations raised peak RSS run by run
-    den = math.lcm(*{t_den for _, t_den in terms})
-    return sum(t * (den // t_den) for t, t_den in terms), den
-
-
 def restriction_sum(n: int, h_top: int, g: int, d: int) -> Fraction:
     """One induction step, recomputed literally: restrict to a hyperplane
     section d//h + 1 times and add up the rank-1 bounds in dimension n-1.
 
     The closed forms are supposed to dominate this sum wherever the
     induction's own hypotheses hold.  Like a closed form it is one integer
-    ratio (_restriction_ratio), and one Fraction is built at the end.
+    ratio: the terms' numerators (_rank_one_ratio) over the lcm of their
+    denominators, and one Fraction is built at the end.
     """
-    return Fraction(*_restriction_ratio(n, h_top, g, d, {}))
-
-
-def restriction_sums(n: int, h_top: int, g: int, degrees: range, memo: dict):
-    """Yield restriction_sum(n, h_top, g, d) for every degree d of a
-    unit-step range, in order, as (numerator, denominator > 0), the ratio
-    not reduced.  The sum at d + h_top is the sum at d plus the rank-1
-    bound at d + h_top, so one running ratio per residue class mod h_top
-    carries it, over the lcm of its terms' denominators; a class's first
-    degree seeds it from restriction_sum's own ratio.  Every rank-1 term
-    is read through the caller's memo (_rank_one_step), so a caller that
-    also reads the rank-1 bounds in dimension n - 1 shares their values.
-    The arguments are checked at the range's first degree, as
-    restriction_sum checks them."""
-    if degrees:
-        _check_restriction(n, h_top, degrees.start)
-    sums: dict[int, tuple[int, int]] = {}
-    for d in degrees:
-        r = d % h_top
-        total = sums.get(r)
-        if total is None:
-            total = _restriction_ratio(n, h_top, g, d, memo)
-        else:
-            (num, den), (step, step_den) = total, _rank_one_step(memo, n - 1, h_top, g, d)
-            if step_den != den:
-                lcm = math.lcm(den, step_den)
-                num, step, den = num * (lcm // den), step * (lcm // step_den), lcm
-            total = num + step, den
-        sums[r] = total
-        yield total
+    if n < 2:
+        raise ValueError("restriction needs dimension >= 2")
+    d = _check_common(n, h_top, d)
+    p, e = d.numerator, d.denominator
+    q = h_top * e
+    terms = [_rank_one_ratio(n - 1, h_top, g, p - i * q, e) for i in range(p // q + 1)]
+    # a set, not a generator: unpacking an iterator of unknown length regrows
+    # the argument tuple, and those reallocations raised peak RSS run by run
+    den = math.lcm(*{t_den for _, t_den in terms})
+    return Fraction(sum(t * (den // t_den) for t, t_den in terms), den)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
-from .bounds import (BoundForm, _high_ratio, _low_ratio, _rank_one_step, _sections_ratio, d_pos,
-                     restriction_sums)
+from .bounds import BoundForm, _high_ratio, _low_ratio, _rank_one_ratio, _sections_ratio, d_pos
 from .exactnum import falling_sum_check
 from .record import Record
 from .stability import Verdict, check_stability
@@ -125,23 +125,46 @@ def _check_monotone_high(rng: random.Random, samples: int) -> CheckResult:
     return res
 
 
+def _dominance_cells(dims, h_tops, genera, degrees):
+    """Yield _check_dominance's cells (n, h, g, d, closed, oracle) in the
+    order of itertools.product(dims, h_tops, genera, degrees), closed and
+    oracle as (numerator, denominator > 0); every dimension is >= 2."""
+    columns = {}
+    for n, h, g in product(dims, h_tops, genera):
+        below = columns.pop((n - 1, h, g), None)
+        if below is None:
+            below = [_rank_one_ratio(n - 1, h, g, d, 1) for d in range(degrees.stop)]
+        column = columns[n, h, g] = [_rank_one_ratio(n, h, g, d, 1) for d in range(degrees.stop)]
+        sums = below[:h]
+        for num, den in below[h:]:  # R_n(d) = r_{n-1}(d) + R_n(d - h)
+            total, total_den = sums[-h]
+            if total_den != den:
+                lcm = math.lcm(den, total_den)
+                num, total, den = num * (lcm // den), total * (lcm // total_den), lcm
+            sums.append((num + total, den))
+        for d in degrees:
+            yield n, h, g, d, column[d], sums[d]
+
+
 def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
+    """The closed rank-1 bound r_n(d) against one restriction step R_n(d)
+    = sum_i r_{n-1}(d - i*h), on every cell of the grid.  The degrees
+    start at 0; per (h, g), a column of r_n at the degrees 0..D, each
+    value from _rank_one_ratio, gives the closed values in dimension n and
+    the terms of the sums in dimension n + 1, so each rank-1 value is
+    computed once per call.  The sums run along the column below, R_n(d) =
+    r_{n-1}(d) + R_n(d - h), or r_{n-1}(d) for d < h, over the lcm of the
+    two denominators."""
     res = CheckResult(
         "restriction-dominance",
         note="every cell of the grid, no cells excluded; on the strip dim >= 3, "
         "0 < (d - (2g-2))/h_top < 1 the closed form is one restriction step",
     )
-    memo: dict = {}  # the rank-1 values, shared by the closed forms and the sums
-    for n in dims:
-        for h in h_tops:
-            for g in genera:
-                for d, oracle in zip(degrees, restriction_sums(n, h, g, degrees, memo)):
-                    closed = _rank_one_step(memo, n, h, g, d)
-                    res.record(
-                        closed[0] * oracle[1] >= oracle[0] * closed[1],
-                        lambda: f"n={n}, h={h}, g={g}, d={d}: "
-                        f"{Fraction(*closed)} < {Fraction(*oracle)}",
-                    )
+    for n, h, g, d, closed, oracle in _dominance_cells(dims, h_tops, genera, degrees):
+        res.record(
+            closed[0] * oracle[1] >= oracle[0] * closed[1],
+            lambda: f"n={n}, h={h}, g={g}, d={d}: {Fraction(*closed)} < {Fraction(*oracle)}",
+        )
     return res
 
 

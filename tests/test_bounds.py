@@ -170,11 +170,17 @@ def _variety(n, h, g):
     return Variety("x", n, h, (n - 1) * h - 2 * (g - 1), g)
 
 
+def _ratio_rows(v, rank, degrees, form):
+    """The rows of bounds.sweep_ratios over the range's own tail, as the
+    CLI reads them."""
+    return bounds.sweep_ratios(v, rank, degrees, form, bounds.tail_columns(v, rank, degrees, form))
+
+
 def _fraction_rows(v, rank, degrees, form=BoundForm.SIMPLIFIED):
     """The rows of bounds.sweep_ratios as (degree, branch, core, value)
     with Fraction core and value."""
     return ((d, branch, Fraction(core, den), Fraction(value, den))
-            for d, branch, core, value, den in bounds.sweep_ratios(v, rank, degrees, form))
+            for d, branch, core, value, den in _ratio_rows(v, rank, degrees, form))
 
 
 def _plus_power(kernel):
@@ -226,7 +232,7 @@ class TestSweepBounds:
     def test_table_rows_are_integers_over_one_denominator(self):
         # a genus-2 threefold: values with proper fractions; d_pos = 4
         v = _variety(3, 2, 2)
-        rows = list(bounds.sweep_ratios(v, 2, range(0, 40), BoundForm.LEMMA))
+        rows = list(_ratio_rows(v, 2, range(0, 40), BoundForm.LEMMA))
         assert all(type(x) is int for row in rows for x in (row[0], *row[2:]))
         table_dens = {den for d, _, _, _, den in rows if d >= bounds.d_pos(2, 2)}
         assert len(table_dens) == 1 and table_dens != {1}
@@ -313,13 +319,13 @@ class TestTailColumns:
     def test_columns_end_with_the_range(self):
         # also past sys.maxsize degrees, where itertools.repeat(x, count) fails;
         # P2's simplified core is C(d+2, 2) - 1
-        v = catalog_lookup("P2")
-        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(0, 10 ** 30))
+        v, form = catalog_lookup("P2"), BoundForm.SIMPLIFIED
+        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(0, 10 ** 30), form)
         assert (first, next(cores), next(values)) == (0, 0, 1)
-        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(7, 12))
+        first, den, cores, values, _ = bounds.tail_columns(v, 1, range(7, 12), form)
         assert (first, list(cores), list(values)) == (7, [35, 44, 54, 65, 77], [36, 45, 55, 66, 78])
         # three degrees are fewer than n+3: sections_bound prints them
-        first, den, cores, values, bound = bounds.tail_columns(v, 1, range(7, 10))
+        first, den, cores, values, bound = bounds.tail_columns(v, 1, range(7, 10), form)
         assert (first, list(cores), list(values), bound) == (10, [], [], 0)
         assert [(core, value) for _, _, core, value in _fraction_rows(v, 1, range(7, 10))] \
             == [(35, 36), (44, 45), (54, 55)]
@@ -349,13 +355,10 @@ class TestLemmaTailFromDPos:
                     == [riemann_roch_bound(n, h, g, d) for d in range(start, start + 61)], (n, h, g)
 
 
-def _ratio(pair):
-    """A memoised term or a running sum as its (numerator, denominator)
-    pair of ints, checked: the denominator is > 0, so the pair's sign and
-    order are its value's."""
-    num, den = pair
-    assert type(num) is int and type(den) is int and den > 0, pair
-    return num, den
+def _fraction_sum(n, h, g, d):
+    """The restriction sum as a running Fraction sum of the rank-1 terms,
+    the reference for restriction_sum's one integer ratio."""
+    return sum((rank_one_bound(n - 1, h, g, d - i * h) for i in range(d // h + 1)), Fraction(0))
 
 
 class TestRestrictionSum:
@@ -368,76 +371,41 @@ class TestRestrictionSum:
     def test_space_quadrics(self):
         assert restriction_sum(3, 1, 0, 2) == 10  # h0(O_P3(2))
 
-    def test_rejects_curves(self):
-        with pytest.raises(ValueError):
-            restriction_sum(1, 1, 0, 3)
+    def test_rational_degree(self):
+        # the terms are the rank-1 bounds one dimension down at 7/2 and 3/2
+        got = restriction_sum(3, 2, 1, Fraction(7, 2))
+        assert type(got) is Fraction and got == Fraction(109, 16)
+        assert got == sum(rank_one_bound(2, 2, 1, Fraction(p, 2)) for p in (7, 3))
 
-    def test_matches_literal_sum_cold_and_warm(self):
+    @pytest.mark.parametrize("n,h,g,d,error,message", [
+        (1, 1, 0, 3, ValueError, "restriction needs dimension >= 2"),
+        (0, 2, 1, 3, ValueError, "restriction needs dimension >= 2"),
+        (2, 1, 0, -1, InconsistentInputError, "degree must be >= 0 (degree-0 sheaves are trivial, "
+                                              "negative is impossible), got -1"),
+        (3, 2, 1, -4, InconsistentInputError, "degree must be >= 0 (degree-0 sheaves are trivial, "
+                                              "negative is impossible), got -4"),
+        (2, 0, 0, 2, ValueError, "h_top must be >= 1, got 0"),
+        (3, -1, 2, 5, ValueError, "h_top must be >= 1, got -1"),
+    ])
+    def test_rejects_bad_arguments(self, n, h, g, d, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            restriction_sum(n, h, g, d)
+
+    def test_matches_literal_sum(self):
         rng = random.Random(41)
         for _ in range(60):
             n, h, g = rng.randint(2, 5), rng.randint(1, 6), rng.randint(0, 8)
             d = rng.randint(0, 80)
-            literal = sum((rank_one_bound(n - 1, h, g, d - i * h) for i in range(d // h + 1)),
-                          Fraction(0))
-            assert restriction_sum(n, h, g, d) == literal
-            # warm: a neighbouring sum fills a memo with the shared terms, and
-            # the same sum read through that memo is unchanged
-            memo = {}
-            list(bounds.restriction_sums(n, h, g, range(d + h, d + h + 1), memo))
-            assert len(memo) == (d + h) // h + 1
-            (warm,) = bounds.restriction_sums(n, h, g, range(d, d + 1), memo)
-            assert Fraction(*_ratio(warm)) == literal
-            # every term of the sum at d was in the memo already
-            assert len(memo) == (d + h) // h + 1
-            assert restriction_sum(n, h, g, d) == literal
+            assert restriction_sum(n, h, g, d) == _fraction_sum(n, h, g, d)
 
     def test_matches_fraction_sum_on_grid(self):
-        # the sum as it was built before it became one integer ratio: a
-        # running Fraction sum of the memoised rank-1 terms, each read from
-        # its (numerator, denominator) pair
-        memo = {}
-
-        def fraction_sum(n, h, g, d):
-            return sum((Fraction(*_ratio(bounds._rank_one_step(memo, n - 1, h, g, d - i * h)))
-                        for i in range(d // h + 1)), Fraction(0))
-
         for n in range(2, 6):
             for h in range(1, 6):
                 for g in range(8):
                     for d in range(60):
                         got = restriction_sum(n, h, g, d)
                         assert type(got) is Fraction
-                        assert got == fraction_sum(n, h, g, d), (n, h, g, d)
-
-    def test_running_sums_match_each_sum(self):
-        # starts below, at and above h_top; each range holds every residue
-        # class mod h_top at least three times, so each is seeded and extended;
-        # each range once with an empty memo, once with one shared by the grid
-        shared = {}
-        for n in range(2, 5):
-            for h in range(1, 6):
-                for g in range(5):
-                    for start in sorted({0, h - 1, h, h + 1, 2 * h + 3}):
-                        degrees = range(start, start + 3 * h + 4)
-                        want = [restriction_sum(n, h, g, d) for d in degrees]
-                        for memo in ({}, shared):
-                            sums = bounds.restriction_sums(n, h, g, degrees, memo)
-                            got = [Fraction(*_ratio(v)) for v in sums]
-                            assert got == want, (n, h, g, start, memo is shared)
-
-    def test_running_sums_reject_what_each_sum_rejects(self):
-        assert list(bounds.restriction_sums(3, 2, 1, range(5, 5), {})) == []
-        with pytest.raises(ValueError):
-            list(bounds.restriction_sums(1, 1, 0, range(0, 4), {}))
-        with pytest.raises(InconsistentInputError):
-            list(bounds.restriction_sums(2, 1, 0, range(-1, 4), {}))
-        # the same error, message included, for every argument each sum rejects
-        for n, h, g, d in ((1, 1, 0, 3), (0, 2, 1, 3), (2, 1, 0, -1), (3, 2, 1, -4),
-                           (2, 0, 0, 2), (3, -1, 2, 5)):
-            with pytest.raises(Exception) as want:
-                restriction_sum(n, h, g, d)
-            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                list(bounds.restriction_sums(n, h, g, range(d, d + 4), {}))
+                        assert got == _fraction_sum(n, h, g, d), (n, h, g, d)
 
 
 class TestFormRelations:

@@ -774,6 +774,7 @@ REPORTS = {
     "catalog": ("catalog",),
     "catalog-show": ("catalog", "show", "P3"),
     "verify": ("verify", "--grid", "small", "--seed", "0"),
+    "verify-full": ("verify", "--grid", "full", "--seed", "0"),
 }
 
 GOLDEN_REPORTS = [
@@ -812,6 +813,9 @@ GOLDEN_REPORTS = [
     ("verify", "json", "f7a945024690639c362c540b1826bf34bb1b55c54d9f50b33e37d7fd7537c814"),
     ("verify", "table", "7644069f7979bf900a0e4fdb4116d45e13263ec6a6afd46b290de5d8411c5fd0"),
     ("verify", "csv", "b1c491e898625a8081d4d1a18a867df9efb7b7e675331a79992a55f212428817"),
+    ("verify-full", "json", "c0acb0c4209d4c2a0e57218d8733e23d598561c7cee220ec0d39eac742395931"),
+    ("verify-full", "table", "ed564970527896e6a147251858dc60b3582839a2150dc65db3ddd33c1575a93a"),
+    ("verify-full", "csv", "0b9891e7070a7326fa79b151871b8ce876cb7683cf9dee2f0c3b1d969458279b"),
 ]
 
 
@@ -1224,7 +1228,7 @@ def _frozen_write_rows(rows, pad, out):
     out.append(pad + "]")
 
 
-def _section_ratios(variety, rank, degrees, form, tail=None):
+def _section_ratios(variety, rank, degrees, form, tail):
     """The rows of bounds.sweep_ratios, each from sections_bound; tail is
     not used."""
     for d in degrees:

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from syzstab import bounds, cli, verify
+from syzstab import cli, rank_one_bound, restriction_sum, verify
 from syzstab.verify import CheckResult, run_suite
 
 EXPECTED_CHECKS = {
@@ -47,26 +49,62 @@ class TestSmallGrid:
             run_suite(grid="huge", seed=0)
 
 
-class TestDominanceMemo:
+def _ratio(pair):
+    """A cell's closed value or oracle as its (numerator, denominator) pair
+    of ints, checked: the denominator is > 0, so the pair's sign and order
+    are its value's."""
+    num, den = pair
+    assert type(num) is int and type(den) is int and den > 0, pair
+    return num, den
+
+
+def _assert_literal_cells(axes, cells):
+    """The cells of a dominance walk over the grid axes come in product
+    order, and each closed value and oracle is the public function's."""
+    assert [cell[:4] for cell in cells] == list(product(*axes))
+    for n, h, g, d, closed, oracle in cells:
+        assert Fraction(*_ratio(closed)) == rank_one_bound(n, h, g, d), (n, h, g, d)
+        assert Fraction(*_ratio(oracle)) == restriction_sum(n, h, g, d), (n, h, g, d)
+
+
+class TestDominanceWalk:
+    @pytest.mark.parametrize("grid,count", [("small", 400), ("full", 5124)])
+    def test_run_suite_cells_are_the_literal_sums(self, monkeypatch, grid, count):
+        walks, real = [], verify._dominance_cells
+
+        def recording(*axes):
+            cells = []
+            walks.append((axes, cells))
+            for cell in real(*axes):
+                cells.append(cell)
+                yield cell
+
+        monkeypatch.setattr(verify, "_dominance_cells", recording)
+        run_suite(grid=grid, seed=0)
+        ((axes, cells),) = walks
+        assert len(cells) == count
+        _assert_literal_cells(axes, cells)
+
+    def test_cells_are_the_literal_sums_on_a_wider_grid(self):
+        axes = (range(2, 6), range(1, 7), range(0, 9), range(0, 81))
+        _assert_literal_cells(axes, list(verify._dominance_cells(*axes)))
+
     @pytest.mark.parametrize("grid,evaluations", [("small", 600), ("full", 6832)])
-    def test_one_memo_per_run(self, monkeypatch, grid, evaluations):
-        # the closed forms in dimension n and the sums' terms from dimension
-        # n + 1 share one memo, owned by the dominance check of one run: each
-        # rank-1 value is computed once per run, and a second run computes
-        # them all again
-        memos = []
-        real = bounds._rank_one_step
+    def test_each_rank_one_value_once_per_run(self, monkeypatch, grid, evaluations):
+        # the closed values in dimension n and the sums' terms in dimension
+        # n + 1 come from one column: each rank-1 value is computed once per
+        # run, and a second run computes them all again
+        calls, real = [], verify._rank_one_ratio
 
-        def recording(memo, *key):
-            if not any(m is memo for m in memos):
-                memos.append(memo)
-            return real(memo, *key)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(bounds, "_rank_one_step", recording)
-        monkeypatch.setattr(verify, "_rank_one_step", recording)
-        for run in range(2):
+        monkeypatch.setattr(verify, "_rank_one_ratio", counted)
+        for _ in range(2):
             run_suite(grid=grid, seed=0)
-            assert len(memos) == run + 1 and len(memos[-1]) == evaluations
+            assert len(calls) == len(set(calls)) == evaluations
+            calls.clear()
 
 
 class TestFullGrid:
