@@ -3,7 +3,8 @@
 Twisting the input by k steps of the polarization turns both stability
 inequalities into polynomial sign conditions in k; the high cap enters
 as its exact polynomial in k, interpolated from its kernel's values at
-n+2 consecutive twists (bound_high_poly).  Clearing denominators gives
+n+2 consecutive twists (_cap_in_k, integer numerators over one
+denominator; bound_high_poly is its Poly).  Clearing denominators gives
 polynomials whose top terms cancel exactly, leaving positive leading
 coefficients; each condition is built as integer numerators over one
 denominator, from the numerators of the Hilbert polynomial and the cap.
@@ -13,17 +14,18 @@ every coefficient of F(k + c) is >= 0 and F(c) > 0, then F > 0 on
 signs).  The least such integer c is found by one bisection from the
 start up to a root bound where the test is proven to hold: the lesser
 of the Cauchy bound and Fujiwara's bound rounded up to a power of two
-(fujiwara_bound).  Both lie strictly above the modulus of every root, so
-by Gauss-Lucas above every root of every derivative too, and each
-Taylor coefficient F^(i)(c)/i! has the sign of the positive leading
+(fujiwara_bound), compared on the integers (the Cauchy bound as the
+ratio _cauchy_ratio).  Both lie strictly above the modulus of every
+root, so by Gauss-Lucas above every root of every derivative too, and
+each Taylor coefficient F^(i)(c)/i! has the sign of the positive leading
 coefficient there.  Each bisection step runs one Taylor shift
 (poly.taylor_shift: integer synthetic division that stops at the first
 negative Taylor coefficient); the search keeps the shifted numerators of
 its last passing step, and the shifted polynomials are built once from
-them, at c.  The rows below c are evaluated downward to the first
-failure.  The certificate records c, the shifted coefficients, the
-evaluated rows, the Cauchy bound, and the polynomials (poly.Poly,
-re-exported here).
+them, at c.  The row at c is read from the shift's constants D*F(c),
+and the rows below c are evaluated downward to the first failure.  The
+certificate records c, the shifted coefficients, the rows, the Cauchy
+bound, and the polynomials (poly.Poly, re-exported here).
 """
 
 from __future__ import annotations
@@ -82,14 +84,14 @@ class TwistExpansion(Record):
     k_pos: int
 
 
-def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
+def _cap_in_k(n: int, h: int, g: int, d0: int) -> tuple[int, int, list[int]]:
     """bound_high at degree d0 + k*h_top - 1 as a polynomial in k, exact at
     every integer k >= k_pos, the least k whose degree is at least
-    bounds.d_pos.  With L and D_j the difference table of the cap at the
+    bounds.d_pos: (k_pos, L, nums), the polynomial sum nums[i]*k^i / L,
+    unreduced.  With D and D_j the difference table of the cap at the
     degrees of x_j = k_pos + j (bounds._differences, in steps of h_top),
-    L*n! times the cap is sum_j D_j*(n!/j!)*(k-x_0)...(k-x_{j-1}), built
-    by Horner's rule."""
-    n, h, g = variety.dim, variety.h_top, variety.genus
+    L = D*n! and L times the cap is sum_j D_j*(n!/j!)*(k-x_0)...(k-x_{j-1}),
+    built by Horner's rule."""
     if d0 < 0:
         raise InconsistentInputError(f"degree must be >= 0, got {d0}")
     k_pos = -((d0 - 1 - d_pos(g, h)) // h)
@@ -101,7 +103,14 @@ def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
             acc[i] = acc[i - 1] - x * acc[i]
         acc[0] = diffs[j] * scale - x * acc[0]
         scale *= j or 1
-    return TwistExpansion(poly=Poly._from_ints(den * scale, acc), k_pos=k_pos)
+    return k_pos, den * scale, acc
+
+
+def bound_high_poly(variety: Variety, d0: int) -> TwistExpansion:
+    """bound_high at degree d0 + k*h_top - 1 as a polynomial in k, exact at
+    every integer k >= k_pos (the kernel _cap_in_k, reduced once)."""
+    k_pos, den, nums = _cap_in_k(variety.dim, variety.h_top, variety.genus, d0)
+    return TwistExpansion(poly=Poly._from_ints(den, nums), k_pos=k_pos)
 
 
 class ConditionPolys(Record):
@@ -120,18 +129,19 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
     (2g-2)*(P(k) - 1) - d(k)*bound_low(n, h, 2g-2).
 
     Each is one integer polynomial over one denominator, built from the
-    numerators of P = p/D_P and of the cap E = e/D_E with no intermediate
-    Poly.  Over D_P*D_E, a = (p - D_P)*D_E is P - 1 and delta = a - e*D_P
-    is P - 1 - E, so coefficient i of cond2 is d0*delta_i - a_i +
-    h*delta_{i-1}; cond1 is taken over D_P times the denominator of
-    bound_low.
+    numerators of P = p/D_P and of the cap E = e/D_E (_cap_in_k,
+    unreduced) with no intermediate Poly; cond2 is reduced once, when it
+    is stored.  Over D_P*D_E, a = (p - D_P)*D_E is P - 1 and
+    delta = a - e*D_P is P - 1 - E, so coefficient i of cond2 is
+    d0*delta_i - a_i + h*delta_{i-1}; cond1 is taken over D_P times the
+    denominator of bound_low.
     """
     n, h, g = variety.dim, variety.h_top, variety.genus
     if n < 2:
         raise UsageError("twist certificates need dimension >= 2")
     validate_hilbert(variety, d0, hilbert)
-    expansion = bound_high_poly(variety, d0)
-    dp, de, e = hilbert.poly._denom, expansion.poly._denom, expansion.poly._nums
+    k_pos, de, e = _cap_in_k(n, h, g, d0)
+    dp = hilbert.poly._denom
     p_minus_1 = list(hilbert.poly._nums)  # over D_P; P has degree n >= 2
     p_minus_1[0] -= dp
     a = [x * de for x in p_minus_1]
@@ -154,7 +164,14 @@ def build_condition_polys(variety: Variety, d0: int, hilbert: HilbertPoly) -> Co
         nums[0] -= d0 * u
         nums[1] -= h * u
         cond1 = Poly._from_ints(dp * v, nums)
-    return ConditionPolys(cond2=cond2, cond1=cond1, k_pos=expansion.k_pos)
+    return ConditionPolys(cond2=cond2, cond1=cond1, k_pos=k_pos)
+
+
+def _cauchy_ratio(p: Poly) -> tuple[int, int]:
+    """Cauchy's bound 1 + max|c_i/c_deg| of a nonconstant p as (num, den),
+    unreduced, from the stored numerators alone."""
+    lead = abs(p._nums[-1])
+    return max(abs(a) for a in p._nums[:-1]) + lead, lead
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -162,8 +179,7 @@ def cauchy_bound(p: Poly) -> Fraction:
     real or complex, has modulus strictly below it."""
     if p.degree < 1:
         raise ValueError("root bound needs a nonconstant polynomial")
-    lead = abs(p._nums[-1])
-    return Fraction(max(abs(a) for a in p._nums[:-1]) + lead, lead)
+    return Fraction(*_cauchy_ratio(p))
 
 
 def fujiwara_bound(p: Poly) -> int:
@@ -224,9 +240,13 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     at which both polynomials shifted to k + c have every coefficient
     >= 0 and a positive constant, so both are positive on [c, oo).  P is
     Fujiwara's bound rounded up to a power of two (fujiwara_bound), the
-    larger over the two polynomials.  The test is monotone in c: a shift
-    by d >= 0 keeps nonnegative coefficients nonnegative and does not
-    lower the constant.  So one bisection over [start, top] finds c in
+    larger over the two polynomials.  The top is taken on the integers:
+    the Cauchy bounds are the ratios num/den of _cauchy_ratio, the larger
+    picked by cross-multiplication and its ceiling taken as
+    -(-num // den); the certificate's Cauchy bound is that ratio as a
+    Fraction.  The test is monotone in c: a shift by d >= 0 keeps
+    nonnegative coefficients nonnegative and does not lower the
+    constant.  So one bisection over [start, top] finds c in
     at most log2(top - start) + 1 tests (taylor_shift).  The numerators
     of the last passing midpoint are the shift at c, and the certificate's
     shifted polynomials are built once from them.
@@ -242,18 +262,24 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     leading coefficient; a failure there raises RuntimeError naming the
     bound.
 
-    Rows are evaluated from c down to the first failing k, or down to
-    start; k_min is that k + 1, or start.  A zero value counts as a
-    failure (stability needs strict inequalities) and is recorded in the
-    notes.
+    The rows run from c down to the first failing k, or down to start;
+    k_min is that k + 1, or start.  The row at c passes, and its values
+    are the constants of the shift, D*p(c) over each denominator D; only
+    the rows below c are evaluated, and each passes when the numerators of
+    its values are positive.  A zero value counts as a failure (stability
+    needs strict inequalities) and is recorded in the notes.
     """
     polys = build_condition_polys(variety, d0, hilbert)
     conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
     start = max(hilbert.regularity, polys.k_pos)
-    radius = max(cauchy_bound(p) for p in conds)
-    bound = min(radius, max(fujiwara_bound(p) for p in conds))
+    num, den = _cauchy_ratio(conds[0])
+    for p in conds[1:]:
+        a, b = _cauchy_ratio(p)
+        if a * den > num * b:
+            num, den = a, b
+    power = max(fujiwara_bound(p) for p in conds)
 
-    lo, hi = start, max(start, math.ceil(bound))
+    lo, hi = start, max(start, min(-(-num // den), power))
     shifted = None  # the shift at hi, once a midpoint has passed there
     while lo < hi:
         mid = (lo + hi) // 2
@@ -264,7 +290,8 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     c = hi
     if shifted is None and (shifted := taylor_shift(conds, c)) is None:
         raise RuntimeError(
-            f"Taylor shift at c = {c}, past the root bound {bound}, is not positive"
+            f"Taylor shift at c = {c}, past the root bound {min(Fraction(num, den), power)}, "
+            f"is not positive"
         )
 
     notes = [
@@ -277,13 +304,16 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
             "second polynomial"
         )
 
-    rows = []
-    for k in range(c, start - 1, -1):
+    # the row at c passes: its values are the shift's constants D*p(c) over D
+    at_c = [Fraction(nums[0], p._denom) for p, nums in zip(conds, shifted)]
+    rows = [ScanRow(k=c, cond2_value=at_c[0], cond1_value=at_c[1] if len(at_c) > 1 else None,
+                    passed=True)]
+    for k in range(c - 1, start - 1, -1):
         v2 = polys.cond2(k)
         v1 = polys.cond1(k) if polys.cond1 is not None else None
-        rows.append(ScanRow(k=k, cond2_value=v2, cond1_value=v1,
-                            passed=v2 > 0 and (v1 is None or v1 > 0)))
-        if not rows[-1].passed:
+        passed = v2.numerator > 0 and (v1 is None or v1.numerator > 0)
+        rows.append(ScanRow(k=k, cond2_value=v2, cond1_value=v1, passed=passed))
+        if not passed:
             if v2 == 0 or v1 == 0:
                 notes.append(
                     f"equality at k = {k}: the certificate gives only semistability there"
@@ -295,7 +325,7 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
 
     return TwistCertificate(
         k_min=k_min,
-        cauchy=radius,
+        cauchy=Fraction(num, den),
         scanned_range=(start, c),
         shift=TaylorShift(c=c, cond2=shift[0], cond1=shift[1] if len(shift) > 1 else None),
         cond2=polys.cond2,

@@ -684,13 +684,20 @@ class TestOutputContracts:
 
 # SHA-256 of stdout for twists whose Cauchy radius lies hundreds to
 # thousands of rows past the start: a change to how F and G are evaluated or
-# shifted must leave certificates byte-identical.
+# shifted, or to how the top of the search is taken from either root bound,
+# must leave certificates byte-identical.
 LONG_SCANS = {
     "dim2": ("--dim", "2", "--h-top", "1", "--c1-h", "-11", "--degree", "0",
              "--hilbert", "0,-11/2,1/2"),
     "dim3": ("--dim", "3", "--h-top", "1", "--c1-h", "-4", "--degree", "0",
              "--hilbert", "0,0,-1,1/6"),
     "quartic-K3": ("--catalog", "quartic-K3", "--degree", "0", "--hilbert", "2,0,2"),
+    # the Cauchy bound 1697 is the top of the search, and c = k_min = 1697
+    "cauchy-top": ("--dim", "2", "--h-top", "2", "--c1-h", "-64", "--degree", "0",
+                   "--hilbert", "3,-32,1"),
+    # Fujiwara's 64 is the top, below Cauchy's 163, and c = 51
+    "fujiwara-top": ("--dim", "2", "--h-top", "1", "--c1-h", "-7", "--degree", "3",
+                     "--hilbert", "1,-1/2,1/2"),
 }
 
 # The case ids keep the digest each case was first pinned with (the radius
@@ -708,6 +715,14 @@ GOLDEN_TWISTS = [
                  id="quartic-K3-json-5b1a832c75b8a7bbba4b242fb29ec983e0db32269d082efda6208c89c6309a73"),
     pytest.param("quartic-K3", "csv", "406f1c38b2dc58f71b333f5accd1c82ea8f1222274c861f5887df0a8e288534b",
                  id="quartic-K3-csv-fceb9a9b46f675e62abf94ecc0340c46b647d4116ef953e3d9d1517b4d340f1f"),
+    pytest.param("cauchy-top", "json", "7f11a8ed63f9a95d83cddabf8068006ac49d3e8b8e1b186d98f51835ac115531",
+                 id="cauchy-top-json-7f11a8ed63f9a95d83cddabf8068006ac49d3e8b8e1b186d98f51835ac115531"),
+    pytest.param("cauchy-top", "csv", "a32301d32cacf08c44ad9b119126a131a5911be87e62f7fb95e3a70ac6da3c85",
+                 id="cauchy-top-csv-a32301d32cacf08c44ad9b119126a131a5911be87e62f7fb95e3a70ac6da3c85"),
+    pytest.param("fujiwara-top", "json", "d5f02b7b6672061fcb40675bf0bcdfb4b16d63bd9b99d09c001e0ea7d67486b3",
+                 id="fujiwara-top-json-d5f02b7b6672061fcb40675bf0bcdfb4b16d63bd9b99d09c001e0ea7d67486b3"),
+    pytest.param("fujiwara-top", "csv", "3d020c2b56c017d4040defd6fba0041f0670a196e5548361c555e0d00cbd6db9",
+                 id="fujiwara-top-csv-3d020c2b56c017d4040defd6fba0041f0670a196e5548361c555e0d00cbd6db9"),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import math
@@ -458,18 +459,22 @@ class TestConditionPolys:
         with pytest.raises(InconsistentInputError):
             build_condition_polys(P2, 0, HilbertPoly(Poly((1, 1, 1)), 0))
 
-    @pytest.mark.parametrize("extra,message", [
+    @pytest.mark.parametrize("power,message", [
         # k more in the cap takes -h_top * k^2 off F's lead 2
-        (RingPoly((0, 1)), "condition polynomial has degree 2, leading -2; "
-                           "expected degree 2 with leading 2"),
+        (1, "condition polynomial has degree 2, leading -2; expected degree 2 with leading 2"),
         # k^2 more in the cap leaves -h_top * k^3 uncancelled
-        (RingPoly((0, 0, 1)), "condition polynomial has degree 3, leading -4; "
-                              "expected degree 2 with leading 2"),
+        (2, "condition polynomial has degree 3, leading -4; expected degree 2 with leading 2"),
     ], ids=["lead", "degree"])
-    def test_lead_check_fires(self, monkeypatch, extra, message):
-        real = twist.bound_high_poly
-        monkeypatch.setattr(twist, "bound_high_poly", lambda v, d0: twist.TwistExpansion(
-            poly=real(v, d0).poly + extra, k_pos=real(v, d0).k_pos))
+    def test_lead_check_fires(self, monkeypatch, power, message):
+        real = twist._cap_in_k
+
+        def cap_plus_power(n, h, g, d0):
+            k_pos, den, nums = real(n, h, g, d0)
+            nums = list(nums)
+            nums[power] += den  # the cap is nums/den, so this adds k^power
+            return k_pos, den, nums
+
+        monkeypatch.setattr(twist, "_cap_in_k", cap_plus_power)
         with pytest.raises(RuntimeError) as info:
             build_condition_polys(K3, 0, HP_K3)
         assert str(info.value) == message
@@ -682,12 +687,20 @@ class TestMinimalStableTwist:
             assert all(row.passed for row in cert.scan if row.k >= cert.k_min)
             assert cert.scan[-1].k >= cert.k_min
 
-    def test_post_scan_check_fires(self, monkeypatch):
+    @pytest.mark.parametrize("kernel,value,bound", [
+        # Cauchy's radius 5/2 puts the top at the start 3, and prints as a Fraction
+        ("_cauchy_ratio", (5, 2), "5/2"),
+        # Fujiwara's power 2 puts the top at the start 3, and prints as an int
+        ("fujiwara_bound", 2, "2"),
+    ], ids=["cauchy", "fujiwara"])
+    def test_post_scan_check_fires(self, monkeypatch, kernel, value, bound):
         # a root bound below the start puts the upper end of the search at
         # the start 3, where F(3) = -5/2: the shift there is not positive
-        monkeypatch.setattr("syzstab.twist.cauchy_bound", lambda p: Fraction(1))
-        with pytest.raises(RuntimeError, match="c = 3"):
+        monkeypatch.setattr(twist, kernel, lambda p: value)
+        with pytest.raises(RuntimeError) as info:
             minimal_stable_twist(K3, 0, HP_K3)
+        assert str(info.value) == (
+            f"Taylor shift at c = 3, past the root bound {bound}, is not positive")
 
     def test_start_past_cauchy_bound(self):
         cert = minimal_stable_twist(K3, 0, HilbertPoly(Poly((2, 0, 2)), 40))
@@ -762,6 +775,50 @@ class TestMinimalStableTwist:
         assert (cert.k_min, cert.shift.c) == (63195, 63195)
         assert [(row.k, row.passed) for row in cert.scan] == [(63194, False), (63195, True)]
         assert_sound(cert)
+
+
+def integer_search_grid(count=400, seed=31):
+    """Seeded inputs of dim 2-3, h_top 1-4, genus 2-40 (half of them 2-6,
+    where F often stays positive below c) and d0 0-3, with free lower
+    Hilbert coefficients of up to four digits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        lower = [Fraction(rng.randint(-10 ** rng.randint(0, 3), 10 ** rng.randint(0, 3)),
+                          rng.randint(1, 6)) for _ in range(n - 1)]
+        genus = rng.choice((rng.randint(2, 40), rng.randint(2, 6)))
+        yield custom_case(n, rng.randint(1, 4), genus, rng.randint(0, 3), lower)
+
+
+class TestIntegerSearch:
+    def test_matches_fraction_route(self):
+        # the search on integer kernels against the Fraction route: the
+        # condition polynomials, the radius over F and G, the bracket of the
+        # bisection and the rows
+        seen = collections.Counter()
+        for case in integer_search_grid():
+            variety, d0, hilbert = case
+            polys = build_condition_polys(variety, d0, hilbert)
+            assert (polys.cond2, polys.cond1) == frozen_condition_polys(*case)
+            assert polys.k_pos == bound_high_poly(variety, d0).k_pos
+            conds = [polys.cond2, polys.cond1]
+            radii = [cauchy_bound(p) for p in conds]
+            cert = minimal_stable_twist(variety, d0, hilbert)
+            assert cert.cauchy == max(radii)
+            start, top = search_range(variety, d0, hilbert)
+            c = cert.shift.c
+            assert cert.scanned_range == (start, c) and start <= c <= top
+            # c is the least point of the bracket where the shift passes
+            assert c == start or taylor_shift(conds, c - 1) is None
+            # each row holds F and G at its k, and passes when both are > 0
+            assert_sound(cert)
+            seen["G's radius"] += radii[1] > radii[0]
+            seen["Cauchy top"] += math.ceil(max(radii)) <= max(map(twist.fujiwara_bound, conds))
+            seen["c = top"] += c == top
+            seen["k_min < c"] += cert.k_min < c
+        # the grid reaches both sides of each branch of the search
+        assert all(0 < seen[key] < 400 for key in ("G's radius", "Cauchy top", "c = top")), seen
+        assert seen["k_min < c"] > 0, seen
 
 
 def shifted_polys(max_deg=4):
