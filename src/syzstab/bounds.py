@@ -48,8 +48,8 @@ numerators over one denominator D; from d_pos on, D is the table's,
 reduced by the table's gcd, so D == 1 exactly when every row of the tail
 is an integer, and Newton's form bounds every integer of the tail at its
 last degree.  value - core is a multiple of D unless the value is
-floored at rank, so a caller that prints rows reduces both with one gcd
-per row, or none when D == 1, and builds no Fraction.
+floored at rank, so one gcd per row reduces both, and a tail with D == 1
+is in lowest terms: a caller prints its columns as they are.
 """
 
 from __future__ import annotations

@@ -32,23 +32,24 @@ no result holds, is not taken for it.  The emitter writes every report
 byte for byte as json.dumps(report, sort_keys=True, indent=2) would,
 and walks every list item by item, except the rows of a bound sweep.
 
-A bound result is a list of tuples of printed columns, one per degree,
-built with no Fraction or dict, and every format reads them from one
-lazy iterator.  The handler takes the sweep's tail from
-bounds.tail_columns once: its first degree, denominator, columns and one
-bound on their integers.  The row printer (_sweep_rows) makes every row
-from bounds.sweep_ratios over that tail, with one gcd per row whose
-denominator is not 1, so none on an all-integer tail (every P_n).  The
-handler lists the iterator through _listed, the one place that turns a
-row past the int-to-string digit limit into an error: into row dicts
-for a single degree, the table form and --approx, where a single
-degree's result is its one row; in chunks of _CHUNK rows for a streamed
-sweep; whole for any other.  A JSON or CSV sweep of more than one
-chunk is streamed when the tail's bound shows that every row after
-its first chunk prints (_streams): the handler prints the first chunk,
-so every error comes before any output, and the writers print and write
-each later chunk in turn; any other report is rendered whole and
-written once.
+A bound result is a list of sweep rows (branch text, core, degree,
+value), one per degree, built with no Fraction or dict, and every format
+reads them from one lazy iterator.  The degree is an int, and so are the
+core and value of a row whose reduced denominator is 1; other rows hold
+them as p/q text.  The handler takes the sweep's tail from
+bounds.tail_columns once: its first degree, denominator D, columns and
+one bound on their integers.  The row printer (_sweep_rows) reduces the
+rows below the tail, and a tail with D > 1, by one gcd per row; a tail
+with D == 1 is in lowest terms, and its columns reach the writers as
+they come off the difference table, with no Python frame per row.  Each
+writer prints a row with one f-string.  _printed, the one place that
+turns an int past the int-to-string digit limit into an error, lists the
+rows and makes their text: row dicts for a single degree, the table form
+and --approx; chunks of _CHUNK rows for a streamed sweep; the whole list
+for any other.  A JSON or CSV sweep of more than one chunk is streamed
+when the tail's bound shows that every row after its first chunk prints
+(_streams); its first chunk is printed before any byte is written, so
+every error comes before any output.  Any other report is written once.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 inconsistent mathematical input.
@@ -66,9 +67,9 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 
-from .bounds import BoundForm, _sections_ratio, sweep_ratios, tail_columns
+from .bounds import BoundForm, Branch, _sections_ratio, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
 from .exactnum import format_rational, parse_rational, too_many_digits
 from .stability import check_stability
@@ -307,23 +308,22 @@ _CHUNK = 1024
 
 
 class _SweepRows(list):
-    """The rows of a bound result, each a tuple of its printed columns
-    (_SWEEP_COLUMNS).  render_json and render_csv write them whole,
-    with no per-row dict or check: every column is digits, "/", "-" or a
-    Branch value, so none needs escaping or quoting.  The first chunk of a
-    streamed sweep yields the chunks after it from rest, each a
-    _SweepRows printed when it is read."""
+    """The rows of a bound result, each a sweep row (_SWEEP_COLUMNS).
+    render_json and render_csv print them with one f-string per row, with
+    no per-row dict or check: every column is an int, p/q text or a Branch
+    value, so none needs escaping or quoting.  The first chunk of a
+    streamed sweep yields the chunks after it from rest, each a _SweepRows
+    listed when it is read."""
 
     rest = ()
 
 
 def _sweep_rows(ratios, rank: int):
-    """Yield the rows of sweep_ratios as text, with a gcd on each row over a
+    """Yield sweep_ratios' rows as sweep rows, with a gcd on each row over a
     denominator other than 1: value - core is a multiple of the denominator
-    unless the value is floored at rank, so the value reduces by the core's
-    gcd.  The branch text is looked up once per run of rows in one branch."""
+    unless the value is floored at rank, and then it is rank, so the value
+    reduces by the core's gcd.  Branch text is read once per branch run."""
     gcd = math.gcd
-    floored = str(rank)
     branch = text = None
     for d, row_branch, core, value, den in ratios:
         if row_branch is not branch:
@@ -332,17 +332,16 @@ def _sweep_rows(ratios, rank: int):
         if g != 1:
             core, value, den = core // g, value // g, den // g
         if den == 1:
-            yield text, str(core), str(d), str(value)
+            yield text, core, d, value
         else:
-            yield (text, f"{core}/{den}", str(d),
-                   floored if value == rank * den else f"{value}/{den}")
+            yield text, f"{core}/{den}", d, rank if value == rank * den else f"{value}/{den}"
 
 
-def _listed(rows) -> _SweepRows:
-    """The printed rows read from rows: the one place where a row past the
-    int-to-string digit limit becomes too_many_digits()."""
+def _printed(make, rows):
+    """make(rows), which lists sweep rows or makes their text: the one place
+    where an int past the int-to-string digit limit is too_many_digits()."""
     try:
-        return _SweepRows(rows)
+        return make(rows)
     except ValueError:  # past the int-to-string digit limit
         raise too_many_digits() from None
 
@@ -368,16 +367,21 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
     variety, spec, degrees = _resolve(args)
     form = BoundForm.LEMMA if args.form == "lemma" else BoundForm.SIMPLIFIED
     rank, tail = spec.rank, tail_columns(variety, spec.rank, degrees, form)
+    first, den, cores, values, _ = tail
     single = degrees.stop - degrees.start == 1  # len() fails past sys.maxsize
-    printed = _sweep_rows(sweep_ratios(variety, rank, degrees, form, tail), rank)
+    reduced = range(degrees.start, first) if den == 1 else degrees  # D == 1: lowest terms (bounds)
+    printed = _sweep_rows(sweep_ratios(variety, rank, reduced, form, tail), rank)
+    if reduced.stop < degrees.stop:  # an integer tail, handed on as its columns
+        printed = chain(printed, zip(repeat(Branch.RIEMANN_ROCH.value), cores,
+                                     range(first, degrees.stop), values))
     if single or args.approx or args.format == "table":  # these read row dicts
-        rows = [{"degree": d, "branch": branch, "value": value, "core": core}
-                for d, (branch, core, _, value) in zip(degrees, _listed(printed))]
+        rows = _printed(lambda it: [{"degree": d, "branch": branch, "value": f"{value}",
+                                     "core": f"{core}"} for branch, core, d, value in it], printed)
     elif _streams(degrees, tail):
-        rows = _listed(islice(printed, _CHUNK))
-        rows.rest = iter(lambda: _listed(islice(printed, _CHUNK)), [])
+        rows = _printed(_SweepRows, islice(printed, _CHUNK))
+        rows.rest = iter(lambda: _SweepRows(islice(printed, _CHUNK)), [])  # all print (_streams)
     else:
-        rows = _listed(printed)
+        rows = _printed(_SweepRows, printed)
     result = rows[0] if single else {"results": rows}
     sheaf_echo = {"rank": rank,
                   "degree": spec.degree if single else f"{degrees.start}..{degrees.stop - 1}"}
@@ -529,18 +533,20 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _write_rows(rows: _SweepRows, pad: str, out: list) -> None:
     """Append rows, a non-empty _SweepRows, as _emit_json writes a list of
-    dicts: every row from one f-string built from pad, with degree
-    written as a number and the other columns between double quotes.  A
-    streamed sweep writes the text in out, its first chunk included, to
-    stdout and empties out, then writes each later chunk as it is printed."""
+    dicts: one f-string per row, around its columns a head for its branch,
+    two middles and an end, built from pad once; degree is written as a
+    number, the other columns between double quotes.  A streamed sweep
+    writes out, its first chunk included, to stdout and empties it, then
+    writes each later chunk as it is printed."""
     inner, key_pad = pad + "  ", pad + "    "
+    heads = {b.value: f'{inner}{{{key_pad}"branch": "{b.value}",{key_pad}"core": "' for b in Branch}
+    to_degree, to_value, end = f'",{key_pad}"degree": ', f',{key_pad}"value": "', f'"{inner}}}'
 
     def text(chunk):
-        return ",".join([f'{inner}{{{key_pad}"branch": "{branch}",{key_pad}"core": "{core}",'
-                         f'{key_pad}"degree": {degree},{key_pad}"value": "{value}"{inner}}}'
+        return ",".join([f"{heads[branch]}{core}{to_degree}{degree}{to_value}{value}{end}"
                          for branch, core, degree, value in chunk])
 
-    out.extend(("[", text(rows)))
+    out.extend(("[", _printed(text, rows)))
     if rows.rest:
         write = sys.stdout.write
         write("".join(out))
@@ -617,19 +623,23 @@ def render_table(report: dict) -> str:
 def render_csv(report: dict) -> str:
     """The result's list of rows (a sweep's, the catalog's, verify's checks
     or a twist's scan) as CSV, one column per key; any other result is one
-    row of its flattened fields.  A streamed sweep writes each chunk to
-    stdout as soon as it is printed, and returns an empty string."""
+    row of its flattened fields.  Each sweep row is one f-string; a streamed
+    sweep writes each chunk to stdout once printed, and returns ""."""
     result = report["result"]
     for key in ("results", "entries", "checks", "scan"):
         items = result.get(key)
         if type(items) is _SweepRows:
-            text = "\n".join((",".join(_SWEEP_COLUMNS), *map(",".join, items), ""))
+            def text(chunk):
+                return "".join([f"{branch},{core},{degree},{value}\n"
+                                for branch, core, degree, value in chunk])
+
+            first = ",".join(_SWEEP_COLUMNS) + "\n" + _printed(text, items)
             if not items.rest:
-                return text
+                return first
             write = sys.stdout.write
-            write(text)
+            write(first)
             for chunk in items.rest:
-                write("\n".join((*map(",".join, chunk), "")))
+                write(text(chunk))
             return ""
         if isinstance(items, list):
             break

@@ -737,8 +737,9 @@ def test_long_twist_scan_golden(case, fmt, digest):
 # closed forms are evaluated must leave every report byte-identical.  The
 # dim-4 variety has genus 5, so its range crosses both branches and the strip
 # (degrees 9 and 10).  The dim-3 variety has genus 2 and rows with proper
-# fractions; with --approx, and in table form, its rows are row dicts
-# rather than the tuples that the JSON and CSV writers print whole.
+# fractions; P5's tail is all integers.  With --approx, and in table form,
+# the rows of each are row dicts of text, where the JSON and CSV writers
+# print the sweep rows themselves, ints included.
 SWEEPS = {
     "P5": ("--catalog", "P5", "--degree", "0..3000"),
     "dim4": ("--dim", "4", "--h-top", "3", "--c1-h", "1", "--degree", "0..400"),
@@ -755,6 +756,10 @@ GOLDEN_SWEEPS = [
     ("dim4", "simplified", "json", "f71763ab56c460fab1a8f26db98ad24789a2256776d44a9b323485d1a19e9a5a"),
     ("dim4", "simplified", "csv", "6ddc708d959b518f94c5462b98c535368256a65a43bbe5f879d95b13e55ff8bb"),
     ("dim4", "simplified", "table", "bdbe9e6c10b6dc775828ad53989aafd10fde9142d60b62ac4bcd400a975545e6"),
+    ("P5", "simplified", "table", "c5decbe09682e184043fb2d1605d5e9df1c26a189a707a09a7bebbbd2962f239"),
+    ("P5", "lemma", "json-approx", "087de3df08361bbb32c87e007463adca611e04ece7762ab0816369576cce18ce"),
+    ("P5", "lemma", "csv-approx", "9475142c26827770aa3c9a1814d22e301b602d3fb92ffb17d0e3028aa1a97cd2"),
+    ("dim4", "simplified", "json-approx", "4e31be442416e868315c6c37235c6e0a7e3805c53ea2e2059fa2d11393eddb1e"),
     ("dim3", "simplified", "json-approx", "86a72eefb5f8079f71a57b658ba3cb556ad5fa0ccdb8df9d843d8057f6122b36"),
     ("dim3", "lemma", "csv-approx", "3c9a5ea1c286666e61aa3be47fc759b372b405762968463f9002fede61f32b9b"),
 ]
@@ -1105,8 +1110,8 @@ def test_sweep_rows_are_single_degree_results(form):
 
 
 # Genus 3, dim 3, h_top 2: d_pos = 6, and the lemma tail has a
-# denominator.  P3: d_pos = 0, and the lemma tail is all integers.  Both
-# take the one-gcd-per-row printer.
+# denominator, so it takes the one-gcd-per-row printer.  P3: d_pos = 0,
+# and the lemma tail is all integers, handed to the writers as its columns.
 @pytest.mark.parametrize("argv, first, fractional", [
     (("--dim", "3", "--h-top", "2", "--c1-h", "0", "--rank", "2"), syzstab.bounds.d_pos(3, 2), True),
     (("--catalog", "P3"), syzstab.bounds.d_pos(0, 1), False),
@@ -1207,40 +1212,47 @@ def test_streamed_sweep_matches_row_dict_reference(n, h_top, g, rank, start, len
 
 
 def test_sweep_rows_print_a_floored_value_as_the_rank():
-    # no variety is known to floor a fractional core, so the row is made up:
-    # core -1/2 and value 2 = rank, both over the denominator 2
+    # no variety is known to floor a fractional core, so the rows are made
+    # up: core -1/2 and value 2 = rank, both over the denominator 2, as the
+    # int rank; a row over 6 in p/q text; and one whose gcd leaves
+    # denominator 1, as ints
     branch = syzstab.Branch.CLIFFORD
-    rows = list(cli._sweep_rows([(7, branch, -1, 4, 2), (8, branch, 4, 8, 6)], 2))
-    assert rows == [("Clifford", "-1/2", "7", "2"), ("Clifford", "2/3", "8", "4/3")]
+    rows = list(cli._sweep_rows([(7, branch, -1, 4, 2), (8, branch, 4, 8, 6), (9, branch, 6, 10, 2)], 2))
+    assert rows == [("Clifford", "-1/2", 7, 2), ("Clifford", "2/3", 8, "4/3"), ("Clifford", 3, 9, 5)]
 
 
-def _frozen_sweep_rows(ratios, rank):
-    """cli._sweep_rows as it printed every row alone: one gcd per row, and
-    the branch text looked up for each."""
-    for d, branch, core, value, den in ratios:
-        g = math.gcd(core, den)
-        core, value, den = core // g, value // g, den // g
-        if den == 1:
-            yield branch.value, str(core), str(d), str(value)
-        else:
-            yield (branch.value, f"{core}/{den}", str(d),
-                   str(rank) if value == rank * den else f"{value}/{den}")
+def _python_calls(argv):
+    """The Python frames that main(argv) starts or resumes: the "call"
+    events of sys.setprofile, a generator's resumption included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    with redirect_stdout(io.StringIO()):
+        sys.setprofile(count)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+    assert code == 0
+    return calls
 
 
-def _frozen_write_rows(rows, pad, out):
-    """cli._write_rows as it filled one %-template per row."""
-    inner, key_pad = pad + "  ", pad + "    "
-    template = (f'{inner}{{{key_pad}"branch": "%s",{key_pad}"core": "%s",'
-                f'{key_pad}"degree": %s,{key_pad}"value": "%s"{inner}}}')
-    out.extend(("[", ",".join(map(template.__mod__, rows))))
-    if rows.rest:
-        write = sys.stdout.write
-        write("".join(out))
-        out.clear()
-        fill = ("," + template).__mod__
-        for chunk in rows.rest:
-            write("".join(map(fill, chunk)))
-    out.append(pad + "]")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_integer_tail_prints_without_a_frame_per_row(fmt):
+    # P5's tail starts at degree 0 and is all integers: its columns reach the
+    # writers with no Python frame per row, whole at 1,001 rows and in three
+    # chunks at 3,001; the dim-3 genus-2 tail (D = 8) goes through the row
+    # printer, a frame per row or more
+    def calls(variety, last):
+        return _python_calls(["bound", *variety, "--degree", f"0..{last}", "--format", fmt])
+
+    p5 = ("--catalog", "P5")
+    assert calls(p5, 3000) - calls(p5, 1000) < 20
+    dim3 = ("--dim", "3", "--h-top", "2", "--c1-h", "2")
+    assert calls(dim3, 3000) - calls(dim3, 1000) >= 2000
 
 
 def _section_ratios(variety, rank, degrees, form, tail):
@@ -1252,12 +1264,16 @@ def _section_ratios(variety, rank, degrees, form, tail):
         yield d, rep.branch, rep.core.numerator, rep.value.numerator * (den // rep.value.denominator), den
 
 
+def _no_tail(variety, rank, degrees, form):
+    """bounds.tail_columns for a sweep with no tail."""
+    return degrees.stop, 1, (), (), 0
+
+
 def _sweep_outputs(argv):
-    """A sweep's stdout from the CLI, and as the frozen row printer and
-    writer above write every row from sections_bound."""
+    """A sweep's stdout from the CLI, and as the CLI writes it when every
+    row is sections_bound's, reduced one by one by the row printer."""
     got = run_cli(*argv)
-    with mock.patch.multiple(cli, sweep_ratios=_section_ratios, _sweep_rows=_frozen_sweep_rows,
-                             _write_rows=_frozen_write_rows):
+    with mock.patch.multiple(cli, tail_columns=_no_tail, sweep_ratios=_section_ratios):
         want = run_cli(*argv)
     return got, want
 

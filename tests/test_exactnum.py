@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from syzstab import Branch, UsageError, falling_sum_check, format_rational, genbinom, parse_rational
-from syzstab.cli import _listed, _sweep_rows
+from syzstab.cli import _printed, _sweep_rows, _SweepRows, render_csv
 
 # Python 3.10 before 3.10.7 has no int-to-string digit limit, so numbers
 # past it convert there.
@@ -125,11 +125,14 @@ class TestRationalStrings:
 
 
 def printed_ratio(num: int, den: int) -> str:
-    """num/den (den > 0) as the bound row printer, cli._sweep_rows, prints
-    a core and a value, listed as the bound command lists it (cli._listed):
-    reduced by their gcd, as "p/q", or "p" when den divides num.  The
-    made-up row's core and value are both num/den, and must print alike."""
-    (_, core, _, value), = _listed(_sweep_rows([(0, Branch.RIEMANN_ROCH, num, num, den)], 1))
+    """num/den (den > 0) as a bound sweep prints a core and a value: reduced
+    by the row printer (cli._sweep_rows), then listed and written as a CSV
+    sweep lists and writes its rows (cli._printed, cli.render_csv): "p/q",
+    or "p" when den divides num.  The made-up row's core and value are both
+    num/den, and must print alike."""
+    rows = _printed(_SweepRows, _sweep_rows([(0, Branch.RIEMANN_ROCH, num, num, den)], 1))
+    _, line = render_csv({"result": {"results": rows}}).splitlines()
+    _, core, _, value = line.split(",")
     assert core == value
     return core
 
