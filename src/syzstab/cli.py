@@ -29,8 +29,20 @@ and the one JSON emitter dispatch on exact types.  _plain tests the
 exact types int, str, bool, Fraction, list and tuple, then an enum,
 then a result type's field tuple; a subclass of one of those six, which
 no result holds, is not taken for it.  The emitter writes every report
-byte for byte as json.dumps(report, sort_keys=True, indent=2) would,
-and walks every list item by item, except the rows of a bound sweep.
+byte for byte as json.dumps(report, sort_keys=True, indent=2) would.  It
+walks every dict and list item by item, except two results that it
+writes whole: the rows of a bound sweep and a twist certificate.
+
+A twist result is printed once, from the integers of the search
+(twist._certify), into one printed form (_Certificate): each rational
+is its reduced p/q text, made from its numerator and denominator by
+exactnum._ratio_text, the gcd helper of Poly.to_strings, and each int
+is kept.  The form has three readers.  The JSON writer
+(_certificate_json) fills one template, built from its pad, with it;
+the CSV writer prints each scan row with one f-string; the table form
+and --approx read the dict that _certificate_dict builds from it, as
+they read a bound's row dicts.  The texts are made, and each writer
+makes its text, inside _printed, before any byte is written.
 
 A bound result is a list of sweep rows (branch text, core, degree,
 value), one per degree, built with no Fraction or dict, and every format
@@ -71,9 +83,9 @@ from itertools import chain, islice, repeat
 
 from .bounds import BoundForm, Branch, _sections_ratio, sweep_ratios, tail_columns
 from .errors import InconsistentInputError, UsageError
-from .exactnum import format_rational, parse_rational, too_many_digits
+from .exactnum import _ratio_text, format_rational, parse_rational, too_many_digits
 from .stability import check_stability
-from .twist import HilbertPoly, Poly, TwistCertificate, minimal_stable_twist, validate_hilbert
+from .twist import HilbertPoly, Poly, _certify, validate_hilbert
 from .varieties import SheafSpec, Variety, catalog_entries, catalog_lookup, make_variety, parse_problem
 from .verify import run_suite
 
@@ -337,11 +349,12 @@ def _sweep_rows(ratios, rank: int):
             yield text, f"{core}/{den}", d, rank if value == rank * den else f"{value}/{den}"
 
 
-def _printed(make, rows):
-    """make(rows), which lists sweep rows or makes their text: the one place
-    where an int past the int-to-string digit limit is too_many_digits()."""
+def _printed(make, rows, *args):
+    """make(rows, *args), which lists sweep rows, prints a twist certificate
+    or makes their text: the one place where an int past the int-to-string
+    digit limit is too_many_digits()."""
     try:
-        return make(rows)
+        return make(rows, *args)
     except ValueError:  # past the int-to-string digit limit
         raise too_many_digits() from None
 
@@ -433,44 +446,62 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
     return {"variety": _plain(variety), "sheaf": sheaf_echo}, result, 0
 
 
-def _f_and_g(cond2: Poly, cond1: Poly | None) -> dict:
-    out = {"F": cond2.to_strings()}
-    if cond1 is not None:
-        out["G"] = cond1.to_strings()
-    return out
+class _Certificate(tuple):
+    """A twist certificate printed from the search's integers
+    (twist._certify): (names, k_min, cauchy, start, c, k_pos, regularity,
+    polys, shift, scan, notes).  names is ("F",), or ("F", "G") when the
+    genus is at least 2; polys and shift hold a list of coefficient texts
+    per name; a scan row is (k, one value text per name, passed).  Each
+    rational is its reduced p/q text (exactnum._ratio_text), each int is
+    itself.  Its readers: _certificate_json, _certificate_csv and
+    _certificate_dict (the table form and --approx)."""
+
+    __slots__ = ()
 
 
-def _certificate_dict(cert: TwistCertificate) -> dict:
-    scan = []
-    for row in cert.scan:
-        entry = {"k": row.k, "F": format_rational(row.cond2_value), "passed": row.passed}
-        if row.cond1_value is not None:
-            entry["G"] = format_rational(row.cond1_value)
-        scan.append(entry)
+def _print_certificate(certified, regularity: int) -> _Certificate:
+    """The kernel's result printed: each rational's text made once."""
+    polys, start, c, (num, den), shifted, rows, notes, k_min = certified
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    denoms = [p._denom for p in conds]
+    return _Certificate((
+        ("F", "G")[:len(conds)], k_min, _ratio_text(num, den), start, c, polys.k_pos, regularity,
+        [p.to_strings() for p in conds],
+        [[_ratio_text(a, d) for a in nums] for d, nums in zip(denoms, shifted)],
+        [(k, [_ratio_text(v, d) for v, d in zip(values, denoms)], passed)
+         for k, values, passed in rows],
+        notes))
+
+
+def _certificate_dict(cert: _Certificate) -> dict:
+    """The certificate's result as the table form and --approx read it,
+    with the printed texts and ints of cert."""
+    names, k_min, cauchy, start, c, k_pos, regularity, polys, shift, scan, notes = cert
     return {
-        "k_min": cert.k_min,
-        "cauchy_bound": format_rational(cert.cauchy),
-        "scanned_range": list(cert.scanned_range),
-        "shift": {"c": cert.shift.c, **_f_and_g(cert.shift.cond2, cert.shift.cond1)},
-        "k_pos": cert.k_pos,
-        "regularity": cert.regularity,
-        "condition_polys": _f_and_g(cert.cond2, cert.cond1),
-        "scan": scan,
-        "notes": list(cert.notes),
+        "k_min": k_min,
+        "cauchy_bound": cauchy,
+        "scanned_range": [start, c],
+        "shift": {"c": c, **dict(zip(names, shift))},
+        "k_pos": k_pos,
+        "regularity": regularity,
+        "condition_polys": dict(zip(names, polys)),
+        "scan": [{"k": k, **dict(zip(names, texts)), "passed": passed} for k, texts, passed in scan],
+        "notes": notes,
     }
 
 
-def _cmd_twist(args) -> tuple[dict, dict, int]:
+def _cmd_twist(args) -> tuple[dict, dict | _Certificate, int]:
     variety, spec, _ = _resolve(args)
     _require_rank_one(spec.rank)
     if spec.hilbert is None:
         raise UsageError("twist needs --hilbert and --regularity")
 
     hp = HilbertPoly(Poly(spec.hilbert), spec.regularity)
-    cert = minimal_stable_twist(variety, spec.degree, hp)
+    cert = _printed(_print_certificate, _certify(variety, spec.degree, hp), spec.regularity)
     sheaf_echo = {"rank": spec.rank, "degree": spec.degree,
                   "hilbert": hp.poly.to_strings(), "regularity": spec.regularity}
-    return {"variety": _plain(variety), "sheaf": sheaf_echo}, _certificate_dict(cert), 0
+    result = _certificate_dict(cert) if args.approx or args.format == "table" else cert
+    return {"variety": _plain(variety), "sheaf": sheaf_echo}, result, 0
 
 
 def _cmd_catalog(args) -> tuple[dict, dict, int]:
@@ -531,6 +562,43 @@ def _flatten(obj, prefix: str, rows: list) -> list[tuple[str, str]]:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _certificate_json(cert: _Certificate, pad: str) -> str:
+    """cert as _emit_json writes its dict (_certificate_dict), pad being
+    the newline and indent of its own line: one template around its
+    fields, built from pad.  The texts and ints need no escaping; the
+    notes are escaped.  Every list is non-empty: F and G have degree at
+    least 2, and there is a row at c and a first note."""
+    names, k_min, cauchy, start, c, k_pos, regularity, polys, shift, scan, notes = cert
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    item, key = f'",{p3}"', f",{p2}"
+
+    def block(lists):  # the lists of texts of F and G, as the values of a dict at p1
+        return key.join([f'"{name}": [{p3}"{item.join(texts)}"{p2}]'
+                         for name, texts in zip(names, lists)])
+
+    # a row: F's value, then G's when there is one, k and passed
+    head, to_g, to_k, to_passed, end = (f'{{{p3}"F": "', f'",{p3}"G": "', f'",{p3}"k": ',
+                                        f',{p3}"passed": ', f"{p2}}}")
+    rows = key.join([f'{head}{to_g.join(texts)}{to_k}{k}{to_passed}{"true" if passed else "false"}{end}'
+                     for k, texts, passed in scan])
+    return (f'{{{p1}"cauchy_bound": "{cauchy}",{p1}"condition_polys": {{{p2}{block(polys)}{p1}}},'
+            f'{p1}"k_min": {k_min},{p1}"k_pos": {k_pos},'
+            f'{p1}"notes": [{p2}{key.join(map(_json_str, notes))}{p1}],'
+            f'{p1}"regularity": {regularity},{p1}"scan": [{p2}{rows}{p1}],'
+            f'{p1}"scanned_range": [{p2}{start},{p2}{c}{p1}],'
+            f'{p1}"shift": {{{p2}{block(shift)},{p2}"c": {c}{p1}}}{pad}}}')
+
+
+def _certificate_csv(cert: _Certificate) -> str:
+    """The scan rows of cert as render_csv writes a list of row dicts:
+    one f-string per row under the header of its sorted columns."""
+    names, *_, scan, _ = cert
+    return ",".join(names) + ",k,passed\n" + "".join(
+        [f'{",".join(texts)},{k},{"True" if passed else "False"}\n' for k, texts, passed in scan])
+
+
 def _write_rows(rows: _SweepRows, pad: str, out: list) -> None:
     """Append rows, a non-empty _SweepRows, as _emit_json writes a list of
     dicts: one f-string per row, around its columns a head for its branch,
@@ -562,8 +630,8 @@ def _emit_json(obj, pad: str, out: list) -> None:
     obj is built of the exact types str, int, float (finite), bool, None,
     dict (with str keys), list and tuple; a tuple is written as a list,
     and an int or a float by its repr.  The rows of a bound sweep
-    (_SweepRows) are written whole (_write_rows); any other list item by
-    item."""
+    (_SweepRows) are written whole (_write_rows), and so is a twist
+    certificate (_certificate_json); any other list item by item."""
     t = type(obj)
     if t is str:
         out.append(_json_str(obj))
@@ -601,6 +669,8 @@ def _emit_json(obj, pad: str, out: list) -> None:
         out.append(float.__repr__(obj))
     elif t is _SweepRows:
         _write_rows(obj, pad, out)
+    elif t is _Certificate:
+        out.append(_printed(_certificate_json, obj, pad))
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -626,6 +696,8 @@ def render_csv(report: dict) -> str:
     row of its flattened fields.  Each sweep row is one f-string; a streamed
     sweep writes each chunk to stdout once printed, and returns ""."""
     result = report["result"]
+    if type(result) is _Certificate:
+        return _printed(_certificate_csv, result)
     for key in ("results", "entries", "checks", "scan"):
         items = result.get(key)
         if type(items) is _SweepRows:

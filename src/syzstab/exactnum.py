@@ -53,6 +53,15 @@ def too_many_digits() -> UsageError:
         f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print")
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den, for an int den > 0, in lowest terms as format_rational
+    prints it, "p/q" or "p", with one gcd and no Fraction.  An integer past
+    the int-to-string digit limit raises ValueError, which each caller
+    turns into too_many_digits()."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if g != den else f"{num // den}"
+
+
 def format_rational(value: Fraction) -> str:
     """Render exactly, as "p/q", or "p" when the denominator is 1.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import too_many_digits
+from .exactnum import _ratio_text, too_many_digits
 
 
 class Poly:
@@ -95,13 +95,11 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         """Each coefficient as format_rational prints it, "p/q" or "p",
-        reduced from the stored pair with one gcd and no Fraction; an
-        integer past the int-to-string digit limit raises the same
-        UsageError."""
+        reduced from the stored pair (exactnum._ratio_text); an integer
+        past the int-to-string digit limit raises the same UsageError."""
         denom = self._denom
         try:
-            return [f"{n // g}/{denom // g}" if (g := math.gcd(n, denom)) != denom
-                    else str(n // denom) for n in self._nums]
+            return [_ratio_text(n, denom) for n in self._nums]
         except ValueError:
             raise too_many_digits() from None
 

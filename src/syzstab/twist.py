@@ -21,11 +21,17 @@ each Taylor coefficient F^(i)(c)/i! has the sign of the positive leading
 coefficient there.  Each bisection step runs one Taylor shift
 (poly.taylor_shift: integer synthetic division that stops at the first
 negative Taylor coefficient); the search keeps the shifted numerators of
-its last passing step, and the shifted polynomials are built once from
-them, at c.  The row at c is read from the shift's constants D*F(c),
-and the rows below c are evaluated downward to the first failure.  The
-certificate records c, the shifted coefficients, the rows, the Cauchy
-bound, and the polynomials (poly.Poly, re-exported here).
+its last passing step, which are the shift at c.  The row at c is read
+from the shift's constants D*F(c), and the rows below c are evaluated
+downward to the first failure, by Horner's rule on the numerators.
+
+The search is one integer kernel, _certify, in the style of
+_cauchy_ratio and _cap_in_k: past the condition polynomials it returns
+only integers (start, c, the Cauchy ratio, the shifted numerators, each
+row's value numerators), the notes and k_min.  minimal_stable_twist is
+its API edge: it builds the certificate's Fractions, shifted
+polynomials (poly.Poly, re-exported here) and rows from them once.  The
+CLI prints the kernel's integers itself.
 """
 
 from __future__ import annotations
@@ -231,6 +237,75 @@ class TwistCertificate(Record):
     notes: tuple[str, ...]
 
 
+def _certify(variety: Variety, d0: int, hilbert: HilbertPoly) -> tuple:
+    """The search of minimal_stable_twist on the integers: (polys, start,
+    c, (num, den), shifted, rows, notes, k_min).  polys is
+    build_condition_polys' record; (num, den) the Cauchy bound as
+    _cauchy_ratio's unreduced ratio; shifted the numerators of each
+    condition at k + c over its stored denominator D, F first; each row is
+    (k, values, passed) with values the numerators D*F(k) (and D*G(k)),
+    from c down to the first failure and then listed upward.  The row at c
+    is read from the shift's constants; the rows below c are evaluated by
+    Horner's rule on the stored numerators at the integer k.  No Fraction,
+    Poly or record is built past build_condition_polys."""
+    polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    start = max(hilbert.regularity, polys.k_pos)
+    num, den = _cauchy_ratio(conds[0])
+    for p in conds[1:]:
+        a, b = _cauchy_ratio(p)
+        if a * den > num * b:
+            num, den = a, b
+    power = max(fujiwara_bound(p) for p in conds)
+
+    lo, hi = start, max(start, min(-(-num // den), power))
+    shifted = None  # the shift at hi, once a midpoint has passed there
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (nums := taylor_shift(conds, mid)) is not None:
+            hi, shifted = mid, nums
+        else:
+            lo = mid + 1
+    c = hi
+    if shifted is None and (shifted := taylor_shift(conds, c)) is None:
+        raise RuntimeError(
+            f"Taylor shift at c = {c}, past the root bound {min(Fraction(num, den), power)}, "
+            f"is not positive"
+        )
+
+    notes = [
+        "raw difference has formal degree dim+1; the top terms cancel exactly, "
+        "leaving degree dim with a positive leading coefficient",
+    ]
+    if polys.cond1 is not None:
+        notes.append(
+            "genus >= 2, so the low-branch condition is scanned alongside as a "
+            "second polynomial"
+        )
+
+    # the row at c passes: its values are the shift's constants D*p(c)
+    rows = [(c, [nums[0] for nums in shifted], True)]
+    tops = [p._nums[::-1] for p in conds]  # leading numerator first, for Horner
+    for k in range(c - 1, start - 1, -1):
+        values = []
+        for top in tops:
+            acc = 0
+            for a in top:
+                acc = acc * k + a
+            values.append(acc)
+        passed = min(values) > 0
+        rows.append((k, values, passed))
+        if not passed:
+            if 0 in values:
+                notes.append(
+                    f"equality at k = {k}: the certificate gives only semistability there"
+                )
+            break
+    rows.reverse()
+    k, _, passed = rows[0]
+    return polys, start, c, (num, den), shifted, rows, notes, k if passed else k + 1
+
+
 def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> TwistCertificate:
     """Least integer twist from which both condition polynomials stay
     strictly positive, hence every larger twist is certified stable.
@@ -268,70 +343,26 @@ def minimal_stable_twist(variety: Variety, d0: int, hilbert: HilbertPoly) -> Twi
     the rows below c are evaluated, and each passes when the numerators of
     its values are positive.  A zero value counts as a failure (stability
     needs strict inequalities) and is recorded in the notes.
+
+    The search runs in the integer kernel _certify; this edge builds the
+    certificate's Fractions, shifted polynomials and rows from its
+    integers.
     """
-    polys = build_condition_polys(variety, d0, hilbert)
-    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
-    start = max(hilbert.regularity, polys.k_pos)
-    num, den = _cauchy_ratio(conds[0])
-    for p in conds[1:]:
-        a, b = _cauchy_ratio(p)
-        if a * den > num * b:
-            num, den = a, b
-    power = max(fujiwara_bound(p) for p in conds)
-
-    lo, hi = start, max(start, min(-(-num // den), power))
-    shifted = None  # the shift at hi, once a midpoint has passed there
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (nums := taylor_shift(conds, mid)) is not None:
-            hi, shifted = mid, nums
-        else:
-            lo = mid + 1
-    c = hi
-    if shifted is None and (shifted := taylor_shift(conds, c)) is None:
-        raise RuntimeError(
-            f"Taylor shift at c = {c}, past the root bound {min(Fraction(num, den), power)}, "
-            f"is not positive"
-        )
-
-    notes = [
-        "raw difference has formal degree dim+1; the top terms cancel exactly, "
-        "leaving degree dim with a positive leading coefficient",
-    ]
-    if polys.cond1 is not None:
-        notes.append(
-            "genus >= 2, so the low-branch condition is scanned alongside as a "
-            "second polynomial"
-        )
-
-    # the row at c passes: its values are the shift's constants D*p(c) over D
-    at_c = [Fraction(nums[0], p._denom) for p, nums in zip(conds, shifted)]
-    rows = [ScanRow(k=c, cond2_value=at_c[0], cond1_value=at_c[1] if len(at_c) > 1 else None,
-                    passed=True)]
-    for k in range(c - 1, start - 1, -1):
-        v2 = polys.cond2(k)
-        v1 = polys.cond1(k) if polys.cond1 is not None else None
-        passed = v2.numerator > 0 and (v1 is None or v1.numerator > 0)
-        rows.append(ScanRow(k=k, cond2_value=v2, cond1_value=v1, passed=passed))
-        if not passed:
-            if v2 == 0 or v1 == 0:
-                notes.append(
-                    f"equality at k = {k}: the certificate gives only semistability there"
-                )
-            break
-    rows.reverse()
-    k_min = rows[0].k if rows[0].passed else rows[0].k + 1
-    shift = [Poly._from_ints(p._denom, nums) for p, nums in zip(conds, shifted)]
-
+    polys, start, c, cauchy, shifted, rows, notes, k_min = _certify(variety, d0, hilbert)
+    denoms = [p._denom for p in (polys.cond2, polys.cond1) if p is not None]
+    shift = [Poly._from_ints(d, nums) for d, nums in zip(denoms, shifted)]
+    scan = tuple(ScanRow(k=k, cond2_value=Fraction(values[0], denoms[0]),
+                         cond1_value=Fraction(values[1], denoms[1]) if len(values) > 1 else None,
+                         passed=passed) for k, values, passed in rows)
     return TwistCertificate(
         k_min=k_min,
-        cauchy=Fraction(num, den),
+        cauchy=Fraction(*cauchy),
         scanned_range=(start, c),
         shift=TaylorShift(c=c, cond2=shift[0], cond1=shift[1] if len(shift) > 1 else None),
         cond2=polys.cond2,
         cond1=polys.cond1,
         k_pos=polys.k_pos,
         regularity=hilbert.regularity,
-        scan=tuple(rows),
+        scan=scan,
         notes=tuple(notes),
     )

@@ -1,10 +1,12 @@
 import argparse
+import collections
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -700,8 +702,27 @@ LONG_SCANS = {
                      "--hilbert", "1,-1/2,1/2"),
 }
 
+# Two short certificates whose row below c is an equality, F = 0, which
+# fails and is noted: a dim-2 genus-0 variety with k_min 9 (F(8) = 0), and
+# P3 (genus 0, so no G) with k_min 2 (F(1) = 0).
+TWIST_CASES = {
+    **LONG_SCANS,
+    "equality": ("--dim", "2", "--h-top", "1", "--c1-h", "3", "--degree", "0",
+                 "--hilbert", "-3,3/2,1/2"),
+    "P3": ("--catalog", "P3", "--degree", "0", "--hilbert", "1,11/6,1,1/6"),
+}
+
+# The flags of each output of a twist: the table form and --approx read the
+# certificate's dict, JSON and CSV its printed form.
+_TWIST_OUTPUTS = {"json": ("--format", "json"), "csv": ("--format", "csv"),
+                  "table": ("--format", "table"), "json-approx": ("--approx",)}
+
 # The case ids keep the digest each case was first pinned with (the radius
 # scan's output), so a deliberate re-pin changes the digest but not the id.
+# The table, --approx and equality digests were recorded before the
+# certificate was printed from the search's integers.  --approx pairs only a
+# dict value with a float, so a certificate whose proper fractions all lie in
+# coefficient lists has the same --approx and JSON digests.
 GOLDEN_TWISTS = [
     pytest.param("dim2", "json", "9808a479e271e93d51c65fe10385d244395a30b248b26f0a99573b7fcc1105c2",
                  id="dim2-json-0c87288875d68fd4bbcadeee3fc87bb7d2c07f7ef8db4c7386501b054d1a34e0"),
@@ -723,14 +744,155 @@ GOLDEN_TWISTS = [
                  id="fujiwara-top-json-d5f02b7b6672061fcb40675bf0bcdfb4b16d63bd9b99d09c001e0ea7d67486b3"),
     pytest.param("fujiwara-top", "csv", "3d020c2b56c017d4040defd6fba0041f0670a196e5548361c555e0d00cbd6db9",
                  id="fujiwara-top-csv-3d020c2b56c017d4040defd6fba0041f0670a196e5548361c555e0d00cbd6db9"),
-]
+] + [pytest.param(case, fmt, digest, id=f"{case}-{fmt}-{digest}") for case, fmt, digest in [
+    ("dim2", "table", "1189053eeb99b3fdb96bdeb85ea1e276e681db66b061c352d3cbb3d30bb76f3d"),
+    ("dim2", "json-approx", "9808a479e271e93d51c65fe10385d244395a30b248b26f0a99573b7fcc1105c2"),
+    ("dim3", "table", "e1397f0f6c18c6bc851957ec1294e3079cc2419f906be3c3a013fbf11224b47c"),
+    ("dim3", "json-approx", "b511173b61e055cd08c7d9078125198a264baad8c6d856c4ad52d6067b58c855"),
+    ("quartic-K3", "table", "f6fef1cc507b2884fa8f0803b08d952027f793b6c8d3d8d5e234debc85b07392"),
+    ("quartic-K3", "json-approx", "a79175fd2ba7af58cf8b7a994a62fd4509bda3035232777b125a84821219e831"),
+    ("cauchy-top", "table", "7ce9dea18d936fd586dfabe8e4025b80cce000ac3df88d2c925d3476615df89c"),
+    ("cauchy-top", "json-approx", "7f11a8ed63f9a95d83cddabf8068006ac49d3e8b8e1b186d98f51835ac115531"),
+    ("fujiwara-top", "table", "999a045c5b5f015883e4d126109954a771b7f1f7227ae3ab558543ec85ac9235"),
+    ("fujiwara-top", "json-approx", "d5f02b7b6672061fcb40675bf0bcdfb4b16d63bd9b99d09c001e0ea7d67486b3"),
+    ("equality", "json", "cf0b7d9707520990049f33894db6ac54ae5e6dfdd745cd791e6af30e8a69f373"),
+    ("equality", "csv", "2922aae69328295ff473a92cba1d0099db52bb9997f5ed08810eae5ddf99a59a"),
+    ("equality", "table", "6e85d667b696cbecc675ddd86f01842438a6b7269cc9efe9c889b2159388fc45"),
+    ("equality", "json-approx", "cf0b7d9707520990049f33894db6ac54ae5e6dfdd745cd791e6af30e8a69f373"),
+    ("P3", "json", "fdf3a8da9f1551c11e2f1c3224ad67f036152ba7b98063686fb28564ba6fe53a"),
+    ("P3", "csv", "069d65a49338ce44d166d93543db709020a015ad02128390439bea7cae602196"),
+    ("P3", "table", "f1b454c441b14e25b7d3822bd80858610bbf4c3790ec9b79628499b197db7380"),
+    ("P3", "json-approx", "aeac24334b0b4ed35088cfd721bfdc2b7fc6ecd0a5db342c4fcc4f3506e8fa4e"),
+]]
 
 
 @pytest.mark.parametrize("case,fmt,digest", GOLDEN_TWISTS)
 def test_long_twist_scan_golden(case, fmt, digest):
-    code, out, _ = run_cli("twist", *LONG_SCANS[case], "--regularity", "0", "--format", fmt)
+    code, out, _ = run_cli("twist", *TWIST_CASES[case], "--regularity", "0", *_TWIST_OUTPUTS[fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_EQUALITY_NOTE = "equality at k = {}: the certificate gives only semistability there"
+
+
+class TestEqualityRow:
+    """A row below c where F = 0 fails, ends the scan and is noted."""
+
+    def test_json(self):
+        code, out, err = run_cli("twist", *TWIST_CASES["equality"], "--regularity", "0")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["k_min"], result["scanned_range"]) == (9, [1, 9])
+        assert result["scan"] == [{"F": "0", "k": 8, "passed": False},
+                                  {"F": "4", "k": 9, "passed": True}]
+        assert result["notes"][-1] == _EQUALITY_NOTE.format(8)
+        assert list(result["condition_polys"]) == list(result["shift"])[:-1] == ["F"]
+
+    def test_csv(self):
+        assert run_cli("twist", *TWIST_CASES["equality"], "--regularity", "0", "--format", "csv") == (
+            0, "F,k,passed\n0,8,False\n4,9,True\n", "")
+
+    def test_table(self):
+        code, out, _ = run_cli("twist", *TWIST_CASES["equality"], "--regularity", "0",
+                               "--format", "table")
+        assert code == 0
+        lines = dict(line.split(None, 1) for line in out.splitlines())
+        assert lines["result.scan.0.F"] == "0"
+        assert lines["result.scan.0.passed"] == "false"
+        assert lines["result.k_min"] == "9"
+        assert lines["result.notes.1"] == _EQUALITY_NOTE.format(8)
+        assert not [key for key in lines if key.endswith(".G") or ".G." in key]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_p3_has_no_g(self, fmt):
+        code, out, _ = run_cli("twist", *TWIST_CASES["P3"], "--regularity", "0", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert result["k_min"] == 2 and result["notes"][-1] == _EQUALITY_NOTE.format(1)
+            assert [row["F"] for row in result["scan"]] == ["0", "3"]
+            assert "G" not in result["condition_polys"] and "G" not in result["shift"]
+        elif fmt == "csv":
+            assert out == "F,k,passed\n0,1,False\n3,2,True\n"
+        else:
+            lines = dict(line.split(None, 1) for line in out.splitlines())
+            assert lines["result.notes.1"] == _EQUALITY_NOTE.format(1)
+            assert ".G" not in out
+
+
+def _frozen_certificate_dict(cert) -> dict:
+    """cli._certificate_dict as it stood while it read a TwistCertificate:
+    each rational printed by format_rational, F and G by Poly.to_strings."""
+    def f_and_g(cond2, cond1):
+        out = {"F": cond2.to_strings()}
+        if cond1 is not None:
+            out["G"] = cond1.to_strings()
+        return out
+
+    scan = []
+    for row in cert.scan:
+        entry = {"k": row.k, "F": syzstab.format_rational(row.cond2_value), "passed": row.passed}
+        if row.cond1_value is not None:
+            entry["G"] = syzstab.format_rational(row.cond1_value)
+        scan.append(entry)
+    return {
+        "k_min": cert.k_min,
+        "cauchy_bound": syzstab.format_rational(cert.cauchy),
+        "scanned_range": list(cert.scanned_range),
+        "shift": {"c": cert.shift.c, **f_and_g(cert.shift.cond2, cert.shift.cond1)},
+        "k_pos": cert.k_pos,
+        "regularity": cert.regularity,
+        "condition_polys": f_and_g(cert.cond2, cert.cond1),
+        "scan": scan,
+        "notes": list(cert.notes),
+    }
+
+
+def _writer_cases(count=300, seed=59):
+    """Seeded twist argvs of dim 2-3, h_top 1-3, genus 0-12, d0 0-3 and
+    regularity 0 to 60, with lower Hilbert coefficients of up to three
+    digits: G absent and present, c at the start and past it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, h, g, d0 = rng.randint(2, 3), rng.randint(1, 3), rng.randint(0, 12), rng.randint(0, 3)
+        c1h = (n - 1) * h - 2 * (g - 1)
+        lower = [Fraction(rng.randint(-10 ** rng.randint(0, 3), 10 ** rng.randint(0, 3)),
+                          rng.randint(1, 6)) for _ in range(n - 1)]
+        top = [(d0 + Fraction(c1h, 2)) / math.factorial(n - 1), Fraction(h, math.factorial(n))]
+        yield ("twist", "--dim", str(n), "--h-top", str(h), "--c1-h", str(c1h), "--degree", str(d0),
+               "--hilbert", ",".join(map(str, lower + top)),
+               "--regularity", str(rng.choice((0, 0, 1, 5, 60))))
+
+
+def test_twist_writers_match_the_dict_route(tmp_path):
+    # JSON and CSV print the certificate from its printed form, the table
+    # form and --approx from its dict: on each input the two routes print
+    # the same report, and the dict is the one the API certificate gave
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"variety": {"name": 'a "named" surfa\u00e7e', "dim": 2, "h_top": 1,
+                                            "c1_dot_h": -11},
+                                "sheaf": {"rank": 1, "degree": 0, "hilbert": ["0", "-11/2", "1/2"],
+                                          "regularity": 0}}), encoding="utf-8")
+    seen = collections.Counter()
+    for argv in [*_writer_cases(), ("twist", "--input", str(path))]:
+        args = cli._PARSER.parse_args([*argv, "--format", "table"])
+        echo, result, _ = cli._cmd_twist(args)
+        variety, spec, _ = cli._resolve(args)
+        cert = syzstab.minimal_stable_twist(
+            variety, spec.degree, syzstab.HilbertPoly(syzstab.Poly(spec.hilbert), spec.regularity))
+        assert result == _frozen_certificate_dict(cert), argv
+        report = {"command": "twist", "input": echo, "result": result}
+        assert run_cli(*argv) == (0, json.dumps(report, sort_keys=True, indent=2) + "\n", ""), argv
+        columns = sorted(result["scan"][0])
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in result["scan"])
+        assert run_cli(*argv, "--format", "csv") == (0, sink.getvalue(), ""), argv
+        seen["G"] += cert.cond1 is not None
+        seen["c = start"] += cert.shift.c == cert.scanned_range[0]
+    assert 0 < seen["G"] < 301 and 0 < seen["c = start"] < 301, seen
 
 
 # SHA-256 of stdout for long degree sweeps in both forms: a change to how the
@@ -924,6 +1086,16 @@ class TestHugeNumbers:
             1, "", f"error: bad --hilbert coefficient list: Exceeds the limit ({limit} digits) "
                    "for integer string conversion: value has 5000 digits; use "
                    "sys.set_int_max_str_digits() to increase the limit\n")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table", "json-approx"])
+    def test_twist_past_digit_limit(self, fmt):
+        # the start is 10^3000 - 1, where c is too: F and the shift there
+        # have about 6,000 digits
+        limit = sys.get_int_max_str_digits()
+        assert run_cli("twist", "--catalog", "P2", "--degree", "0", "--hilbert", "1,3/2,1/2",
+                       "--regularity", "9" * 3000, *_TWIST_OUTPUTS[fmt]) == (
+            1, "", f"error: a result has more than {limit} digits, too many to print\n")
 
     def test_approx_past_float_range(self):
         assert_one_error(run_cli("bound", "--dim", "3", "--h-top", "2", "--c1-h", "2",

@@ -821,6 +821,128 @@ class TestIntegerSearch:
         assert seen["k_min < c"] > 0, seen
 
 
+def frozen_minimal_stable_twist(variety, d0, hilbert):
+    """minimal_stable_twist as it was before its search moved into the
+    integer kernel twist._certify: the same search, with the rows below c
+    evaluated as Fractions by Poly.__call__ and the records built as the
+    search went.  The reference for the differential test."""
+    polys = build_condition_polys(variety, d0, hilbert)
+    conds = [p for p in (polys.cond2, polys.cond1) if p is not None]
+    start = max(hilbert.regularity, polys.k_pos)
+    num, den = twist._cauchy_ratio(conds[0])
+    for p in conds[1:]:
+        a, b = twist._cauchy_ratio(p)
+        if a * den > num * b:
+            num, den = a, b
+    power = max(twist.fujiwara_bound(p) for p in conds)
+    lo, hi = start, max(start, min(-(-num // den), power))
+    shifted = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (nums := taylor_shift(conds, mid)) is not None:
+            hi, shifted = mid, nums
+        else:
+            lo = mid + 1
+    c = hi
+    if shifted is None and (shifted := taylor_shift(conds, c)) is None:
+        raise RuntimeError("not positive")
+    notes = [
+        "raw difference has formal degree dim+1; the top terms cancel exactly, "
+        "leaving degree dim with a positive leading coefficient",
+    ]
+    if polys.cond1 is not None:
+        notes.append(
+            "genus >= 2, so the low-branch condition is scanned alongside as a "
+            "second polynomial"
+        )
+    at_c = [Fraction(nums[0], p._denom) for p, nums in zip(conds, shifted)]
+    rows = [twist.ScanRow(k=c, cond2_value=at_c[0], cond1_value=at_c[1] if len(at_c) > 1 else None,
+                          passed=True)]
+    for k in range(c - 1, start - 1, -1):
+        v2 = polys.cond2(k)
+        v1 = polys.cond1(k) if polys.cond1 is not None else None
+        passed = v2.numerator > 0 and (v1 is None or v1.numerator > 0)
+        rows.append(twist.ScanRow(k=k, cond2_value=v2, cond1_value=v1, passed=passed))
+        if not passed:
+            if v2 == 0 or v1 == 0:
+                notes.append(
+                    f"equality at k = {k}: the certificate gives only semistability there"
+                )
+            break
+    rows.reverse()
+    k_min = rows[0].k if rows[0].passed else rows[0].k + 1
+    shift = [Poly._from_ints(p._denom, nums) for p, nums in zip(conds, shifted)]
+    return twist.TwistCertificate(
+        k_min=k_min,
+        cauchy=Fraction(num, den),
+        scanned_range=(start, c),
+        shift=twist.TaylorShift(c=c, cond2=shift[0], cond1=shift[1] if len(shift) > 1 else None),
+        cond2=polys.cond2,
+        cond1=polys.cond1,
+        k_pos=polys.k_pos,
+        regularity=hilbert.regularity,
+        scan=tuple(rows),
+        notes=tuple(notes),
+    )
+
+
+def kernel_grid(count=400, seed=47):
+    """Seeded inputs of dim 2-3, h_top 1-3, genus 0-12, d0 0-3 and
+    regularity 0, 2 or 9, with lower Hilbert coefficients of up to three
+    digits: G absent and present, c at the start and past it, and rows
+    that fail, pass or meet F = 0 below c."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        lower = [Fraction(rng.randint(-10 ** rng.randint(0, 3), 10 ** rng.randint(0, 3)),
+                          rng.randint(1, 6)) for _ in range(n - 1)]
+        yield custom_case(n, rng.randint(1, 3), rng.randint(0, 12), rng.randint(0, 3), lower,
+                          rng.choice((0, 0, 2, 9)))
+
+
+class TestIntegerKernel:
+    def test_matches_the_frozen_certificate(self):
+        # the API edge over twist._certify against the search that built
+        # its records as it went: equal records, the same reprs (so every
+        # value is a Fraction where it was one), on both sides of each branch
+        seen = collections.Counter()
+        for case in kernel_grid():
+            cert, want = minimal_stable_twist(*case), frozen_minimal_stable_twist(*case)
+            assert cert == want and repr(cert) == repr(want), case
+            seen["G"] += cert.cond1 is not None
+            seen["c = start"] += cert.shift.c == cert.scanned_range[0]
+            seen["failed row"] += not cert.scan[0].passed
+            seen["equality"] += any(note.startswith("equality") for note in cert.notes)
+        assert all(0 < seen[key] < 400 for key in ("G", "c = start", "failed row")), seen
+        assert seen["equality"] > 0, seen
+
+    def test_a_zero_g_is_an_equality(self, monkeypatch):
+        # F = k^2 + 1 stays positive and G = (k - 3)(k + 1) is 0 at k = 3,
+        # just below c = 4: that row fails on G alone and is noted
+        polys = twist.ConditionPolys(cond2=Poly((1, 0, 1)), cond1=Poly((-3, -2, 1)), k_pos=0)
+        monkeypatch.setattr(twist, "build_condition_polys", lambda *case: polys)
+        cert = minimal_stable_twist(P2, 0, HP_P2)
+        assert (cert.k_min, cert.shift.c) == (4, 4)
+        assert [(row.k, row.cond2_value, row.cond1_value, row.passed) for row in cert.scan] == [
+            (3, 10, 0, False), (4, 17, 5, True)]
+        assert cert.notes[-1] == "equality at k = 3: the certificate gives only semistability there"
+
+    def test_kernel_returns_integers(self):
+        # the kernel builds no Fraction, Poly or record past the condition
+        # polynomials: every value it returns is an int, a str or a bool
+        def leaves(obj):
+            if type(obj) in (list, tuple):
+                for item in obj:
+                    yield from leaves(item)
+            else:
+                yield obj
+
+        for case in kernel_grid(count=60, seed=5):
+            polys, *rest = twist._certify(*case)
+            assert polys == build_condition_polys(*case)
+            assert {type(leaf) for leaf in leaves(rest)} <= {int, str, bool}
+
+
 def shifted_polys(max_deg=4):
     """A polynomial as p(k - c) for a p with nonnegative coefficients and a
     positive constant, so its Taylor shift by c passes, or any polynomial."""
