@@ -1,6 +1,18 @@
 """Self-check suite: every identity and dominance property the bounds
 are supposed to satisfy, evaluated exactly on grids and seeded samples.
 
+Two check families run from tables, one function each.  `_CAPS` holds
+the caps whose ratio -d/cap(d) rises with d: a row gives the check's
+name, its note, the cap's integer kernel and a draw rng -> (head, base,
+spread) of the kernel's leading arguments and the range of the first
+degree; `_check_monotone` runs a row.  The sharp-family table that
+run_suite builds per grid holds the families on which the section bound
+is sharp, P^n and the anticanonical multiples on del Pezzo surfaces: a
+family gives the check's name, its ranks and its rows, and a row the
+catalog variety, the degree, the known h0 there and the cell's label in
+a failure (`d=...` or `m=...`); `_check_sharp` runs a family.  A new
+family of either kind is a new row, not a new function.
+
 Two checks deliberately restrict their sampling domain, and say so in
 their notes: for fractional x in the open unit gap the telescoping
 identity diverges from its piecewise reading, and just above 2g-2 the
@@ -79,49 +91,41 @@ def _check_telescoping(rng: random.Random, samples: int) -> CheckResult:
     return res
 
 
-def _ratio_rises(kernel, head: tuple, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
-    """cap(d1) > 0, cap(d2) > 0 and d1*cap(d2) > d2*cap(d1), i.e.
-    -d1/cap(d1) < -d2/cap(d2), for degrees p/e and the cap's integer
-    kernel called as kernel(*head, p, e), compared by cross-multiplication
-    (every denominator > 0)."""
-    (p1, e1), (p2, e2) = d1, d2
-    (a1, b1), (a2, b2) = kernel(*head, p1, e1), kernel(*head, p2, e2)
-    return a1 > 0 and a2 > 0 and p1 * a2 * e2 * b1 > p2 * a1 * e1 * b2
+# The caps whose ratio -d/cap(d) rises with d, which is why the stability
+# criterion may read them at d - 1: (name, note, kernel, draw), the kernel
+# called as kernel(*head, p, e) at d = p/e, the draw giving the head, the
+# least degree sampled and how far above it d1 may land.
+_CAPS = (
+    ("ratio-monotonicity-low", None, _low_ratio,
+     lambda rng: ((rng.randint(2, 4), rng.randint(1, 4)), 0, 360)),
+    ("ratio-monotonicity-high",
+     "sampled at degrees >= max(2g-2, g-1) + h_top, where the high cap is "
+     "positive and the ratio is provably strict; just above 2g-2 it can stall",
+     _high_ratio,
+     lambda rng: ((rng.randint(2, 4), h := rng.randint(1, 4), g := rng.randint(0, 6)),
+                  d_pos(g, h), 300)),
+)
 
 
-def _draw_degrees(rng: random.Random, base: int, top: int) -> tuple[tuple[int, int], ...]:
-    """d1 = base + a/b and d2 = d1 + c/f, drawn as a, b, c, f in that
-    order, as unreduced ratios (numerator, denominator > 0)."""
-    a, b = rng.randint(1, top), rng.randint(1, 6)
-    c, f = rng.randint(1, 240), rng.randint(1, 6)
-    p1 = base * b + a
-    return (p1, b), (p1 * f + c * b, b * f)
-
-
-def _check_monotone_low(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("ratio-monotonicity-low")
+def _check_monotone(rng: random.Random, samples: int, name, note, kernel, draw) -> CheckResult:
+    """One row of _CAPS: cap(d1) > 0, cap(d2) > 0 and d1*cap(d2) >
+    d2*cap(d1), i.e. -d1/cap(d1) < -d2/cap(d2), compared by
+    cross-multiplication (every denominator > 0).  After the head, d1 =
+    base + a/b and d2 = d1 + c/f are drawn as a, b, c, f in that order and
+    kept as unreduced ratios p1/b and p2/(b*f)."""
+    res = CheckResult(name, note=note)
     for _ in range(samples):
-        n = rng.randint(2, 4)
-        h = rng.randint(1, 4)
-        d1, d2 = _draw_degrees(rng, 0, 360)
-        ok = _ratio_rises(_low_ratio, (n, h), d1, d2)
-        res.record(ok, lambda: f"n={n}, h={h}, d1={Fraction(*d1)}, d2={Fraction(*d2)}")
-    return res
-
-
-def _check_monotone_high(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult(
-        "ratio-monotonicity-high",
-        note="sampled at degrees >= max(2g-2, g-1) + h_top, where the high cap is "
-        "positive and the ratio is provably strict; just above 2g-2 it can stall",
-    )
-    for _ in range(samples):
-        n = rng.randint(2, 4)
-        h = rng.randint(1, 4)
-        g = rng.randint(0, 6)
-        d1, d2 = _draw_degrees(rng, d_pos(g, h), 300)
-        ok = _ratio_rises(_high_ratio, (n, h, g), d1, d2)
-        res.record(ok, lambda: f"n={n}, h={h}, g={g}, d1={Fraction(*d1)}, d2={Fraction(*d2)}")
+        head, base, spread = draw(rng)
+        a, b = rng.randint(1, spread), rng.randint(1, 6)
+        c, f = rng.randint(1, 240), rng.randint(1, 6)
+        p1 = base * b + a
+        p2, e2 = p1 * f + c * b, b * f
+        (cap1, den1), (cap2, den2) = kernel(*head, p1, b), kernel(*head, p2, e2)
+        res.record(
+            cap1 > 0 and cap2 > 0 and p1 * cap2 * e2 * den1 > p2 * cap1 * b * den2,
+            lambda: ", ".join(f"{key}={value}" for key, value in zip("nhg", head))
+            + f", d1={Fraction(p1, b)}, d2={Fraction(p2, e2)}",
+        )
     return res
 
 
@@ -168,36 +172,18 @@ def _check_dominance(dims, h_tops, genera, degrees) -> CheckResult:
     return res
 
 
-def _check_sharp_projective(dims, degrees, ranks) -> CheckResult:
-    res = CheckResult("sharpness-projective-space")
-    for n in dims:
-        v = catalog_lookup(f"P{n}")
-        for d in degrees:
-            expected = math.comb(d + n, n)
-            for r in ranks:
-                _, _, got, den = _sections_ratio(n, v.h_top, v.genus, r, d, 1, BoundForm.SIMPLIFIED)
-                res.record(
-                    got == (expected + r - 1) * den,
-                    lambda: f"P{n}, rank={r}, d={d}: {Fraction(got, den)} != {expected + r - 1}",
-                )
-    return res
-
-
-def _check_sharp_delpezzo(surfaces, multiples, ranks) -> CheckResult:
-    res = CheckResult("sharpness-del-pezzo")
-    for e in surfaces:
-        v = catalog_lookup(f"delpezzo-{e}")
-        for m in multiples:
-            # anticanonical Riemann-Roch on the surface: h0(mH) - 1 = e*m(m+1)/2
-            twice = e * m * (m + 1)
-            for r in ranks:
-                _, _, got, den = _sections_ratio(v.dim, v.h_top, v.genus, r, m * e, 1,
-                                                 BoundForm.SIMPLIFIED)
-                res.record(
-                    2 * got == (twice + 2 * r) * den,
-                    lambda: f"delpezzo-{e}, rank={r}, m={m}: "
-                    f"{Fraction(got, den)} != {Fraction(twice, 2) + r}",
-                )
+def _check_sharp(name: str, ranks, rows) -> CheckResult:
+    """sections_bound where it is sharp: a row of the table gives the
+    catalog variety, the degree, the known h0 there and the cell's label in
+    a failure; at rank r the simplified form must equal h0 + r - 1."""
+    res = CheckResult(name)
+    for v, d, h0, label in rows:
+        for r in ranks:
+            _, _, got, den = _sections_ratio(v.dim, v.h_top, v.genus, r, d, 1, BoundForm.SIMPLIFIED)
+            res.record(
+                got == (h0 + r - 1) * den,
+                lambda: f"{v.name}, rank={r}, {label}: {Fraction(got, den)} != {h0 + r - 1}",
+            )
     return res
 
 
@@ -292,13 +278,21 @@ def run_suite(grid: str = "small", seed: int = 0) -> list[CheckResult]:
         sharp_dp = ((1, 3, 5), range(1, 6), range(1, 3))
         expansion = ((0, 1), 12)
         cert_extra = 20
+    (dims, degrees, p_ranks), (surfaces, multiples, dp_ranks) = sharp_p, sharp_dp
+    sharp = (
+        ("sharpness-projective-space", p_ranks,
+         [(v, d, math.comb(d + n, n), f"d={d}")
+          for n in dims for v in [catalog_lookup(f"P{n}")] for d in degrees]),
+        # anticanonical Riemann-Roch on the surface: h0(mH) - 1 = e*m(m+1)/2
+        ("sharpness-del-pezzo", dp_ranks,
+         [(v, m * e, e * m * (m + 1) // 2 + 1, f"m={m}")
+          for e in surfaces for v in [catalog_lookup(f"delpezzo-{e}")] for m in multiples]),
+    )
     return [
         _check_telescoping(rng, samples),
-        _check_monotone_low(rng, samples),
-        _check_monotone_high(rng, samples),
+        *(_check_monotone(rng, samples, *cap) for cap in _CAPS),
         _check_dominance(*dominance),
-        _check_sharp_projective(*sharp_p),
-        _check_sharp_delpezzo(*sharp_dp),
+        *(_check_sharp(*family) for family in sharp),
         _check_expansion(*expansion),
         _check_certificates(rng, cert_extra),
     ]

@@ -402,6 +402,49 @@ class TestRestrictionSum:
                         assert got == _fraction_sum(n, h, g, d), (n, h, g, d)
 
 
+def _past_strip_cells():
+    """(n, h, g, d) for dims 3-4, h_top 1-20, genus 0-8 and the 40 degrees
+    from d = 2g - 2 + h_top (from 0 where that is negative): 14,398 cells,
+    each at or past one full hyperplane step above 2g - 2."""
+    for n in (3, 4):
+        for h in range(1, 21):
+            for g in range(0, 9):
+                lo = 2 * g - 2 + h
+                for d in range(max(lo, 0), lo + 40):
+                    yield n, h, g, d
+
+
+# The cells of _past_strip_cells where bound_high + 1 < riemann_roch_bound:
+# (dim, h_top) -> {genus: number of degrees from d = 2g - 2 + h_top on}.
+# None is below restriction_sum, so no verdict is known to rest on the gap;
+# ROADMAP item 3's PR B, which makes the induction the bound, must clear it.
+_CAP_GAP = {
+    (3, 9): {2: 1},
+    (3, 10): {2: 1},
+    (3, 11): {2: 1, 3: 1},
+    (3, 12): {2: 1, 3: 1},
+    (3, 13): {2: 1, 3: 1, 4: 1},
+    (3, 14): {2: 1, 3: 1, 4: 1},
+    (3, 15): {2: 1, 3: 1, 4: 1, 5: 1},
+    (3, 16): {2: 1, 3: 2, 4: 1, 5: 1},
+    (3, 17): {2: 2, 3: 2, 4: 2, 5: 1, 6: 1},
+    (3, 18): {2: 2, 3: 2, 4: 2, 5: 1, 6: 1},
+    (3, 19): {2: 2, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1},
+    (3, 20): {2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 1},
+    (4, 10): {2: 1},
+    (4, 11): {2: 1},
+    (4, 12): {2: 1, 3: 1},
+    (4, 13): {2: 1, 3: 1},
+    (4, 14): {2: 1, 3: 1, 4: 1},
+    (4, 15): {2: 1, 3: 1, 4: 1},
+    (4, 16): {2: 1, 3: 2, 4: 1, 5: 1},
+    (4, 17): {2: 2, 3: 2, 4: 1, 5: 1},
+    (4, 18): {2: 2, 3: 2, 4: 2, 5: 1, 6: 1},
+    (4, 19): {2: 2, 3: 2, 4: 2, 5: 2, 6: 1},
+    (4, 20): {2: 2, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1},
+}
+
+
 class TestFormRelations:
     def test_low_cap_matches_summed_form(self):
         # A + 1 equals the summed Clifford form at degree 0 and from h_top up
@@ -433,15 +476,25 @@ class TestFormRelations:
         # cap + 1 stays at or above the oracle on the grid where it falls
         # below the summed form (108 cells, all with h_top >= 9)
         cells = 0
-        for n in (3, 4):
-            for h in range(1, 21):
-                for g in range(0, 9):
-                    lo = 2 * g - 2 + h
-                    for d in range(max(lo, 0), lo + 40):
-                        cap = bound_high(n, h, g, d) + 1
-                        assert cap >= restriction_sum(n, h, g, d), (n, h, g, d)
-                        cells += 1
+        for n, h, g, d in _past_strip_cells():
+            cap = bound_high(n, h, g, d) + 1
+            assert cap >= restriction_sum(n, h, g, d), (n, h, g, d)
+            cells += 1
         assert cells == 14398
+
+    def test_high_cap_falls_below_summed_form_on_the_recorded_gap(self):
+        # past the strip, cap + 1 < summed form on exactly these cells of the
+        # 14,398 (58 in dim 3, 50 in dim 4): a change to either form that
+        # moves, widens or closes the gap fails here
+        gap = [(n, h, g, d) for n, h, g, d in _past_strip_cells()
+               if bound_high(n, h, g, d) + 1 < riemann_roch_bound(n, h, g, d)]
+        assert gap == [(n, h, g, 2 * g - 2 + h + i)
+                       for (n, h), runs in _CAP_GAP.items() for g, count in runs.items()
+                       for i in range(count)]
+        assert [sum(cell[0] == n for cell in gap) for n in (3, 4)] == [58, 50]
+        assert gap[0] == (3, 9, 2, 11)
+        assert bound_high(*gap[0]) + 1 == Fraction(1180, 81)
+        assert riemann_roch_bound(*gap[0]) == Fraction(7091, 486)
 
     def test_closed_form_dominates_recursion_on_surfaces(self):
         for h in range(1, 5):

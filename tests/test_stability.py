@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,6 +13,7 @@ from syzstab import (
     check_stability,
     make_variety,
     restriction_sum,
+    sections_bound,
     slope,
     syzygy_invariants,
 )
@@ -213,3 +215,75 @@ def test_stable_verdict_clears_the_whole_window(case):
     rep = check_stability(make_variety("window", n, h_top, c1_h), degree, h0)
     worst, _ = _window_maximum(n, h_top, c1_h, degree)
     assert rep.verdict is not Verdict.STABLE or h0 - 1 > worst
+
+
+# ROADMAP item 1's known verdicts.  Let f: X -> P^1 have connected fibres and
+# L = f*O(a) with a >= 2: then H^0(L) = H^0(P^1, O(a)), so M_L = f*O(-1)^{+a}
+# is strictly semistable, not stable, and `check` must never print Stable on
+# it.  A family is its cells (dim, h_top, c1.H, degree, h0).  P^1 x E with
+# deg A = 1 (invariants 2, 2, 2) is left out: no member of |H| is integral
+# there, so the restriction induction does not apply and no bound catches it.
+KNOWN_SEMISTABLE = {
+    # P^1 polarized by O(h): M_{O(d)} = O(-1)^d
+    "P1-polarized-by-O(h)": [(1, h, 2, d, d + 1) for h in range(1, 30) for d in range(2, 40)],
+    # mF on the rational normal scroll S(a_1..a_n), F a ruling, F.H^{n-1} = 1
+    "scroll-pencils": [(n, sum(a), (n - 1) * sum(a) + 2, m, m + 1)
+                       for n in range(2, 6)
+                       for a in combinations_with_replacement(range(1, 6), n)
+                       for m in range(2, 12)],
+    # pr_1*O(m) on P^1 x C, C of genus g, H = O(1) x A with deg A = e
+    "P1xC-pencils": [(2, 2 * e, 2 * e - 2 * g + 2, m * e, m + 1)
+                     for g in range(0, 6) for e in range(2 * g + 1, 2 * g + 8)
+                     for m in range(2, 8)],
+    # aF on delpezzo-e (2, e, e) for a conic bundle F, F.(-K) = 2
+    "delpezzo-conic-bundles": [(2, e, e, 2 * a, a + 1) for e in range(3, 9) for a in range(2, 12)],
+}
+
+
+def _check_outcome(dim, h_top, c1_h, degree, h0):
+    """What `check` prints on a cell: "exit 3" when h0 exceeds the section
+    bound, else the library's verdict (Stable there means exit 0)."""
+    v = make_variety("pencil", dim, h_top, c1_h)
+    if h0 > sections_bound(v, 1, degree).value:
+        return "exit 3"
+    return check_stability(v, degree, h0).verdict.value
+
+
+# Each family passes once the bound is the restriction induction.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="check prints Stable on strictly semistable M_L (ROADMAP item 1)")
+@pytest.mark.parametrize("family", list(KNOWN_SEMISTABLE))
+def test_check_never_prints_stable_on_a_pencil(family):
+    cells = KNOWN_SEMISTABLE[family]
+    stable = [cell for cell in cells if _check_outcome(*cell) == "Stable"]
+    assert not stable, f"{len(stable)} of {len(cells)} cells print Stable, first {stable[0]}"
+
+
+# Each family's cells that print Stable and that exit 3 on today's bound:
+# all P^1 cells that print Stable have d = h - 1, all P^1 x C ones g = 1 and
+# m = 2, and the del Pezzo ones are delpezzo-4, -6 and -8 at a = e/2.  A
+# change to the bound or the criterion that moves a count fails here.
+_PENCIL_COUNTS = {
+    "P1-polarized-by-O(h)": (27, 351),
+    "scroll-pencils": (119, 1971),
+    "P1xC-pencils": (7, 14),
+    "delpezzo-conic-bundles": (3, 6),
+}
+
+
+@pytest.mark.parametrize("family", list(KNOWN_SEMISTABLE))
+def test_pencil_outcomes_on_the_current_bound(family):
+    outcomes = [_check_outcome(*cell) for cell in KNOWN_SEMISTABLE[family]]
+    assert (outcomes.count("Stable"), outcomes.count("exit 3")) == _PENCIL_COUNTS[family]
+
+
+# `check --catalog P2 --degree 2 --h0 100` exits 3 (h0 exceeds the section
+# bound 6), but the rule lives in the CLI only: the library reports Stable.
+# It moves into check_stability once the bound is the restriction induction;
+# on today's bound it would refuse the realizable cubic-surface at degree 2
+# with h0 2.
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="the section-bound rule lives in cli._cmd_check only")
+def test_library_refuses_h0_past_the_section_bound():
+    with pytest.raises(InconsistentInputError):
+        check_stability(P2, 2, 100)

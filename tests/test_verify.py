@@ -145,3 +145,29 @@ class TestFailurePath:
         telescoping = next(c for c in result["checks"] if c["name"] == "telescoping-identity")
         assert (telescoping["passed"], telescoping["failed"]) == (0, samples)
         assert len(telescoping["failures"]) == 11 and telescoping["failures"][-1] == "..."
+
+    def test_table_rows_label_their_failures(self, monkeypatch):
+        # every cap kernel negative and every section bound one too high:
+        # each row of the cap and sharp-family tables fails on every draw
+        # or cell, labelled by its head, or by its variety, rank and cell
+        monkeypatch.setattr(verify, "_CAPS", tuple(
+            (name, note, lambda *args: (-1, 1), draw) for name, note, _, draw in verify._CAPS))
+        real = verify._sections_ratio
+
+        def one_too_high(*args):
+            branch, core, value, den = real(*args)
+            return branch, core, value + den, den
+
+        monkeypatch.setattr(verify, "_sections_ratio", one_too_high)
+        checks = {c.name: c for c in run_suite()}
+        firsts = {
+            "ratio-monotonicity-low": (60, "n=4, h=3, d1=59/2, d2=203/2"),
+            "ratio-monotonicity-high": (60, "n=2, h=3, g=0, d1=39, d2=79/2"),
+            "sharpness-projective-space": (117, "P1, rank=1, d=0: 2 != 1"),
+            "sharpness-del-pezzo": (30, "delpezzo-1, rank=1, m=1: 3 != 2"),
+        }
+        for name, (failed, first) in firsts.items():
+            check = checks[name]
+            assert (check.passed, check.failed, check.failures[0]) == (0, failed, first), name
+        assert checks["ratio-monotonicity-low"].note is None
+        assert "just above 2g-2 it can stall" in checks["ratio-monotonicity-high"].note
